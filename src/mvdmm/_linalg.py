@@ -1,10 +1,13 @@
 """Exact Gauss-Jordan elimination over GF(q) for the decoder.
 
-Rows arrive one at a time (equations from responding workers); the
-eliminator keeps an incrementally fully-reduced pivot basis so that once
-`target` pivots exist, the solution can be read straight off the pivot
-rows.  Over GF(2) rows are packed into Python ints and all row operations
-are single XORs, which is what makes the 961-equation binary decodes cheap.
+The decoder's systems have as many columns as it has unknowns: the e erased
+grid values on the dual side (rows are the coefficients that must vanish
+outside the support), or the kappa coefficients on the primal side (rows
+are responding workers).  build_system's rank audits use the same
+eliminator.  Rows arrive one at a time; the eliminator keeps an
+incrementally fully-reduced pivot basis so that once `target` pivots exist,
+the solution can be read straight off the pivot rows.  Over GF(2) rows are
+packed into Python ints and all row operations are single XORs.
 
 Operation counters tally the field elements touched by row scaling and row
 combination (plus pivot inversions); they back the decoder cost contract
@@ -32,6 +35,14 @@ class EliminationStats:
     @property
     def total_ops(self) -> int:
         return self.mult_ops + self.add_ops + self.inversions
+
+    def add(self, other: "EliminationStats") -> None:
+        """Accumulate another tally into this one."""
+        self.rows_offered += other.rows_offered
+        self.rows_used += other.rows_used
+        self.mult_ops += other.mult_ops
+        self.add_ops += other.add_ops
+        self.inversions += other.inversions
 
 
 class RankDeficiencyError(InsufficientResponsesError):

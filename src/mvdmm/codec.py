@@ -3,15 +3,19 @@
 A multiplication A.B is distributed by splitting the operands into blocks,
 attaching one block to each degree of a solution's degree set, and handing
 every worker the two encoded operands evaluated at its own point.  The
-products returned by any large-enough subset of workers form a linear system
-whose unknowns are the coefficient blocks of the product polynomial; solving
-it recovers A.B exactly.  All arithmetic is exact, so every equality test in
+products returned by any large-enough subset of workers determine the
+coefficient blocks of the product polynomial.  The decoder solves for
+whichever unknowns are fewer: the e grid points that did not respond (the
+dual side, through the closed-form inverse of the grid's Vandermonde map) or
+the kappa coefficients (the primal side, one linear system).  Either way it
+recovers A.B exactly.  All arithmetic is exact, so every equality test in
 this module is literal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +31,7 @@ from .errors import (
     ShapeError,
 )
 from .exponents import ExponentSet, Vec, reduce_q_vec
-from .field import FieldSpec, Point
+from .field import DEFAULT_POINT_LIMIT, FieldSpec, Point
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -272,6 +276,113 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the grid GF(q)^l and its inverse Vandermonde transform
+#
+# Every point set is a subset of GF(q)^l and every reduced exponent vector a
+# member of {0..q-1}^l.  Both are numbered row-major, last coordinate fastest
+# (the order of field.enumerate_points).  On the whole grid the evaluation
+# map is the Kronecker product of l univariate q x q Vandermonde maps, so its
+# inverse is the Kronecker product T of l copies of the closed-form T1.
+
+
+def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row-major index of each vector of {0..q-1}^l."""
+    try:
+        arr = np.asarray(vectors, dtype=np.int64)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != l or arr.min() < 0 or arr.max() >= q:
+        raise ParameterError(f"vectors must have {l} coordinates in [0, {q})")
+    return arr @ q ** np.arange(l - 1, -1, -1, dtype=np.int64)
+
+
+def _grid_digits(q: int, l: int, index: np.ndarray) -> np.ndarray:
+    """Inverse of _grid_index: shape (len(index), l)."""
+    return index[:, None] // q ** np.arange(l - 1, -1, -1, dtype=np.int64) % q
+
+
+def _complement(size: int, index: np.ndarray) -> np.ndarray:
+    """The sorted grid indices in [0, size) missing from `index`."""
+    return np.setdiff1d(np.arange(size, dtype=np.int64), index)
+
+
+def _outside(q: int, l: int, support_grid: np.ndarray) -> np.ndarray:
+    """Exponent-grid indices outside the support, highest total degree first.
+
+    Those rows of T are the densest, so the first e of them offered to the
+    erasure solve are usually independent.
+    """
+    rows = _complement(q**l, support_grid)
+    return rows[np.argsort(-_grid_digits(q, l, rows).sum(axis=1), kind="stable")]
+
+
+@lru_cache(maxsize=None)
+def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
+    """T1 = (V1^T)^-1 for the univariate Vandermonde V1[a, x] = x^a, read-only.
+
+    In closed form T1[0, x] = [x = 0] and T1[a, x] = -x^(q-1-a) for a >= 1
+    (0^0 = 1): the coefficients of the indicator 1 - (t - x)^(q-1) of x.
+    V1^T . T1 = I is checked exactly, once per field.
+    """
+    q = spec.q
+    v1 = monomial_matrix(spec, ExponentSet.of(q, 1, [(a,) for a in range(q)]),
+                         [(x,) for x in range(q)])
+    t1 = spec.neg_arr(v1[::-1])
+    t1[0] = 0
+    t1[0, 0] = 1
+    if not np.array_equal(spec.matmul(v1.T, t1), np.eye(q, dtype=np.int64)):
+        raise InternalConsistencyError(f"closed-form inverse Vandermonde is wrong over {spec}")
+    t1.setflags(write=False)
+    return t1
+
+
+def _dual_block(spec: FieldSpec, l: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """T[rows, cols] for exponent-grid rows and point-grid columns."""
+    t1 = inverse_vandermonde(spec)
+    r = _grid_digits(spec.q, l, rows)
+    c = _grid_digits(spec.q, l, cols)
+    out = t1[r[:, :1], c[:, 0]]
+    for i in range(1, l):
+        out = spec.mul_arr(out, t1[r[:, i:i + 1], c[:, i]])
+    return np.asarray(out, dtype=np.int64)
+
+
+def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.EliminationStats) -> np.ndarray:
+    """T . values for a (q^l, w) array of grid values, one coordinate at a time.
+
+    Over GF(2), T1 = [[1, 0], [1, 1]] and each coordinate is one in-place
+    XOR butterfly.  Otherwise each pass applies T1 to the leading coordinate
+    and rotates it to the back, so after l passes the coordinates are in
+    their original order.  `values` may be overwritten.
+    """
+    q, w = spec.q, values.shape[1]
+    if q == 2:
+        for i in range(l):
+            pairs = values.reshape(2**i, 2, -1)
+            pairs[:, 1] ^= pairs[:, 0]
+        stats.add_ops += l * values.size // 2
+        return values
+    t1 = inverse_vandermonde(spec)
+    out = values
+    for _ in range(l):
+        lead = spec.matmul(t1, out.reshape(q, -1))
+        stats.mult_ops += lead.size * q
+        stats.add_ops += lead.size * q
+        out = lead.reshape(q, -1, w).transpose(1, 0, 2)
+    return out.reshape(q**l, w)
+
+
+def _dual_side(spec: FieldSpec, erasures: int, kappa: int) -> bool:
+    """Solve for the erasures (dual) rather than the coefficients (primal)?
+
+    The dual side has `erasures` unknowns and the primal side kappa.  T1 is
+    q x q, so the dual side also needs T1 to be no larger than the largest
+    point grid, i.e. q <= 1024.
+    """
+    return erasures < kappa and spec.q**2 <= DEFAULT_POINT_LIMIT
+
+
+# ---------------------------------------------------------------------------
 # interpolation system
 
 
@@ -281,6 +392,8 @@ class InterpolationSystem:
 
     kappa is the number of unknown coefficients; recovery_threshold is the
     evaluation count that guarantees solvability for any point subset.
+    point_grid and support_grid are the grid indices of the points and of
+    the support's exponent vectors.
     """
 
     spec: FieldSpec
@@ -289,29 +402,41 @@ class InterpolationSystem:
     matrix: np.ndarray  # (kappa, len(points))
     kappa: int
     recovery_threshold: int
-
-    def column_of(self, point: Point) -> int:
-        return self._point_index[tuple(point)]
-
-    @property
-    def _point_index(self) -> dict[Point, int]:
-        return {p: j for j, p in enumerate(self.points)}
+    point_grid: np.ndarray
+    support_grid: np.ndarray
 
     def index_of_degree(self, degree: Vec) -> int:
         return self.support.vectors.index(tuple(degree))
 
 
 def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> InterpolationSystem:
-    """Fill the evaluation matrix and verify it has full row rank."""
+    """Fill the evaluation matrix and verify that the points determine every
+    function in the span of the support.
+
+    With e0 unused grid points the audit takes the side with fewer unknowns
+    (see _dual_side): either the kappa x N matrix has rank kappa (primal), or
+    no nonzero function vanishing off the e0 unused points lies in the span,
+    i.e. the block T[outside the support, unused points] has rank e0 (dual).
+    The two are the same guarantee; on a full grid (e0 = 0) the dual side
+    rests on the exact check of T1.
+    """
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ParameterError("evaluation points must be distinct")
     threshold = exponents.delta(support) + 1
     if len(points) < threshold:
         raise InsufficientResponsesError(threshold, len(points))
+    q, l = spec.q, support.l
+    point_grid = _grid_index(q, l, points)
+    support_grid = _grid_index(q, l, support.vectors)
     g = monomial_matrix(spec, support, points)
     kappa = len(support)
-    rank = _linalg.matrix_rank(spec, g)
+    unused = _complement(q**l, point_grid)
+    if _dual_side(spec, unused.size, kappa):
+        block = _dual_block(spec, l, _outside(q, l, support_grid), unused)
+        rank = kappa - unused.size + _linalg.matrix_rank(spec, block.T)
+    else:
+        rank = _linalg.matrix_rank(spec, g)
     if rank != kappa:
         # Would contradict the footprint bound; surface loudly.
         raise InternalConsistencyError(
@@ -324,6 +449,8 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
         matrix=g,
         kappa=kappa,
         recovery_threshold=threshold,
+        point_grid=point_grid,
+        support_grid=support_grid,
     )
 
 
@@ -392,6 +519,49 @@ class Interpolation:
         return self.coefficients[tuple(degree)]
 
 
+# Responses stacked per product when combining them with decoder weights;
+# bounds the stacked copy (and its digit planes) rather than holding all R.
+COMBINE_CHUNK = 64
+
+
+def _distinct(responses: Iterable[WorkerResponse]) -> list[WorkerResponse]:
+    """One response per point in arrival order; conflicting duplicates raise."""
+    first: dict[Point, WorkerResponse] = {}
+    for r in responses:
+        p = tuple(r.point)
+        kept = first.setdefault(p, r)
+        if kept is not r and kept.product != r.product:
+            raise ParameterError(f"conflicting responses at point {p}")
+    return list(first.values())
+
+
+def _combine(
+    spec: FieldSpec, weights: np.ndarray, responses: Sequence[WorkerResponse],
+    stats: _linalg.EliminationStats,
+) -> np.ndarray:
+    """sum_i weights[i] * responses[i].product, flattened."""
+    acc = None
+    for start in range(0, len(responses), COMBINE_CHUNK):
+        part = np.stack([r.product.data.reshape(-1)
+                         for r in responses[start:start + COMBINE_CHUNK]])
+        term = spec.matmul(weights[None, start:start + COMBINE_CHUNK], part)[0]
+        acc = term if acc is None else spec.add_arr(acc, term)
+    stats.mult_ops += weights.size * acc.size
+    stats.add_ops += weights.size * acc.size
+    return acc
+
+
+def _solve_erasures(
+    spec: FieldSpec, l: int, outside: np.ndarray, missing: np.ndarray,
+    rhs: Sequence[np.ndarray], stats: _linalg.EliminationStats,
+) -> np.ndarray:
+    """Z with T[outside, missing] . Z = rhs, read off the first independent rows."""
+    block = _dual_block(spec, l, outside, missing)
+    z, _, solved = _linalg.solve_exact(spec, list(block), list(rhs), missing.size)
+    stats.add(solved)
+    return z
+
+
 def interpolate(
     sys: InterpolationSystem,
     responses: Iterable[WorkerResponse],
@@ -400,46 +570,113 @@ def interpolate(
 ) -> Interpolation:
     """Solve for the product polynomial's coefficients from worker responses.
 
-    With `only`, just the requested coefficient is recovered: the solver
-    expresses that single unknown as a combination of response equations
-    instead of inverting the whole system.
+    With R distinct responses there are e = q^l - R erasures on the grid.
+    When e < kappa (see _dual_side) the decoder works on the dual problem:
+
+    * place the responses on the grid (zeros at the erasures) and apply T,
+      one T1 per coordinate: O(l q q^l w) for w entries per block product;
+    * the coefficients outside the support S must vanish, which determines
+      the e erased values from the |S-bar| rows outside S: an exact
+      O(|S-bar| e^2) elimination with right-hand side width w;
+    * correct the coefficients on S by T[S, erasures] times those values:
+      O(kappa e w).
+
+    Otherwise it eliminates the kappa unknown coefficients directly from the
+    responses' rows of the evaluation matrix (primal side).  Both sides raise
+    RankDeficiencyError, in kappa terms, exactly when the responding points
+    do not determine every function in the span of S.
+
+    With `only`, just the requested coefficient is recovered, as one weight
+    per response: on the dual side T's row at the target, corrected through
+    the erasure solve (O(e R) after the solve), then applied to the products
+    in chunks (O(R w)); on the primal side the eliminator expresses that
+    unknown as a combination of response equations.
     """
-    responses = list(responses)
-    seen: set[Point] = set()
-    uniq: list[WorkerResponse] = []
-    for r in responses:
-        p = tuple(r.point)
-        if p in seen:
-            continue
-        seen.add(p)
-        uniq.append(r)
+    uniq = _distinct(responses)
     if require_threshold and len(uniq) < sys.recovery_threshold:
         raise InsufficientResponsesError(sys.recovery_threshold, len(uniq))
-    col_index = sys._point_index
+    if not uniq:
+        raise InsufficientResponsesError(sys.kappa, 0)
+    shape = uniq[0].product.data.shape
+    if any(r.product.data.shape != shape for r in uniq):
+        raise ShapeError("responses carry products of different shapes")
+    spec, l = sys.spec, sys.support.l
+    size = spec.q**l
     try:
-        rows = [sys.matrix[:, col_index[tuple(r.point)]] for r in uniq]
-    except KeyError as exc:
-        raise ParameterError(f"response at unknown point {exc}") from exc
+        grid = _grid_index(spec.q, l, [r.point for r in uniq])
+    except ParameterError as exc:
+        raise ParameterError(f"response at a point outside GF({spec.q})^{l}") from exc
+    column = np.full(size, -1, dtype=np.int64)
+    column[sys.point_grid] = np.arange(len(sys.points))
+    unknown = np.flatnonzero(column[grid] < 0)
+    if unknown.size:
+        raise ParameterError(f"response at unknown point {tuple(uniq[unknown[0]].point)}")
+
+    missing = _complement(size, grid)
+    if not _dual_side(spec, missing.size, sys.kappa):
+        return _interpolate_primal(sys, uniq, [sys.matrix[:, c] for c in column[grid]], only)
+    try:
+        return _interpolate_dual(sys, uniq, grid, missing, only)
+    except _linalg.RankDeficiencyError as exc:
+        # The kappa-column system lacks exactly the dual block's rank deficit.
+        raise _linalg.RankDeficiencyError(
+            sys.kappa, sys.kappa - missing.size + exc.got) from None
+
+
+def _interpolate_dual(
+    sys: InterpolationSystem, uniq: list[WorkerResponse], grid: np.ndarray,
+    missing: np.ndarray, only: Vec | None,
+) -> Interpolation:
+    """Solve for the erased grid values, then read off the coefficients."""
+    spec, l = sys.spec, sys.support.l
+    shape = uniq[0].product.data.shape
+    outside = _outside(spec.q, l, sys.support_grid)
+    used = tuple(r.point for r in uniq)
+    stats = _linalg.EliminationStats()
+    if only is not None:
+        target = sys.support_grid[sys.index_of_degree(only)][None]
+        weights = _dual_block(spec, l, target, grid)[0]
+        if missing.size:
+            z = _solve_erasures(spec, l, outside, missing, _dual_block(spec, l, outside, grid), stats)
+            weights = spec.sub_arr(weights, spec.matmul(_dual_block(spec, l, target, missing), z)[0])
+            stats.mult_ops += z.size
+            stats.add_ops += z.size
+        combined = _combine(spec, weights, uniq, stats)
+        return Interpolation({tuple(only): MatrixFq(spec, combined.reshape(shape))}, used, stats)
+    values = np.zeros((spec.q**l, int(np.prod(shape))), dtype=np.int64)
+    for g, r in zip(grid, uniq):
+        values[g] = r.product.data.reshape(-1)
+    c = _transform(spec, l, values, stats)
+    x = c[sys.support_grid]
+    if missing.size:
+        z = _solve_erasures(spec, l, outside, missing, [c[i] for i in outside], stats)
+        x = spec.sub_arr(x, spec.matmul(_dual_block(spec, l, sys.support_grid, missing), z))
+        stats.mult_ops += sys.kappa * z.size
+        stats.add_ops += sys.kappa * z.size
+    coeffs = {v: MatrixFq(spec, x[i].reshape(shape)) for i, v in enumerate(sys.support.vectors)}
+    return Interpolation(coeffs, used, stats)
+
+
+def _interpolate_primal(
+    sys: InterpolationSystem, uniq: list[WorkerResponse], rows: list[np.ndarray],
+    only: Vec | None,
+) -> Interpolation:
+    """Eliminate the kappa coefficients from the responses' evaluation rows."""
     spec = sys.spec
     shape = uniq[0].product.data.shape
     if only is not None:
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
-        stacked = np.stack([uniq[i].product.data.reshape(-1) for i in used])
-        combined = spec.matmul(y.reshape(1, -1), stacked)
-        stats.mult_ops += y.size * stacked.shape[1]
-        stats.add_ops += y.size * stacked.shape[1]
+        combined = _combine(spec, y, [uniq[i] for i in used], stats)
         coeffs = {tuple(only): MatrixFq(spec, combined.reshape(shape))}
-        used_points = tuple(uniq[i].point for i in used)
-        return Interpolation(coeffs, used_points, stats)
+        return Interpolation(coeffs, tuple(uniq[i].point for i in used), stats)
     rhs = [r.product.data.reshape(-1) for r in uniq]
     x, used, stats = _linalg.solve_exact(spec, rows, rhs, sys.kappa)
     coeffs = {
         v: MatrixFq(spec, x[i].reshape(shape))
         for i, v in enumerate(sys.support.vectors)
     }
-    used_points = tuple(uniq[i].point for i in used)
-    return Interpolation(coeffs, used_points, stats)
+    return Interpolation(coeffs, tuple(uniq[i].point for i in used), stats)
 
 
 def extract_poly(

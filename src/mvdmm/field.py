@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -424,10 +424,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
@@ -504,11 +500,3 @@ def enumerate_points(spec: FieldSpec, l: int, limit: int = DEFAULT_POINT_LIMIT) 
     if total > limit:
         raise CapacityError(f"q^l = {total} exceeds point limit {limit}")
     return list(itertools.product(range(spec.q), repeat=l))
-
-
-def index_of(element: FieldElement) -> int:
-    return element.index
-
-
-def element_from_index(spec: FieldSpec, i: int) -> FieldElement:
-    return spec.element(i)

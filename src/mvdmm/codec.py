@@ -45,7 +45,10 @@ class MatrixFq:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.int64))
+        arr = np.asarray(self.data)
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ParameterError(f"matrix entries must be integers, got dtype {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeError(f"matrix data must be 2-D, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.spec.q):

@@ -7,6 +7,12 @@ index 1 the multiplicative identity.  A ``FieldSpec`` owns the arithmetic
 tables; ``FieldElement`` is a thin convenience wrapper used at API surfaces.
 Hot paths (matrix kernels, elimination) operate on raw numpy index arrays
 through the ``*_arr`` methods and ``matmul``.
+
+``matmul`` is the one matrix-product kernel of the package: encoding, the
+workers' block products and the decoder's transforms all run through it.  It
+multiplies base-p digit matrices with float64 BLAS, cutting the inner
+dimension so that every partial sum is an integer below 2^53 and therefore
+exact, then reduces mod p as integers.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FieldMismatchError, ParameterError, RangeError
+from .errors import CapacityError, FieldMismatchError, ParameterError, RangeError, ShapeError
 
 # Full q x q lookup tables are kept below this order; above it, extension
 # fields fall back to log/antilog arithmetic and prime fields to modular.
@@ -28,6 +34,9 @@ MAX_ORDER = 1 << 16
 
 # Default cap on point enumerations (covers q^l up to 2^20 worker grids).
 DEFAULT_POINT_LIMIT = 1 << 20
+
+# float64 represents every integer up to 2^53 exactly.
+EXACT_FLOAT_LIMIT = 1 << 53
 
 # Orders with a built-in modulus (lexicographically least irreducible,
 # comparing integer encodings of the coefficient vector).
@@ -123,7 +132,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_reduction", "__weakref__",
+        "_reduction", "_digit_planes", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -198,11 +207,18 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
+        # Longest inner dimension for which an entry of ``matmul``'s float64
+        # product (e * chunk terms of at most (p-1)^2) stays below 2^53.
+        self.matmul_chunk = (EXACT_FLOAT_LIMIT - 1) // (e * (p - 1) ** 2)
         if e == 1:
             self._log = None
             self._exp = None
             self._reduction = None
+            self._digit_planes = None
         else:
+            # Row k holds base-p digit k of every index, as float64.
+            idx = np.arange(q, dtype=np.int64)
+            self._digit_planes = np.stack([idx // p**k % p for k in range(e)]).astype(np.float64)
             # Reduction of x^k for k in [e, 2e-2] to coefficient vectors.
             red = {}
             mod_low = [(-c) % p for c in self.modulus[:e]]
@@ -385,32 +401,45 @@ class FieldSpec:
         return self.add_arr(x, self.neg_arr(np.asarray(y)))
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Schoolbook matrix product of two index matrices."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if x.shape[-1] != y.shape[0]:
-            raise FieldMismatchError(f"inner dimensions {x.shape} x {y.shape} disagree")
-        if self.e == 1:
-            return (x @ y) % self.p
-        # Coefficient planes: an index matrix splits into e digit matrices;
-        # the product is e^2 integer matmuls recombined through x^k reductions.
-        xd = [(x // self.p**k) % self.p for k in range(self.e)]
-        yd = [(y // self.p**k) % self.p for k in range(self.e)]
-        planes = [np.zeros((x.shape[0], y.shape[1]), dtype=np.int64) for _ in range(2 * self.e - 1)]
-        for i in range(self.e):
-            for j in range(self.e):
-                planes[i + j] += xd[i] @ yd[j]
-        out_digits = [planes[k] % self.p for k in range(self.e)]
-        for k in range(self.e, 2 * self.e - 1):
-            plane = planes[k] % self.p
-            for j, m in enumerate(self._reduction[k]):
-                if m:
-                    out_digits[j] = (out_digits[j] + plane * m) % self.p
-        out = np.zeros_like(out_digits[0])
-        scale = 1
-        for d in out_digits:
-            out += d * scale
-            scale *= self.p
+        """Exact product of two 2-D matrices of indices in [0, q), on float64 BLAS.
+
+        The operands enter as base-p digits in [0, p), held as float64.  Over
+        GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where Y_i is digit
+        i of Y and (x^i X)_j is digit j of the elementwise field product
+        x^i * X, which carries the reduction by the modulus.  So one matmul of
+        the (e*r) x (e*n) left digits by the (e*n) x t right digits gives all
+        e output digits from e^2 digit products; over GF(p), e = 1 and the
+        digits are the indices.  With the inner dimension cut into chunks of
+        at most ``matmul_chunk``, an entry of a chunk's product sums at most
+        e * matmul_chunk terms in [0, (p-1)^2].  So every partial sum BLAS
+        forms, in whatever order, is an integer below 2^53 and exact.  Each
+        chunk is reduced mod p as integers before the next is added.
+        """
+        x = np.asarray(x)
+        y = np.asarray(y)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+            raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
+        p, e, step = self.p, self.e, self.matmul_chunk
+        (r, n), t = x.shape, y.shape[1]
+        if e == 1:
+            left = x.astype(np.float64)[None, :, None, :]
+            right = y.astype(np.float64)[None]
+        else:
+            shifted = np.stack([x] + [self.mul_arr(p**i, x) for i in range(1, e)], axis=1)
+            left = np.take(self._digit_planes, shifted, axis=1)  # (digit j, r, power i, n)
+            right = np.take(self._digit_planes, y, axis=1)  # (digit i, n, t)
+        acc = None
+        for start in range(0, max(n, 1), step):
+            width = e * (min(start + step, n) - start)
+            a = left[..., start:start + step].reshape(e * r, width)
+            b = right[:, start:start + step].reshape(width, t)
+            part = (a @ b).astype(np.int64)
+            part %= p
+            acc = part if acc is None else (acc + part) % p
+        digits = acc.reshape(e, r, t)
+        out = digits[-1]
+        for d in digits[-2::-1]:
+            out = out * p + d
         return out
 
     # -- elements and points ---------------------------------------------------

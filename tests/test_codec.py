@@ -79,13 +79,44 @@ def test_matmul_examples():
         codec.matmul(MatrixFq.zeros(GF5, 2, 3), MatrixFq.zeros(GF5, 2, 3))
 
 
-@pytest.mark.parametrize("spec", [GF8, FieldSpec(3, 2), FieldSpec(5, 2), GF19])
-def test_matmul_against_scalar_reference(spec):
+GF65521 = FieldSpec(65521)
+GF65536 = FieldSpec(2, 16)
+MATMUL_CASES = {
+    "spec0": (GF8, (3, 5, 2)),
+    "spec1": (FieldSpec(3, 2), (3, 5, 2)),
+    "spec2": (FieldSpec(5, 2), (3, 5, 2)),
+    "spec3": (GF19, (3, 5, 2)),
+    "gf2": (GF2, (3, 5, 2)),
+    "gf4": (FieldSpec(2, 2), (3, 5, 2)),
+    "gf65521": (GF65521, (3, 5, 2)),
+    "gf65536": (GF65536, (3, 5, 2)),
+    "gf19-inner0": (GF19, (3, 0, 2)),
+    "gf8-inner0": (GF8, (3, 0, 2)),
+    "gf65521-row": (GF65521, (1, 5, 2)),
+    "gf65536-row": (GF65536, (1, 5, 2)),
+    "gf19-col": (GF19, (3, 5, 1)),
+    "gf8-col": (GF8, (3, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("spec, shape", MATMUL_CASES.values(), ids=MATMUL_CASES.keys())
+def test_matmul_against_scalar_reference(spec, shape):
+    r, n, t = shape
     rng = np.random.default_rng(spec.q)
-    a = rng.integers(0, spec.q, size=(3, 5))
-    b = rng.integers(0, spec.q, size=(5, 2))
+    a = rng.integers(0, spec.q, size=(r, n))
+    b = rng.integers(0, spec.q, size=(n, t))
     fast = codec.matmul(MatrixFq(spec, a), MatrixFq(spec, b))
     assert np.array_equal(fast.data, scalar_matmul(spec, a, b))
+
+
+def test_matrix_rejects_non_integer_entries():
+    with pytest.raises(ParameterError):
+        MatrixFq(GF5, [[1.7, 2.2]])
+    with pytest.raises(ParameterError):
+        MatrixFq(GF5, np.ones((2, 2)))
+    assert MatrixFq(GF5, [[1, 2]]).data.dtype == np.int64
+    assert MatrixFq(GF5, np.zeros((0, 3))).rows == 0
+    assert MatrixFq(GF5, [[]]).cols == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mvdmm.errors import CapacityError, FieldMismatchError, ParameterError, RangeError
-from mvdmm.field import FieldSpec, enumerate_points
+from mvdmm.errors import CapacityError, FieldMismatchError, ParameterError, RangeError, ShapeError
+from mvdmm.field import EXACT_FLOAT_LIMIT, FieldSpec, enumerate_points
 
 
 def poly_mul_divmod_oracle(a_coeffs, b_coeffs, modulus, p):
@@ -188,3 +188,45 @@ def test_matmul_planes_match_schoolbook():
                 for k in range(7):
                     acc = spec.add(acc, spec.mul(int(a[i, k]), int(b[k, j])))
                 assert acc == int(fast[i, j])
+
+
+def test_matmul_inner_dimension_mismatch():
+    with pytest.raises(ShapeError):
+        FieldSpec(5).matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        FieldSpec(2, 3).matmul(np.zeros((1, 4), dtype=np.int64), np.zeros((3, 1), dtype=np.int64))
+
+
+def test_matmul_exact_one_past_the_chunk_at_largest_prime():
+    p = 65521  # largest prime below 2^16
+    spec = FieldSpec(p)
+    k = spec.matmul_chunk
+    assert k * (p - 1) ** 2 < EXACT_FLOAT_LIMIT <= (k + 1) * (p - 1) ** 2
+    # Every entry is p-1 except one pair of p-2, so the k+1 products sum to
+    # an odd integer above 2^53: one float64 sum over all of them is inexact.
+    n = k + 1
+    a = np.full((1, n), p - 1, dtype=np.int64)
+    b = np.full((n, 1), p - 1, dtype=np.int64)
+    a[0, 0] = b[0, 0] = p - 2
+    total = (n - 1) * (p - 1) ** 2 + (p - 2) ** 2
+    assert total > EXACT_FLOAT_LIMIT and total % 2 == 1
+    assert spec.matmul(a, b).tolist() == [[total % p]]
+
+
+def test_matmul_chunk_at_largest_extension_field():
+    spec = FieldSpec(2, 16)
+    # An entry of the float64 product sums e = 16 digit products, each 0 or 1,
+    # per inner index.
+    assert spec.matmul_chunk == (EXACT_FLOAT_LIMIT - 1) // 16
+    assert 16 * spec.matmul_chunk < EXACT_FLOAT_LIMIT <= 16 * (spec.matmul_chunk + 1)
+
+
+@pytest.mark.parametrize("p, e", [(19, 1), (2, 3), (5, 2)])
+def test_matmul_short_chunks_match_one_chunk(p, e):
+    rng = np.random.default_rng(p * e)
+    whole = FieldSpec(p, e)
+    chunked = FieldSpec(p, e)
+    chunked.matmul_chunk = 3
+    a = rng.integers(0, whole.q, size=(4, 11))
+    b = rng.integers(0, whole.q, size=(11, 5))
+    assert np.array_equal(chunked.matmul(a, b), whole.matmul(a, b))

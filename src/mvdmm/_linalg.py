@@ -4,19 +4,27 @@ The decoder's systems have as many columns as it has unknowns: the e erased
 grid values on the dual side (rows are the coefficients that must vanish
 outside the support), or the kappa coefficients on the primal side (rows
 are responding workers).  build_system's rank audits use the same
-eliminator.  Rows arrive one at a time; the eliminator keeps an
-incrementally fully-reduced pivot basis so that once `target` pivots exist,
-the solution can be read straight off the pivot rows.  Over GF(2) rows are
-packed into Python ints and all row operations are single XORs.
+eliminator.
 
-Operation counters tally the field elements touched by row scaling and row
-combination (plus pivot inversions); they back the decoder cost contract
-checked by the acceptance suite.
+Rows arrive one at a time.  The eliminator keeps its fully reduced pivot
+rows as one dense (rank x width) index array, so an offered row is reduced
+against every pivot at once, as aug - f . basis with f = aug[pivot columns]:
+one FieldSpec.matmul.  A new pivot is back-eliminated from the basis rows
+that have it by one outer product, an elementwise FieldSpec.mul_arr (an
+inner dimension of 1 needs no sums).  Once the basis has a pivot in every column, the solution is
+read straight off the pivot rows.  To express a unit vector over the used
+rows (express_unit), each offered row carries its own unit vector over the
+used rows as extra columns.  GF(2) takes the same path as every other field.
+
+Operation counters tally, per nonzero coefficient, the row width it scales
+and combines, plus one inversion per pivot; they back the decoder cost
+contract checked by the acceptance suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -53,166 +61,87 @@ class RankDeficiencyError(InsufficientResponsesError):
         self.args = (f"equations span rank {got}, need {needed}",)
 
 
-class _GenericEliminator:
-    """Incremental Gauss-Jordan over any FieldSpec, rows as numpy index arrays."""
+class _Eliminator:
+    """Incremental Gauss-Jordan with a fully reduced, dense pivot basis.
 
-    def __init__(self, spec: FieldSpec, ncols: int, rhs_width: int, track: bool, target: int):
+    An augmented row is its ncols coefficients, then rhs_width right-hand
+    side entries, then (with `track`) ncols columns for its combination of
+    the used rows.  Elimination stops at ncols pivots.
+    """
+
+    def __init__(self, spec: FieldSpec, ncols: int, rhs_width: int, track: bool):
         self.spec = spec
         self.ncols = ncols
-        self.rhs_width = rhs_width
         self.track = track
-        self.target = target
-        self.pivots: dict[int, np.ndarray] = {}      # pivot col -> augmented row
-        self.transforms: dict[int, np.ndarray] = {}  # pivot col -> combo over used rows
-        self.tags: list[object] = []                 # identities of rows that became pivots
+        self.width = ncols + rhs_width + (ncols if track else 0)
+        self.basis = np.zeros((ncols, self.width), dtype=np.int64)
+        self.pivots = np.zeros(ncols, dtype=np.int64)  # pivot column of each basis row
+        self.rank = 0
         self.stats = EliminationStats()
 
-    def _combine(self, dst: np.ndarray, f: int, src: np.ndarray) -> np.ndarray:
-        # dst - f * src over the field
-        spec = self.spec
-        n = dst.shape[0]
+    def complete(self) -> bool:
+        return self.rank >= self.ncols
+
+    def _tally(self, coeffs: np.ndarray) -> bool:
+        """Count one row scaling and combination per nonzero coefficient;
+        False if there is none."""
+        n = int(np.count_nonzero(coeffs)) * self.width
         self.stats.mult_ops += n
         self.stats.add_ops += n
-        scaled = spec.mul_arr(np.int64(f), src)
-        if spec.p == 2:  # subtraction is index XOR in characteristic 2
-            np.bitwise_xor(dst, scaled, out=dst)
-            return dst
-        return spec.sub_arr(dst, scaled)
+        return n > 0
 
-    def offer(self, row: np.ndarray, rhs: np.ndarray, tag: object) -> bool:
-        if self.complete():
-            return False
-        spec = self.spec
+    def offer(self, row: np.ndarray) -> bool:
+        """Reduce one augmented row (without its tracking columns) against the
+        basis; True if it became a pivot row."""
+        spec, k = self.spec, self.rank
         self.stats.rows_offered += 1
-        aug = np.concatenate([np.asarray(row, dtype=np.int64),
-                              np.asarray(rhs, dtype=np.int64)])
-        trans = None
-        if self.track:
-            trans = np.zeros(self.target, dtype=np.int64)
-            trans[len(self.tags)] = 1
-        for col, prow in self.pivots.items():
-            f = int(aug[col])
-            if f:
-                aug = self._combine(aug, f, prow)
-                if self.track:
-                    trans = self._combine(trans, f, self.transforms[col])
-        nz = np.nonzero(aug[: self.ncols])[0]
+        aug = np.zeros(self.width, dtype=np.int64)
+        aug[: len(row)] = row
+        if self.track:  # the row's own unit vector over the used rows
+            aug[self.width - self.ncols + k] = 1
+        basis = self.basis[:k]
+        f = aug[self.pivots[:k]]
+        if self._tally(f):  # against every pivot at once
+            aug = spec.sub_arr(aug, spec.matmul(f[None], basis)[0])
+        nz = np.flatnonzero(aug[: self.ncols])
         if nz.size == 0:
             return False
         col = int(nz[0])
         inv = spec.inv(int(aug[col]))
         self.stats.inversions += 1
         if inv != 1:
-            self.stats.mult_ops += aug.shape[0]
+            self.stats.mult_ops += self.width
             aug = spec.mul_arr(np.int64(inv), aug)
-            if self.track:
-                self.stats.mult_ops += trans.shape[0]
-                trans = spec.mul_arr(np.int64(inv), trans)
-        for pcol, prow in list(self.pivots.items()):
-            f = int(prow[col])
-            if f:
-                self.pivots[pcol] = self._combine(prow, f, aug)
-                if self.track:
-                    self.transforms[pcol] = self._combine(self.transforms[pcol], f, trans)
-        self.pivots[col] = aug
-        if self.track:
-            self.transforms[col] = trans
-        self.tags.append(tag)
+        g = basis[:, col:col + 1]
+        if self._tally(g):  # clear the new pivot's column from the rows that have it
+            hit = np.flatnonzero(g)
+            basis[hit] = spec.sub_arr(basis[hit], spec.mul_arr(g[hit], aug[None]))
+        self.basis[k] = aug
+        self.pivots[k] = col
+        self.rank += 1
         self.stats.rows_used += 1
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
-    def complete(self) -> bool:
-        return self.rank >= self.target
+def _eliminate(
+    spec: FieldSpec, rows: Iterable[np.ndarray], ncols: int, rhs_width: int = 0,
+    track: bool = False,
+) -> tuple[_Eliminator, list[int]]:
+    """Offer augmented rows until there are ncols pivots.
 
-    def solution(self) -> np.ndarray:
-        """X with X[col] = transformed RHS of the pivot at col; requires full rank."""
-        out = np.zeros((self.ncols, self.rhs_width), dtype=np.int64)
-        for col, prow in self.pivots.items():
-            out[col] = prow[self.ncols:]
-        return out
-
-    def transform_for(self, col: int) -> np.ndarray:
-        """Coefficients expressing unit vector e_col over the used rows."""
-        return self.transforms[col][: len(self.tags)]
-
-
-class _BinaryEliminator:
-    """Same interface for GF(2); augmented rows live in Python ints."""
-
-    def __init__(self, spec: FieldSpec, ncols: int, rhs_width: int, track: bool, target: int):
-        self.spec = spec
-        self.ncols = ncols
-        self.rhs_width = rhs_width
-        self.track = track
-        self.target = target
-        self.width = ncols + rhs_width + (target if track else 0)
-        self.pivots: dict[int, int] = {}
-        self.tags: list[object] = []
-        self.stats = EliminationStats()
-        self._colmask = (1 << ncols) - 1
-
-    def _pack(self, row: np.ndarray, rhs: np.ndarray) -> int:
-        bits = np.concatenate([np.asarray(row, dtype=np.uint8) & 1,
-                               np.asarray(rhs, dtype=np.uint8) & 1])
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    def offer(self, row: np.ndarray, rhs: np.ndarray, tag: object) -> bool:
-        if self.complete():
-            return False
-        self.stats.rows_offered += 1
-        aug = self._pack(row, rhs)
-        if self.track:
-            aug |= 1 << (self.ncols + self.rhs_width + len(self.tags))
-        # One pass clears every pivot column: pivot rows are zero at each
-        # other's pivot columns, so order does not matter.
-        for col, prow in self.pivots.items():
-            if (aug >> col) & 1:
-                aug ^= prow
-                self.stats.add_ops += self.ncols + self.rhs_width
-        rest = aug & self._colmask
-        if not rest:
-            return False
-        col = (rest & -rest).bit_length() - 1
-        bit = 1 << col
-        for pcol, prow in list(self.pivots.items()):
-            if prow & bit:
-                self.pivots[pcol] = prow ^ aug
-                self.stats.add_ops += self.ncols + self.rhs_width
-        self.pivots[col] = aug
-        self.tags.append(tag)
-        self.stats.rows_used += 1
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def complete(self) -> bool:
-        return self.rank >= self.target
-
-    def solution(self) -> np.ndarray:
-        out = np.zeros((self.ncols, self.rhs_width), dtype=np.int64)
-        for col, prow in self.pivots.items():
-            seg = (prow >> self.ncols) & ((1 << self.rhs_width) - 1)
-            for j in range(self.rhs_width):
-                out[col, j] = (seg >> j) & 1
-        return out
-
-    def transform_for(self, col: int) -> np.ndarray:
-        prow = self.pivots[col]
-        seg = prow >> (self.ncols + self.rhs_width)
-        used = len(self.tags)
-        return np.array([(seg >> j) & 1 for j in range(used)], dtype=np.int64)
-
-
-def _make_eliminator(spec: FieldSpec, ncols: int, rhs_width: int, track: bool, target: int):
-    if spec.q == 2:
-        return _BinaryEliminator(spec, ncols, rhs_width, track, target)
-    return _GenericEliminator(spec, ncols, rhs_width, track, target)
+    Returns the complete eliminator and the positions of the rows that became
+    pivots; raises RankDeficiencyError if the rows run out first.
+    """
+    elim = _Eliminator(spec, ncols, rhs_width, track)
+    used: list[int] = []
+    for i, row in enumerate(rows):
+        if elim.complete():
+            break
+        if elim.offer(row):
+            used.append(i)
+    if not elim.complete():
+        raise RankDeficiencyError(ncols, elim.rank)
+    return elim, used
 
 
 def solve_exact(
@@ -228,16 +157,11 @@ def solve_exact(
     `ncols`.
     """
     rhs_width = int(np.asarray(rhs[0]).shape[0]) if rhs else 0
-    elim = _make_eliminator(spec, ncols, rhs_width, track=False, target=ncols)
-    used: list[int] = []
-    for i, (row, r) in enumerate(zip(rows, rhs)):
-        if elim.offer(row, r, i):
-            used.append(i)
-        if elim.complete():
-            break
-    if not elim.complete():
-        raise RankDeficiencyError(ncols, elim.rank)
-    return elim.solution(), used, elim.stats
+    aug = (np.concatenate([a, b]) for a, b in zip(rows, rhs))
+    elim, used = _eliminate(spec, aug, ncols, rhs_width)
+    x = np.zeros((ncols, rhs_width), dtype=np.int64)
+    x[elim.pivots] = elim.basis[:, ncols:]
+    return x, used, elim.stats
 
 
 def express_unit(
@@ -247,27 +171,15 @@ def express_unit(
     ncols: int,
 ) -> tuple[np.ndarray, list[int], EliminationStats]:
     """Coefficients y over a subset of rows with sum_j y_j rows[used[j]] = e_unit."""
-    elim = _make_eliminator(spec, ncols, 0, track=True, target=ncols)
-    used: list[int] = []
-    empty = np.zeros(0, dtype=np.int64)
-    for i, row in enumerate(rows):
-        if elim.offer(row, empty, i):
-            used.append(i)
-        if elim.complete():
-            break
-    if not elim.complete():
-        raise RankDeficiencyError(ncols, elim.rank)
-    return elim.transform_for(unit_col), used, elim.stats
+    elim, used = _eliminate(spec, rows, ncols, track=True)
+    return elim.basis[elim.pivots == unit_col, ncols:][0], used, elim.stats
 
 
 def matrix_rank(spec: FieldSpec, matrix: np.ndarray) -> int:
     """Rank of an index matrix, by column elimination (stops early at full rank)."""
     matrix = np.asarray(matrix, dtype=np.int64)
-    nrows = matrix.shape[0]
-    elim = _make_eliminator(spec, nrows, 0, track=False, target=nrows)
-    empty = np.zeros(0, dtype=np.int64)
-    for j in range(matrix.shape[1]):
-        elim.offer(matrix[:, j], empty, j)
-        if elim.complete():
-            break
-    return elim.rank
+    try:
+        _eliminate(spec, matrix.T, matrix.shape[0])
+    except RankDeficiencyError as exc:
+        return exc.got
+    return matrix.shape[0]

@@ -500,9 +500,17 @@ def format_response(resp: WorkerResponse) -> str:
 
 def parse_response(line: str, spec: FieldSpec, shape: tuple[int, int]) -> WorkerResponse:
     parts = line.split()
-    index = int(parts[0])
-    point = tuple(int(c) for c in parts[1].split(","))
-    values = np.array([int(x) for x in parts[2:]], dtype=np.int64).reshape(shape)
+    entries = shape[0] * shape[1]
+    if len(parts) != entries + 2:
+        raise ParameterError(
+            f"response line needs an index, a point and {entries} entries, "
+            f"got {len(parts)} fields: {line!r}")
+    try:
+        index = int(parts[0])
+        point = tuple(int(c) for c in parts[1].split(","))
+        values = np.array([int(x) for x in parts[2:]], dtype=np.int64).reshape(shape)
+    except ValueError:
+        raise ParameterError(f"response line has a non-integer field: {line!r}") from None
     return WorkerResponse(index, point, MatrixFq(spec, values))
 
 

@@ -71,9 +71,6 @@ class ExponentSet:
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.vectors)
 
-    def __contains__(self, v) -> bool:
-        return tuple(v) in set(self.vectors)
-
     def to_text(self) -> str:
         return "".join(format_vec(v) + "\n" for v in self.vectors)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import codec, constructions
 from .codec import MatrixFq, WorkerResponse
 from .constructions import MatdotSolution, PolySolution
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, InsufficientResponsesError, ParameterError
 from .field import FieldSpec, enumerate_points
 
 PRNG_NAME = "numpy PCG64"  # fixed generator; draw order documented above
@@ -61,10 +61,20 @@ class StragglerModel:
         kind = kind.strip()
         param = param.strip()
         if kind == "adversarial":
-            drops = tuple(int(x) for x in param.split(",") if x.strip()) if param else ()
+            try:
+                drops = tuple(int(x) for x in param.split(",") if x.strip())
+            except ValueError:
+                raise ParameterError(
+                    f"straggler.param = {param!r}: adversarial needs comma-separated "
+                    "worker indices") from None
             return cls(kind="adversarial", drop_indices=drops)
         if kind in ("random", "latency"):
-            return cls(kind=kind, probability=float(param))
+            try:
+                probability = float(param)
+            except ValueError:
+                raise ParameterError(
+                    f"straggler.param = {param!r}: {kind} needs a probability") from None
+            return cls(kind=kind, probability=probability)
         if kind == "none":
             return cls()
         raise ParameterError(f"unknown straggler kind {kind!r}")
@@ -104,7 +114,7 @@ class SimConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SimConfig":
-        kv: dict[str, str] = {}
+        kv = {"straggler.kind": "none", "straggler.param": "", "seed": "0", "trials": "0"}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -113,19 +123,27 @@ class SimConfig:
             if not sep:
                 raise ParameterError(f"bad config line (expected key = value): {raw!r}")
             kv[key.strip()] = value.strip()
+
+        def integer(key: str) -> int:
+            try:
+                return int(kv[key])
+            except ValueError:
+                raise ParameterError(
+                    f"config line {key} = {kv[key]!r}: expected an integer") from None
+
         try:
             return cls(
                 field=kv["field"],
                 construction=kv["construction"],
-                r=int(kv["r"]),
-                s=int(kv["s"]),
-                t=int(kv["t"]),
-                n_workers=int(kv["N"]),
+                r=integer("r"),
+                s=integer("s"),
+                t=integer("t"),
+                n_workers=integer("N"),
                 straggler=StragglerModel.from_kind_param(
-                    kv.get("straggler.kind", "none"), kv.get("straggler.param", "")
+                    kv["straggler.kind"], kv["straggler.param"]
                 ),
-                seed=int(kv.get("seed", "0")),
-                trials=int(kv.get("trials", "0")),
+                seed=integer("seed"),
+                trials=integer("trials"),
             )
         except KeyError as exc:
             raise ParameterError(f"config is missing key {exc}") from exc
@@ -370,7 +388,7 @@ def _sharpness_probe(
             resp = [codec.worker_compute(p) for p in subset]
             try:
                 decoded, _ = _decode(pl, resp, split_a, split_b)
-            except Exception:
+            except InsufficientResponsesError:  # includes a rank-deficient subset
                 continue
             if decoded == oracle:
                 best = size if best is None else min(best, size)

@@ -409,3 +409,9 @@ def test_response_transcript_round_trip():
     back = codec.parse_response(line, GF2, (1, 3))
     assert back == resp
     assert line.startswith("17 0,1,1,0 ")
+
+
+def test_parse_response_wrong_entry_count_is_typed():
+    with pytest.raises(ParameterError, match="4 entries, got 5 fields"):
+        codec.parse_response("0 1 1 2 3", GF5, (2, 2))
+

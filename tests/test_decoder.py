@@ -1,6 +1,7 @@
 """The erasure decoder: the inverse Vandermonde transform, the choice between
 solving for the erasures (dual side, e < kappa) and for the coefficients
-(primal side), its work counts and its typed errors."""
+(primal side), its work counts and its typed errors; and the exact
+eliminator under both sides, against a row space found by enumeration."""
 
 import itertools
 
@@ -152,3 +153,102 @@ def test_conflicting_duplicate_responses_raise_and_identical_ones_collapse():
     twice = codec.interpolate(system, responses + [first])
     once = codec.interpolate(system, responses)
     assert twice.coefficients == once.coefficients
+
+
+# ---------------------------------------------------------------------------
+# the eliminator against an independent reference
+
+
+def _row_space_size(spec, rows):
+    """Number of distinct combinations of `rows`, enumerated with the field's
+    elementwise tables only."""
+    space = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    scalars = np.arange(spec.q, dtype=np.int64)[:, None]
+    for row in rows:
+        multiples = spec.mul_arr(scalars, row[None])  # (q, ncols)
+        space = spec.add_arr(space[:, None, :], multiples[None]).reshape(-1, rows.shape[1])
+        space = np.unique(space, axis=0)
+    return space.shape[0]
+
+
+def _reference_rank(spec, rows):
+    size, rank = _row_space_size(spec, rows), 0
+    while spec.q**rank < size:
+        rank += 1
+    assert spec.q**rank == size
+    return rank
+
+
+def _random_systems(spec, rng):
+    """Small systems of every shape around square, full-rank and (through a
+    narrow factorisation) rank-deficient."""
+    q = spec.q
+    for ncols in range(1, 5):
+        for nrows in range(max(ncols - 1, 1), ncols + 4):
+            yield rng.integers(0, q, size=(nrows, ncols))
+            inner = int(rng.integers(1, ncols + 1))
+            yield spec.matmul(rng.integers(0, q, size=(nrows, inner)),
+                              rng.integers(0, q, size=(inner, ncols)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_eliminator_matches_enumerated_row_space(q):
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(100 + q)
+    kinds = set()
+    for m in _random_systems(spec, rng):
+        nrows, ncols = m.shape
+        rank = _reference_rank(spec, m)
+        assert _linalg.matrix_rank(spec, m) == rank
+        assert _linalg.matrix_rank(spec, m.T) == rank
+        rows = list(m)
+        x_true = rng.integers(0, q, size=(ncols, 2))
+        rhs = list(spec.matmul(m, x_true))
+        kinds.add(rank == ncols)
+        if rank < ncols:
+            for call in (lambda: _linalg.solve_exact(spec, rows, rhs, ncols),
+                         lambda: _linalg.express_unit(spec, rows, 0, ncols)):
+                with pytest.raises(_linalg.RankDeficiencyError) as err:
+                    call()
+                assert (err.value.needed, err.value.got) == (ncols, rank)
+            continue
+        x, used, stats = _linalg.solve_exact(spec, rows, rhs, ncols)
+        assert len(used) == stats.rows_used == ncols
+        assert _reference_rank(spec, m[used]) == ncols
+        assert np.array_equal(spec.matmul(m[used], x), np.stack(rhs)[used])
+        assert np.array_equal(x, x_true)  # full column rank: the solution is unique
+        for unit in range(ncols):
+            y, used, _ = _linalg.express_unit(spec, rows, unit, ncols)
+            combo = spec.matmul(y[None], m[used])[0]
+            assert np.array_equal(combo, np.eye(ncols, dtype=np.int64)[unit])
+    assert kinds == {True, False}
+
+
+def _pinned_system(q):
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, size=(7, 4))
+    rows[2] = spec.add_arr(rows[0], spec.mul_arr(2, rows[1]))  # one dependent row
+    rhs = rng.integers(0, q, size=(7, 3))
+    return spec, list(rows), list(rhs)
+
+
+def _tally(stats):
+    return (stats.rows_offered, stats.rows_used, stats.mult_ops, stats.add_ops,
+            stats.inversions)
+
+
+# (solve_exact, express_unit) tallies: rows offered and used, multiplications,
+# additions, inversions.  Fixed values, so a change in how work is counted shows.
+PINNED_STATS = {
+    5: ((5, 4, 98, 77, 4), (5, 4, 112, 88, 4)),
+    8: ((5, 4, 91, 70, 4), (5, 4, 104, 80, 4)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_STATS))
+def test_elimination_stats_pinned(q):
+    spec, rows, rhs = _pinned_system(q)
+    _, _, solved = _linalg.solve_exact(spec, rows, rhs, 4)
+    _, _, unit = _linalg.express_unit(spec, rows, 1, 4)
+    assert (_tally(solved), _tally(unit)) == PINNED_STATS[q]

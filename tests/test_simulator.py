@@ -153,6 +153,35 @@ def test_config_parse_errors():
         StragglerModel(kind="random", probability=1.5)
 
 
+@pytest.mark.parametrize("kind,param", [("random", "abc"), ("random", ""),
+                                        ("adversarial", "1,x")])
+def test_straggler_param_parse_errors_are_typed(kind, param):
+    with pytest.raises(ParameterError, match=f"straggler.param = {param!r}"):
+        StragglerModel.from_kind_param(kind, param)
+
+
+def test_config_non_integer_value_names_its_line():
+    text = BOX19.to_text().replace("\nr = 6\n", "\nr = x\n")
+    with pytest.raises(ParameterError, match="r = 'x'"):
+        SimConfig.from_text(text)
+
+
+def test_sharpness_probe_lets_unexpected_errors_through(monkeypatch):
+    real = simulator._decode
+    calls = []
+
+    def failing_after_first(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("decoder bug")
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_decode", failing_after_first)
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        simulator.run(replace(BOX19, trials=1))
+    assert len(calls) == 2
+
+
 def test_sweep_table7_grid():
     base = SimConfig(field="2^3/11", construction="matdot-half l=3 F=1 d=corner",
                      r=2, s=8, t=2, n_workers=512, seed=21)

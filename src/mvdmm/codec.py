@@ -87,10 +87,15 @@ class MatrixFq:
     @classmethod
     def from_text(cls, text: str) -> "MatrixFq":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        r_s, c_s, spec_s = lines[0].split()
-        spec = FieldSpec.from_string(spec_s)
-        values = [int(tok) for ln in lines[1:] for tok in ln.split()]
-        r, c = int(r_s), int(c_s)
+        head = lines[0].split() if lines else []
+        if len(head) != 3:
+            raise ParameterError(f"matrix header must be 'rows cols field', got {' '.join(head)!r}")
+        spec = FieldSpec.from_string(head[2])
+        try:
+            r, c = int(head[0]), int(head[1])
+            values = [int(tok) for ln in lines[1:] for tok in ln.split()]
+        except ValueError as exc:
+            raise ParameterError(f"matrix text holds a non-integer: {exc}") from None
         if len(values) != r * c:
             raise ParameterError(f"expected {r * c} entries, got {len(values)}")
         return cls(spec, np.array(values, dtype=np.int64).reshape(r, c))
@@ -409,7 +414,10 @@ class InterpolationSystem:
     support_grid: np.ndarray
 
     def index_of_degree(self, degree: Vec) -> int:
-        return self.support.vectors.index(tuple(degree))
+        try:
+            return self.support.vectors.index(tuple(degree))
+        except ValueError:
+            raise ParameterError(f"degree {tuple(degree)} is not in the support S") from None
 
 
 def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> InterpolationSystem:

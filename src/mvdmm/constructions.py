@@ -57,8 +57,6 @@ class PolySolution:
     design_footprint: int
     xi: int
     sum_size: int
-    translation_a: Vec
-    translation_b: Vec
 
     @property
     def m(self) -> int:
@@ -131,15 +129,12 @@ def _star(k: Sequence[int], s: ExponentSet) -> ExponentSet:
     return ExponentSet.of(s.q, s.l, (tuple(ki * vi for ki, vi in zip(k, v)) for v in s))
 
 
-def _translate(s: ExponentSet) -> tuple[ExponentSet, Vec]:
+def _translate(s: ExponentSet) -> ExponentSet:
     """Shift coordinate minima to zero; the shift never hurts the footprint."""
-    if not s.vectors:
-        return s, (0,) * s.l
     mins = tuple(min(v[i] for v in s.vectors) for i in range(s.l))
-    if all(x == 0 for x in mins):
-        return s, mins
-    shifted = ExponentSet.of(s.q, s.l, (tuple(x - m for x, m in zip(v, mins)) for v in s))
-    return shifted, mins
+    if not any(mins):
+        return s
+    return ExponentSet.of(s.q, s.l, (tuple(x - m for x, m in zip(v, mins)) for v in s))
 
 
 def _poly_solution(
@@ -149,14 +144,9 @@ def _poly_solution(
     d_b: ExponentSet,
     design_footprint: int,
     structural: bool = False,
-    normalize: bool = True,
 ) -> PolySolution:
     if not d_a.vectors or not d_b.vectors:
         raise InfeasibleError("degree sets must be nonempty")
-    ta = tb = (0,) * l
-    if normalize:
-        d_a, ta = _translate(d_a)
-        d_b, tb = _translate(d_b)
     m, n = len(d_a), len(d_b)
     if structural and m * n > _SUM_ENUM_LIMIT:
         # Disjoint variable blocks: sums are concatenations, so they are
@@ -187,7 +177,6 @@ def _poly_solution(
     return PolySolution(
         q=q, l=l, d_a=d_a, d_b=d_b, footprint=footprint,
         design_footprint=design_footprint, xi=xi, sum_size=sum_size,
-        translation_a=ta, translation_b=tb,
     )
 
 
@@ -290,12 +279,15 @@ def expand_db(q: int, d_a: ExponentSet, d_b_prime: ExponentSet) -> PolySolution:
     """Expand an arbitrary D_B' by the coordinate spans of D_A.
 
     With m_i = 1 + max span of D_A in coordinate i and D_B = m * D_B', sums
-    cannot collide as long as every coordinatewise sum stays below q.
+    cannot collide as long as every coordinatewise sum stays below q.  Both
+    sets are then shifted so that every coordinate's minimum is zero.
     """
     if d_a.q != q or d_b_prime.q != q or d_a.l != d_b_prime.l:
         raise ParameterError("degree sets must share (q, l)")
+    if not d_a.vectors or not d_b_prime.vectors:
+        raise InfeasibleError("degree sets must be nonempty")
     l = d_a.l
-    d_a, _ = _translate(d_a)
+    d_a = _translate(d_a)
     mvec = tuple(
         1 + max(v[i] for v in d_a) - min(v[i] for v in d_a) for i in range(l)
     )
@@ -306,7 +298,7 @@ def expand_db(q: int, d_a: ExponentSet, d_b_prime: ExponentSet) -> PolySolution:
             raise ParameterError(
                 f"coordinate {i + 1} violates max(a_i + b_i) < q: {top} >= {q}"
             )
-    return _poly_solution(q, l, d_a, d_b, design_footprint=1)
+    return _poly_solution(q, l, d_a, _translate(d_b), design_footprint=1)
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +387,7 @@ def sep_vars(q: int, m_prime: int, n_prime: int, f_a: int, f_b: int) -> PolySolu
     d_a = ExponentSet.of(q, l, (v + zeros_a for v in left))
     d_b = ExponentSet.of(q, l, (zeros_b + v for v in right))
     return _poly_solution(
-        q, l, d_a, d_b, design_footprint=f_a * f_b, structural=True, normalize=False
+        q, l, d_a, d_b, design_footprint=f_a * f_b, structural=True
     )
 
 
@@ -648,7 +640,11 @@ def build(kind: str, q: int, params: Mapping[str, object]) -> PolySolution | Mat
         return tuple(int(x) for x in v)  # type: ignore[arg-type]
 
     def take_int(key: str) -> int:
-        return int(take(key))  # type: ignore[arg-type]
+        v = take(key)
+        try:
+            return int(v)  # type: ignore[arg-type]
+        except ValueError:
+            raise ParameterError(f"{kind} parameter {key}={v!r} is not an integer") from None
 
     if kind == "poly-box":
         sol = box_poly(q, take_vec("m"), take_vec("n"))
@@ -716,18 +712,25 @@ def solution_from_text(text: str) -> PolySolution | MatdotSolution:
             header[key.strip()] = value.strip()
         else:
             sets[current].append(exponents.parse_vec(line))
-    try:
-        q = int(header["q"])
-        l = int(header["l"])
-        kind = header["kind"]
-    except KeyError as exc:
-        raise ParameterError(f"missing header line {exc} in solution text") from exc
-    design = int(header.get("design_f", 1))
+    header.setdefault("design_f", "1")
+
+    def field(key: str) -> str:
+        if key not in header:
+            raise ParameterError(f"missing header line {key!r} in solution text")
+        return header[key]
+
+    def int_field(key: str) -> int:
+        try:
+            return int(field(key))
+        except ValueError:
+            raise ParameterError(f"header line {key}={header[key]!r} is not an integer") from None
+
+    q, l, kind, design = int_field("q"), int_field("l"), field("kind"), int_field("design_f")
     d_a = ExponentSet.of(q, l, sets["DA"])
     d_b = ExponentSet.of(q, l, sets["DB"])
     if kind == "matdot":
-        d = exponents.parse_vec(header["d"])
+        d = exponents.parse_vec(field("d"))
         return matdot_from_sets(q, l, d_a, d_b, d, design_footprint=design)
     if kind == "poly":
-        return _poly_solution(q, l, d_a, d_b, design_footprint=design, normalize=False)
+        return _poly_solution(q, l, d_a, d_b, design_footprint=design)
     raise ParameterError(f"unknown solution kind {kind!r}")

@@ -85,12 +85,15 @@ def format_vec(v: Vec) -> str:
 
 
 def parse_vec(text: str) -> Vec:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    if not text:
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    if not inner:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in inner.split(","))
+    except ValueError:
+        raise ParameterError(f"vector {text!r} is not a comma-separated list of integers") from None
 
 
 @dataclass(frozen=True)
@@ -107,37 +110,33 @@ def _same_frame(a: ExponentSet, b: ExponentSet) -> None:
 
 
 def minkowski_sum_q(a: ExponentSet, b: ExponentSet) -> ExponentSet:
-    """Pairwise sums reduced coordinatewise; duplicates collapse."""
+    """Pairwise sums reduced coordinatewise; duplicates collapse.
+
+    A's rows go in chunks of at most 2^21 sum entries to bound peak memory;
+    each chunk's distinct rows are kept in the smallest dtype that holds
+    q - 1, and the chunks are merged the same way.
+    """
     _same_frame(a, b)
-    q = a.q
-    if len(a) * len(b) > 65536:
-        return _minkowski_sum_q_bulk(a, b)
-    sums = {
-        tuple(reduce_q(x + y, q) for x, y in zip(va, vb))
-        for va in a.vectors
-        for vb in b.vectors
-    }
-    return ExponentSet(a.q, a.l, tuple(sorted(sums)))
-
-
-def _minkowski_sum_q_bulk(a: ExponentSet, b: ExponentSet) -> ExponentSet:
-    """Vectorized sum for large sets; chunked to bound peak memory."""
     q, l = a.q, a.l
-    av = np.asarray(a.vectors, dtype=np.int64)
-    bv = np.asarray(b.vectors, dtype=np.int64)
-    weights = q ** np.arange(l - 1, -1, -1, dtype=np.int64)  # lex order == key order
+    av = np.asarray(a.vectors, dtype=np.int64).reshape(-1, l)
+    bv = np.asarray(b.vectors, dtype=np.int64).reshape(-1, l)
+    dtype = np.min_scalar_type(q - 1)
     chunk = max(1, (1 << 21) // max(1, len(b) * l))
-    key_chunks = []
+    parts = [np.empty((0, l), dtype=dtype)]
     for start in range(0, len(a), chunk):
         s = av[start:start + chunk, None, :] + bv[None, :, :]
-        s = np.where(s < q, s, s % q + 1)
-        key_chunks.append(np.unique(s.reshape(-1, l) @ weights))
-    keys = np.unique(np.concatenate(key_chunks))
-    out = np.empty((keys.size, l), dtype=np.int64)
-    rem = keys
-    for i, w in enumerate(weights):
-        out[:, i], rem = np.divmod(rem, w)
-    return ExponentSet(q, l, tuple(map(tuple, out.tolist())))
+        s = np.where(s < q, s, s % q + 1).astype(dtype)
+        parts.append(_distinct_rows(s.reshape(-1, l)))
+    rows = _distinct_rows(np.concatenate(parts))
+    return ExponentSet(q, l, tuple(map(tuple, rows.tolist())))
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def fb(s: ExponentSet) -> FootprintValue:

@@ -3,10 +3,12 @@
 Elements of GF(p^e) are represented by their index in [0, q): the base-p
 digits of the index are the coefficients of the element in the polynomial
 basis, least significant digit first.  Index 0 is the additive identity and
-index 1 the multiplicative identity.  A ``FieldSpec`` owns the arithmetic
-tables; ``FieldElement`` is a thin convenience wrapper used at API surfaces.
-Hot paths (matrix kernels, elimination) operate on raw numpy index arrays
-through the ``*_arr`` methods and ``matmul``.
+index 1 the multiplicative identity.  Prime fields compute with ``% p``.
+Extension fields carry log/antilog tables, built by walking the powers of a
+primitive element, and below ``TABLE_LIMIT`` full q x q add/mul tables;
+``FieldSpec`` owns them.  ``FieldElement`` is a thin convenience wrapper
+used at API surfaces.  Hot paths (matrix kernels, elimination) operate on
+raw numpy index arrays through the ``*_arr`` methods and ``matmul``.
 
 ``matmul`` is the one matrix-product kernel of the package: encoding, the
 workers' block products and the decoder's transforms all run through it.  It
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import CapacityError, FieldMismatchError, ParameterError, RangeError, ShapeError
 
-# Full q x q lookup tables are kept below this order; above it, extension
-# fields fall back to log/antilog arithmetic and prime fields to modular.
+# Extension fields up to this order keep full q x q add/mul tables; larger
+# ones use log/antilog arithmetic.  Prime fields never build q x q tables.
 TABLE_LIMIT = 512
 
 # Largest supported field order (irreducibility checked exhaustively).
@@ -65,16 +67,6 @@ def _undigits(coeffs: Sequence[int], p: int) -> int:
     for c in reversed(coeffs):
         value = value * p + c
     return value
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
@@ -132,7 +124,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_reduction", "_digit_planes", "matmul_chunk", "__weakref__",
+        "_digit_planes", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -174,17 +166,16 @@ class FieldSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
-        text = text.strip()
-        if "^" not in text:
-            value = int(text)
-            if is_prime(value):
-                return cls(value, 1)
-            return cls.of_order(value)
-        base, _, rest = text.partition("^")
-        if "/" in rest:
-            deg, _, enc = rest.partition("/")
-            return cls(int(base), int(deg), int(enc))
-        return cls(int(base), int(rest))
+        base, caret, rest = text.strip().partition("^")
+        deg, slash, enc = rest.partition("/")
+        fields = [base, deg, enc] if slash else [base, deg] if caret else [base]
+        try:
+            ints = [int(x) for x in fields]
+        except ValueError:
+            raise ParameterError(f"field {text!r} is not of the form q, p^e or p^e/m") from None
+        if not caret:
+            return cls(ints[0], 1) if is_prime(ints[0]) else cls.of_order(ints[0])
+        return cls(*ints)
 
     def __str__(self) -> str:
         if self.e == 1:
@@ -210,77 +201,45 @@ class FieldSpec:
         # Longest inner dimension for which an entry of ``matmul``'s float64
         # product (e * chunk terms of at most (p-1)^2) stays below 2^53.
         self.matmul_chunk = (EXACT_FLOAT_LIMIT - 1) // (e * (p - 1) ** 2)
+        self._log = self._exp = self._digit_planes = None
+        self._add_table = self._mul_table = None
         if e == 1:
-            self._log = None
-            self._exp = None
-            self._reduction = None
-            self._digit_planes = None
-        else:
-            # Row k holds base-p digit k of every index, as float64.
-            idx = np.arange(q, dtype=np.int64)
-            self._digit_planes = np.stack([idx // p**k % p for k in range(e)]).astype(np.float64)
-            # Reduction of x^k for k in [e, 2e-2] to coefficient vectors.
-            red = {}
-            mod_low = [(-c) % p for c in self.modulus[:e]]
-            cur = list(mod_low)  # x^e
-            red[e] = tuple(cur)
-            for k in range(e + 1, 2 * e - 1):
-                nxt = [0] * e
-                for i, c in enumerate(cur):
-                    if c == 0:
-                        continue
-                    if i + 1 < e:
-                        nxt[i + 1] = (nxt[i + 1] + c) % p
-                    else:
-                        for j, m in enumerate(mod_low):
-                            nxt[j] = (nxt[j] + c * m) % p
-                cur = nxt
-                red[k] = tuple(cur)
-            self._reduction = red
-            self._build_log_tables()
+            return
+        # Row k holds base-p digit k of every index.
+        idx = np.arange(q, dtype=np.int64)
+        digits = np.stack([idx // p**k % p for k in range(e)])
+        self._digit_planes = digits.astype(np.float64)
+        self._build_log_tables(digits)
         if q <= TABLE_LIMIT:
-            idx = np.arange(q, dtype=np.int64)
             self._add_table = self._add_formula(idx[:, None], idx[None, :]).astype(np.int32)
             self._mul_table = self._mul_formula(idx[:, None], idx[None, :]).astype(np.int32)
-        else:
-            self._add_table = None
-            self._mul_table = None
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial-basis product, reduced by the modulus (no tables)."""
-        if self.e == 1:
-            return (a * b) % self.p
-        da = _digits(a, self.p, self.e)
-        db = _digits(b, self.p, self.e)
-        prod = _poly_mul(da, db, self.p)
-        out = list(prod[: self.e]) + [0] * (self.e - min(self.e, len(prod)))
-        for k in range(self.e, len(prod)):
-            c = prod[k]
-            if c == 0:
-                continue
-            for j, m in enumerate(self._reduction[k]):
-                out[j] = (out[j] + c * m) % self.p
-        return _undigits(out, self.p)
+    def _build_log_tables(self, digits: np.ndarray) -> None:
+        """Powers of the least primitive g >= 2, walked through a times-g table.
 
-    def _build_log_tables(self) -> None:
-        q = self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        Multiplication by g is GF(p)-linear on digit vectors: it maps x^j to
+        g * x^j reduced by the modulus.  So one product of that e x e matrix
+        with the (e x q) digits of every index gives g * k for all k at once.
+        """
+        p, e, q = self.p, self.e, self.q
+        place = p ** np.arange(e, dtype=np.int64)
         for g in range(2, q):
-            value = 1
-            ok = True
-            for i in range(q - 1):
-                exp[i] = value
-                if log[value] >= 0:
-                    ok = False
-                    break
-                log[value] = i
-                value = self._raw_mul(value, g)
-            if ok and value == 1:
-                self._exp = exp
-                self._log = log
+            g_digits = list(_digits(g, p, e))
+            times = np.array(
+                [_poly_divmod([0] * j + g_digits, self.modulus, p)[1] for j in range(e)],
+                dtype=np.int64,
+            )  # row j: digits of g * x^j
+            times_g = (place @ (times.T @ digits % p)).tolist()
+            exp = [1]
+            value = times_g[1]
+            while value != 1 and len(exp) < q:
+                exp.append(value)
+                value = times_g[value]
+            if len(exp) == q - 1:
+                self._exp = np.array(exp, dtype=np.int64)
+                self._log = np.full(q, -1, dtype=np.int64)
+                self._log[self._exp] = np.arange(q - 1, dtype=np.int64)
                 return
-            log.fill(-1)
         raise ParameterError("no primitive element found; modulus is not irreducible")
 
     # -- scalar operations on indices ----------------------------------------
@@ -341,9 +300,15 @@ class FieldSpec:
 
     # -- vectorized operations on index arrays --------------------------------
 
+    def _mod_p(self, ufunc, x, y):
+        """ufunc(x, y) reduced mod p in place, in int64: GF(p) arithmetic."""
+        out = ufunc(x, y, dtype=np.int64)
+        out %= self.p
+        return out
+
     def _add_formula(self, x, y):
         if self.e == 1:
-            return (x + y) % self.p
+            return self._mod_p(np.add, x, y)
         if self.p == 2:
             return np.bitwise_xor(x, y)
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
@@ -357,7 +322,7 @@ class FieldSpec:
 
     def _mul_formula(self, x, y):
         if self.e == 1:
-            return (x * y) % self.p
+            return self._mod_p(np.multiply, x, y)
         xs = np.asarray(x, dtype=np.int64)
         ys = np.asarray(y, dtype=np.int64)
         xb, yb = np.broadcast_arrays(xs, ys)
@@ -398,6 +363,8 @@ class FieldSpec:
     def sub_arr(self, x, y):
         if self.p == 2:
             return np.bitwise_xor(x, y)
+        if self.e == 1:
+            return self._mod_p(np.subtract, x, y)
         return self.add_arr(x, self.neg_arr(np.asarray(y)))
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

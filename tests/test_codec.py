@@ -402,6 +402,32 @@ def test_matrix_text_round_trip():
     assert m.to_text().splitlines()[0] == "3 5 2^3/11"
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [("", "header"), ("2 2\n1 2\n3 4\n", "header"), ("1 2 5\n1 x\n", "non-integer")],
+    ids=["empty", "two-field-header", "non-integer-entry"],
+)
+def test_matrix_from_text_errors_are_typed(text, match):
+    with pytest.raises(ParameterError, match=match):
+        MatrixFq.from_text(text)
+
+
+@pytest.mark.parametrize("responders", [5, 1], ids=["dual", "primal"])
+def test_interpolate_only_outside_support_is_typed(responders):
+    rng = np.random.default_rng(16)
+    sol = cons.box_poly(5, (2,), (2,)) if responders == 5 else cons.box_poly(5, (1,), (1,))
+    a = codec.random_matrix(GF5, 2, 2, rng)
+    b = codec.random_matrix(GF5, 2, 2, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    points = enumerate_points(GF5, 1)
+    system = codec.build_system(GF5, sol.sum_set(), points)
+    payloads = codec.make_payloads(codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b), points)
+    responses = [codec.worker_compute(p) for p in payloads[:responders]]
+    assert (4,) not in sol.sum_set().vectors
+    with pytest.raises(ParameterError, match=r"\(4,\)"):
+        codec.interpolate(system, responses, only=(4,))
+
+
 def test_response_transcript_round_trip():
     rng = np.random.default_rng(15)
     resp = codec.WorkerResponse(17, (0, 1, 1, 0), codec.random_matrix(GF2, 1, 3, rng))

@@ -7,7 +7,7 @@ import pytest
 
 from mvdmm import constructions as cons
 from mvdmm import exponents as ex
-from mvdmm.errors import CapacityError, ParameterError
+from mvdmm.errors import CapacityError, InfeasibleError, ParameterError
 
 
 def test_box_poly_table_rows():
@@ -281,6 +281,17 @@ def test_normalization_translates_to_axes():
     assert min(v[1] for v in sol.d_a) == 0
 
 
+def test_expand_db_translates_d_b_after_its_range_check():
+    d_a = ex.ExponentSet.of(11, 2, [(1, 2), (2, 3)])
+    d_b_prime = ex.ExponentSet.of(11, 2, [(1, 1), (2, 1), (1, 3)])  # D_B = {(2,2),(4,2),(2,6)}
+    sol = cons.expand_db(11, d_a, d_b_prime)
+    assert sol.d_a.vectors == ((0, 0), (1, 1))
+    assert sol.d_b.vectors == ((0, 0), (0, 4), (2, 0))
+    assert sol.footprint == ex.FootprintValue(60, (1, 5))
+    with pytest.raises(InfeasibleError):
+        cons.expand_db(11, d_a, ex.ExponentSet.of(11, 2, []))
+
+
 def test_project_zero_coords():
     with pytest.warns(UserWarning):
         sol = cons.half_hyperbolic(8, 3, 2, (3, 0, 2))
@@ -303,6 +314,27 @@ def test_build_descriptors():
         cons.build("nope", 2, {})
     with pytest.raises(ParameterError):
         cons.build("poly-box", 19, {"m": "2,2", "n": "6,6", "extra": "1"})
+
+
+def test_build_rejects_non_integer_parameter():
+    with pytest.raises(ParameterError, match="F='x'"):
+        cons.build("better-box", 5, {"m": "2", "F": "x"})
+    with pytest.raises(ParameterError, match=r"\(2,x\)"):
+        cons.build("poly-box", 5, {"m": "(2,x)", "n": "2"})
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("q=x\nl=1\nkind=poly\nDA:\n(0)\nDB:\n(0)\n", "q='x'"),
+        ("q=5\nl=1\nkind=matdot\nDA:\n(0)\nDB:\n(0)\n", "'d'"),
+        ("q=5\nl=1\nkind=poly\nDA:\n(0)\nDB:\n(y)\n", r"\(y\)"),
+    ],
+    ids=["bad-q", "matdot-without-d", "bad-vector"],
+)
+def test_solution_from_text_errors_are_typed(text, match):
+    with pytest.raises(ParameterError, match=match):
+        cons.solution_from_text(text)
 
 
 def test_solution_serialization_round_trip():

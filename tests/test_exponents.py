@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mvdmm import exponents as ex
@@ -52,6 +53,44 @@ def test_minkowski_sum_examples():
 
     with pytest.raises(ParameterError):
         ex.minkowski_sum_q(a, ex.ExponentSet.of(7, 1, [(0,)]))
+
+
+def brute_minkowski(a, b):
+    return tuple(sorted({ex.reduce_q_vec([x + y for x, y in zip(u, v)], a.q) for u in a for v in b}))
+
+
+def seeded_set(q, l, size, seed):
+    """`size` distinct seeded vectors of [0, q)^l."""
+    rng = np.random.default_rng(seed)
+    vecs = set()
+    while len(vecs) < size:
+        vecs.add(tuple(rng.integers(0, q, size=l).tolist()))
+    return ex.ExponentSet.of(q, l, vecs)
+
+
+@pytest.mark.parametrize(
+    "q, l, m, n",
+    [
+        (7, 3, 256, 256),  # 65,536 pairs
+        (7, 3, 256, 257),  # 65,792 pairs
+        (2, 6, 40, 40),
+        (257, 2, 60, 70),  # entries above 255
+        (300, 8, 300, 300),  # q^l >= 2^63
+    ],
+)
+def test_minkowski_sum_matches_brute_force(q, l, m, n):
+    a, b = seeded_set(q, l, m, seed=q + l), seeded_set(q, l, n, seed=q * l)
+    got = ex.minkowski_sum_q(a, b)
+    assert got.vectors == brute_minkowski(a, b)
+    assert all(type(x) is int for v in got.vectors[:5] for x in v)
+
+
+def test_minkowski_sum_with_an_empty_operand():
+    empty = ex.ExponentSet.of(4, 3, [])
+    full = seeded_set(4, 3, 20, seed=1)
+    assert ex.minkowski_sum_q(empty, full) == empty
+    assert ex.minkowski_sum_q(full, empty) == empty
+    assert ex.minkowski_sum_q(empty, empty) == empty
 
 
 def test_fb_examples():
@@ -169,6 +208,13 @@ def test_vector_text_forms():
     text = s.to_text()
     assert text.endswith("\n")
     assert ex.ExponentSet.from_text(3, 2, text) == s
+
+
+def test_parse_vec_rejects_non_integers():
+    with pytest.raises(ParameterError, match=r"\(1,x\)"):
+        ex.parse_vec("(1,x)")
+    with pytest.raises(ParameterError, match=r"\(0,y\)"):
+        ex.ExponentSet.from_text(3, 2, "(0,1)\n(0,y)\n")
 
 
 def test_exponent_set_rejects_out_of_range():

@@ -1,6 +1,8 @@
 """Field arithmetic: axioms, canonical indexing, point enumeration."""
 
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -230,3 +232,74 @@ def test_matmul_short_chunks_match_one_chunk(p, e):
     a = rng.integers(0, whole.q, size=(4, 11))
     b = rng.integers(0, whole.q, size=(11, 5))
     assert np.array_equal(chunked.matmul(a, b), whole.matmul(a, b))
+
+
+# SHA-256 of _exp.tobytes() + _log.tobytes() (int64), computed with the
+# earlier generator search that multiplied one scalar polynomial at a time.
+PINNED_LOG_TABLES = {
+    (2, 2): "a940b126407bde75bbcaff96a5477ad200fb9b29fff6c57b6deb4f21eaa74a60",
+    (2, 3): "b339be252b1def3bd78cb9ac454d1da5b213f11e64e3a5df518a92facd1f3382",
+    (2, 8): "e7d409f3c5321dbc94843a07ca5c8d4b93c375d58d70a0074ba4c03dd6cbbb74",
+    (3, 2): "6872e5ba6f9eefebef583efda69366bd40aba1d738c379f29ffed6eaa719651e",
+    (3, 3): "8bd4f3e6657b0135115d0166c3f26e9a4787d51b21f969eafe223f27946cee7d",
+    (3, 5): "d332ecc0eb6de04854099d1c8e145d2313c4a9bf507a8ab12d87f411fa6313dd",
+    (5, 3): "93a2676910f07c29620f9b53263f6b06a55acfbb24a32e89c2fc5c8216ee37ba",
+    (2, 10): "849e91aae9ae61fbc35544691f21e60f66ba479bd7397f653f1891c4ce9090a5",
+}
+
+
+@pytest.mark.parametrize("p, e", list(PINNED_LOG_TABLES), ids=lambda v: str(v))
+def test_log_tables_pinned(p, e):
+    spec = FieldSpec(p, e)
+    assert spec._exp.dtype == spec._log.dtype == np.int64
+    digest = hashlib.sha256(spec._exp.tobytes() + spec._log.tobytes()).hexdigest()
+    assert digest == PINNED_LOG_TABLES[p, e]
+
+
+def test_log_tables_use_least_primitive_element():
+    gf256 = FieldSpec(2, 8)
+    assert str(gf256) == "2^8/283"
+    assert gf256._exp[1] == 3  # x (index 2) has order 51 modulo x^8+x^4+x^3+x+1
+    assert gf256._log[0] == -1 and gf256._log[1] == 0
+
+
+def test_gf2_16_products_match_polynomial_oracle():
+    spec = FieldSpec(2, 16)
+    rng = np.random.default_rng(16)
+    x = rng.integers(0, spec.q, size=300)
+    y = rng.integers(0, spec.q, size=300)
+    fast = spec.mul_arr(x, y)
+    for a, b, got in zip(x.tolist(), y.tolist(), fast.tolist()):
+        want = poly_mul_divmod_oracle(
+            [a >> k & 1 for k in range(16)], [b >> k & 1 for k in range(16)], spec.modulus, 2
+        )
+        assert got == spec.mul(a, b) == sum(c << k for k, c in enumerate(want))
+
+
+def _prime_field_ops_match_scalar(spec, x, y):
+    ops = [(spec.add_arr, spec.add), (spec.sub_arr, spec.sub), (spec.mul_arr, spec.mul)]
+    for vec, scalar in ops:
+        assert vec(x, y).tolist() == [scalar(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert spec.neg_arr(x).tolist() == [spec.neg(a) for a in x.tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 23, 509])
+def test_prime_field_array_ops_on_all_pairs(p):
+    spec = FieldSpec(p)
+    x, y = (a.reshape(-1) for a in np.meshgrid(np.arange(p), np.arange(p)))
+    _prime_field_ops_match_scalar(spec, x, y)
+
+
+@pytest.mark.parametrize("p", [521, 65521])
+def test_prime_field_array_ops_sampled(p):
+    spec = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    x = np.concatenate([[0, 1, p - 1, p - 1], rng.integers(0, p, size=2000)])
+    y = np.concatenate([[p - 1, p - 1, 0, p - 1], rng.integers(0, p, size=2000)])
+    _prime_field_ops_match_scalar(spec, x, y)
+
+
+@pytest.mark.parametrize("text", ["x", "2^x", "2^3/x"])
+def test_from_string_rejects_non_integers(text):
+    with pytest.raises(ParameterError, match=re.escape(repr(text))):
+        FieldSpec.from_string(text)

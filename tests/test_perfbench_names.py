@@ -5,9 +5,13 @@ parsed, not imported, so this test has no side effects on the environment."""
 import ast
 from pathlib import Path
 
-from mvdmm import _linalg, codec, constructions, exponents
+from mvdmm import _linalg, codec, constructions, exponents, simulator, tables
+from mvdmm.field import FieldSpec
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+# Owners of the targets that make_tracer names by attribute, outside the lists.
+OWNERS = {"FieldSpec": FieldSpec, "simulator": simulator, "tables": tables}
 
 MODULES = {
     "CODEC_FUNCS": codec,
@@ -29,3 +33,17 @@ def test_traced_function_names_exist():
     for const, names in lists.items():
         missing = [n for n in names if not callable(getattr(MODULES[const], n, None))]
         assert not missing, f"{const}: {missing}"
+
+
+def test_traced_attribute_targets_exist():
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    tracer = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "make_tracer")
+    targets = [
+        (call.args[0].id, call.args[1].value)
+        for call in ast.walk(tracer)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "Target" and isinstance(call.args[1], ast.Constant)
+    ]
+    assert {owner for owner, _ in targets} == set(OWNERS)
+    missing = [t for t in targets if not callable(getattr(OWNERS[t[0]], t[1], None))]
+    assert not missing, missing

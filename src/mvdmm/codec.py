@@ -236,42 +236,22 @@ def encode(
     )
 
 
-def monomial_value(spec: FieldSpec, point: Point, exponent: Vec) -> int:
-    """Evaluate x^exponent at a point, with 0^0 = 1 so constants survive at 0."""
-    value = 1
-    for coord, e in zip(point, exponent):
-        value = spec.mul(value, spec.pow(coord, e))
-    return value
-
-
 def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> np.ndarray:
-    """Values of each support monomial (rows) at each point (columns)."""
+    """Values of each support monomial (rows) at each point (columns), 0^0 = 1."""
     pts = np.asarray(points, dtype=np.int64)
-    exps = np.asarray(support.vectors, dtype=np.int64)
-    n_mon, n_pts = exps.shape[0], pts.shape[0]
-    out = np.ones((n_mon, n_pts), dtype=np.int64)
-    for c in range(support.l):
-        max_e = int(exps[:, c].max(initial=0))
-        col = pts[:, c]
-        # pow_rows[e] = col ** e elementwise, built by repeated field products
-        pow_rows = np.ones((max_e + 1, n_pts), dtype=np.int64)
-        for e in range(1, max_e + 1):
-            pow_rows[e] = spec.mul_arr(pow_rows[e - 1], col)
-        out = spec.mul_arr(out, pow_rows[exps[:, c]])
+
+    def powers(c: int) -> np.ndarray:
+        """x_c^e at every point, for the exponent e of every monomial."""
+        exps = support.rows[:, c]
+        pow_rows = np.ones((int(exps.max(initial=0)) + 1, len(pts)), dtype=np.int64)
+        for e in range(1, len(pow_rows)):
+            pow_rows[e] = spec.mul_arr(pow_rows[e - 1], pts[:, c])
+        return pow_rows[exps]
+
+    out = powers(0)
+    for c in range(1, support.l):
+        out = spec.mul_arr(out, powers(c))
     return out
-
-
-def evaluate(op: EncodedOperand, point: Point) -> MatrixFq:
-    """The encoded operand at one point: sum of block * monomial value."""
-    if len(point) != op.l:
-        raise ParameterError(f"point has {len(point)} coordinates, expected {op.l}")
-    spec = op.spec
-    acc = np.zeros(op.block_shape, dtype=np.int64)
-    for degree, block in op.terms.items():
-        v = monomial_value(spec, point, degree)
-        if v:
-            acc = spec.add_arr(acc, spec.mul_arr(np.int64(v), block))
-    return MatrixFq(spec, acc)
 
 
 def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
@@ -439,7 +419,7 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
         raise InsufficientResponsesError(threshold, len(points))
     q, l = spec.q, support.l
     point_grid = _grid_index(q, l, points)
-    support_grid = _grid_index(q, l, support.vectors)
+    support_grid = _grid_index(q, l, support.rows)
     g = monomial_matrix(spec, support, points)
     kappa = len(support)
     unused = _complement(q**l, point_grid)

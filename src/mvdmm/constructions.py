@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import exponents
 from .errors import (
     CapacityError,
@@ -126,15 +128,15 @@ def _box(q: int, l: int, upper: Sequence[int]) -> ExponentSet:
 
 def _star(k: Sequence[int], s: ExponentSet) -> ExponentSet:
     """Coordinatewise product k * s, the expansion that prevents collisions."""
-    return ExponentSet.of(s.q, s.l, (tuple(ki * vi for ki, vi in zip(k, v)) for v in s))
+    return ExponentSet.of(s.q, s.l, s.rows.astype(np.int64) * np.asarray(k, dtype=np.int64))
 
 
 def _translate(s: ExponentSet) -> ExponentSet:
     """Shift coordinate minima to zero; the shift never hurts the footprint."""
-    mins = tuple(min(v[i] for v in s.vectors) for i in range(s.l))
-    if not any(mins):
+    mins = s.rows.min(axis=0)
+    if not mins.any():
         return s
-    return ExponentSet.of(s.q, s.l, (tuple(x - m for x, m in zip(v, mins)) for v in s))
+    return ExponentSet.of(s.q, s.l, s.rows - mins)
 
 
 def _poly_solution(
@@ -145,7 +147,7 @@ def _poly_solution(
     design_footprint: int,
     structural: bool = False,
 ) -> PolySolution:
-    if not d_a.vectors or not d_b.vectors:
+    if not len(d_a) or not len(d_b):
         raise InfeasibleError("degree sets must be nonempty")
     m, n = len(d_a), len(d_b)
     if structural and m * n > _SUM_ENUM_LIMIT:
@@ -195,9 +197,8 @@ def matdot_from_sets(
     if len(d_a) != len(d_b):
         raise ParameterError(f"|D_A| = {len(d_a)} != |D_B| = {len(d_b)}")
     m = len(d_a)
-    no_wrap = all(
-        max(v[i] for v in d_a) + max(v[i] for v in d_b) < q for i in range(l)
-    )
+    no_wrap = bool((d_a.rows.max(axis=0, initial=0).astype(np.int64)
+                    + d_b.rows.max(axis=0, initial=0) < q).all())
     if no_wrap:
         # No sum can wrap, so each a has the unique candidate partner d - a.
         members_b = set(d_b.vectors)
@@ -284,16 +285,13 @@ def expand_db(q: int, d_a: ExponentSet, d_b_prime: ExponentSet) -> PolySolution:
     """
     if d_a.q != q or d_b_prime.q != q or d_a.l != d_b_prime.l:
         raise ParameterError("degree sets must share (q, l)")
-    if not d_a.vectors or not d_b_prime.vectors:
+    if not len(d_a) or not len(d_b_prime):
         raise InfeasibleError("degree sets must be nonempty")
     l = d_a.l
     d_a = _translate(d_a)
-    mvec = tuple(
-        1 + max(v[i] for v in d_a) - min(v[i] for v in d_a) for i in range(l)
-    )
-    d_b = _star(mvec, d_b_prime)
-    for i in range(l):
-        top = max(v[i] for v in d_a) + max(v[i] for v in d_b)
+    top_a = d_a.rows.max(axis=0).astype(np.int64)  # the minima are now zero
+    d_b = _star(1 + top_a, d_b_prime)
+    for i, top in enumerate((top_a + d_b.rows.max(axis=0)).tolist()):
         if top >= q:
             raise ParameterError(
                 f"coordinate {i + 1} violates max(a_i + b_i) < q: {top} >= {q}"
@@ -359,7 +357,7 @@ def better_box(q: int, mvec: Sequence[int], f: int) -> PolySolution:
     f = max(1, f)
     l = len(mvec)
     d_b = db_set(q, mvec, f)
-    if not d_b.vectors:
+    if not len(d_b):
         raise InfeasibleError(f"no expanded degrees reach footprint {f} for m = {mvec}")
     expected = db_size(q, mvec, f)
     if len(d_b) != expected:
@@ -380,12 +378,10 @@ def sep_vars(q: int, m_prime: int, n_prime: int, f_a: int, f_b: int) -> PolySolu
     l = m_prime + n_prime
     left = exponents.hyp_set(q, m_prime, f_a)
     right = exponents.hyp_set(q, n_prime, f_b)
-    if not left.vectors or not right.vectors:
+    if not len(left) or not len(right):
         raise InfeasibleError(f"hyperbolic set empty for footprints ({f_a}, {f_b})")
-    zeros_a = (0,) * n_prime
-    zeros_b = (0,) * m_prime
-    d_a = ExponentSet.of(q, l, (v + zeros_a for v in left))
-    d_b = ExponentSet.of(q, l, (zeros_b + v for v in right))
+    d_a = ExponentSet.of(q, l, np.pad(left.rows, ((0, 0), (0, n_prime))))
+    d_b = ExponentSet.of(q, l, np.pad(right.rows, ((0, 0), (m_prime, 0))))
     return _poly_solution(
         q, l, d_a, d_b, design_footprint=f_a * f_b, structural=True
     )

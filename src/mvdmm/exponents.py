@@ -5,14 +5,18 @@ exponent reduction that mirrors x^q = x, reduced Minkowski sums, footprint
 values, hyperbolic sets, and the recursive size formulas that make the large
 cases (e.g. l = 20) tractable without enumeration.  No field arithmetic is
 involved; q is any natural number >= 2.
+
+An ExponentSet keeps its members as one read-only numpy array of distinct
+rows in lexicographic order.  Sums, footprints, hyperbolic sets and supports
+are computed on that array; tuples of Python ints are built only for
+callers that iterate over the set.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -43,33 +47,52 @@ def reduce_q_vec(v: Iterable[int], q: int) -> Vec:
     return tuple(reduce_q(a, q) for a in v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentSet:
     """A finite set of exponent vectors sharing one (q, l).
 
-    Vectors are stored sorted lexicographically, so equality is set equality
-    and iteration order is deterministic.
+    ``rows`` is the only stored data: a read-only (len, l) array of the
+    distinct members in lexicographic order, of the smallest unsigned dtype
+    that holds q - 1.  So equality is set equality and iteration order is
+    deterministic.  ``vectors`` is the same set as a tuple of tuples of
+    Python ints, built on first use.
     """
 
     q: int
     l: int
-    vectors: tuple[Vec, ...]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows.setflags(write=False)
 
     @classmethod
-    def of(cls, q: int, l: int, vectors: Iterable[Iterable[int]]) -> "ExponentSet":
-        vecs = sorted({tuple(int(x) for x in v) for v in vectors})
-        for v in vecs:
-            if len(v) != l:
-                raise ParameterError(f"vector {v} has length {len(v)}, expected {l}")
-            if any(not 0 <= x < q for x in v):
-                raise RangeError(f"vector {v} has entries outside [0, {q})")
-        return cls(q, l, tuple(vecs))
+    def of(cls, q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> "ExponentSet":
+        """Validate, sort and deduplicate vectors given as integer sequences
+        or as a 2-D integer array."""
+        rows = _int_rows(q, l, vectors)
+        outside = ((rows < 0) | (rows >= q)).any(axis=1)
+        if outside.any():
+            v = tuple(rows[outside.argmax()].tolist())
+            raise RangeError(f"vector {v} has entries outside [0, {q})")
+        return cls(q, l, _distinct_rows(rows.astype(np.min_scalar_type(q - 1))))
+
+    @cached_property
+    def vectors(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.vectors)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExponentSet):
+            return NotImplemented
+        return self.q == other.q and self.l == other.l and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.l, self.rows.tobytes()))
 
     def to_text(self) -> str:
         return "".join(format_vec(v) + "\n" for v in self.vectors)
@@ -78,6 +101,33 @@ class ExponentSet:
     def from_text(cls, q: int, l: int, text: str) -> "ExponentSet":
         vecs = [parse_vec(line) for line in text.splitlines() if line.strip()]
         return cls.of(q, l, vecs)
+
+
+def _int_rows(q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
+    """`vectors` as an (n, l) int64 array; ParameterError names the first
+    vector that is not a sequence of l integers (bools excluded)."""
+    if isinstance(vectors, np.ndarray):
+        if vectors.dtype.kind not in "iu" or vectors.ndim != 2 or vectors.shape[1] != l:
+            raise ParameterError(
+                f"need an integer array of shape (n, {l}), got {vectors.dtype} {vectors.shape}"
+            )
+        return vectors.astype(np.int64)
+    vecs = []
+    for v in vectors:
+        try:
+            v = tuple(v)
+        except TypeError:
+            raise ParameterError(f"vector {v!r} is not a sequence of integers") from None
+        if len(v) != l:
+            raise ParameterError(f"vector {v} has length {len(v)}, expected {l}")
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in v):
+            raise ParameterError(f"vector {v} has non-integer entries")
+        vecs.append(v)
+    try:
+        return np.array(vecs, dtype=np.int64).reshape(len(vecs), l)
+    except OverflowError:
+        v = next(v for v in vecs if not all(0 <= x < q for x in v))
+        raise RangeError(f"vector {v} has entries outside [0, {q})") from None
 
 
 def format_vec(v: Vec) -> str:
@@ -112,23 +162,24 @@ def _same_frame(a: ExponentSet, b: ExponentSet) -> None:
 def minkowski_sum_q(a: ExponentSet, b: ExponentSet) -> ExponentSet:
     """Pairwise sums reduced coordinatewise; duplicates collapse.
 
-    A's rows go in chunks of at most 2^21 sum entries to bound peak memory;
-    each chunk's distinct rows are kept in the smallest dtype that holds
-    q - 1, and the chunks are merged the same way.
+    Sums are formed in the smallest dtype that holds 2q - 2, in chunks of
+    A's rows holding at most 16 MiB of sums to bound peak memory.  Each
+    chunk's distinct rows are kept in the sets' row dtype, and more than one
+    chunk is merged the same way.
     """
     _same_frame(a, b)
     q, l = a.q, a.l
-    av = np.asarray(a.vectors, dtype=np.int64).reshape(-1, l)
-    bv = np.asarray(b.vectors, dtype=np.int64).reshape(-1, l)
-    dtype = np.min_scalar_type(q - 1)
-    chunk = max(1, (1 << 21) // max(1, len(b) * l))
-    parts = [np.empty((0, l), dtype=dtype)]
+    wide = np.min_scalar_type(2 * q - 2)
+    av, bv = a.rows.astype(wide), b.rows.astype(wide)
+    chunk = max(1, (1 << 24) // max(1, len(b) * l * wide.itemsize))
+    parts = [np.empty((0, l), dtype=a.rows.dtype)]
     for start in range(0, len(a), chunk):
         s = av[start:start + chunk, None, :] + bv[None, :, :]
-        s = np.where(s < q, s, s % q + 1).astype(dtype)
-        parts.append(_distinct_rows(s.reshape(-1, l)))
-    rows = _distinct_rows(np.concatenate(parts))
-    return ExponentSet(q, l, tuple(map(tuple, rows.tolist())))
+        np.subtract(s, q - 1, out=s, where=s >= q)  # x^q = x: q + r reduces to r + 1
+        parts.append(_distinct_rows(s.reshape(-1, l).astype(a.rows.dtype, copy=False)))
+    # A single chunk is already distinct and sorted.
+    rows = parts[1] if len(parts) == 2 else _distinct_rows(np.concatenate(parts))
+    return ExponentSet(q, l, rows)
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -140,17 +191,18 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def fb(s: ExponentSet) -> FootprintValue:
-    """Footprint value of a set: the worst (smallest) vanishing budget."""
-    if not s.vectors:
+    """Footprint value of a set: the worst (smallest) vanishing budget.
+
+    The budgets are int64 when q^l < 2^63 (no product can wrap) and exact
+    Python ints otherwise.  Rows are sorted, so the first minimum is the
+    lexicographically least witness.
+    """
+    if not len(s):
         raise ParameterError("footprint of an empty set is undefined")
-    best_value = None
-    best_witness = None
-    for v in s.vectors:  # lexicographic order, so first minimum is the least witness
-        value = math.prod(s.q - x for x in v)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_witness = v
-    return FootprintValue(best_value, best_witness)
+    exact = np.int64 if s.q**s.l < 1 << 63 else object
+    budgets = np.subtract(s.q, s.rows.T, dtype=exact).prod(axis=0)
+    i = int(np.argmin(budgets))
+    return FootprintValue(int(budgets[i]), tuple(s.rows[i].tolist()))
 
 
 def delta(s: ExponentSet) -> int:
@@ -162,28 +214,25 @@ def delta(s: ExponentSet) -> int:
 
 
 def hyp_set(q: int, l: int, f: int, limit: int = DEFAULT_ENUM_LIMIT) -> ExponentSet:
-    """All vectors of N_{<q}^l whose vanishing budget prod(q - a_i) is >= f."""
+    """All vectors of N_{<q}^l whose vanishing budget prod(q - a_i) is >= f.
+
+    Built one coordinate at a time in lexicographic order: a prefix of
+    length j survives while its budget times q^(l - j), the most the
+    remaining coordinates can contribute, still reaches f.
+    """
     if q**l > limit:
         raise CapacityError(f"q^l = {q**l} exceeds enumeration limit {limit}")
-    if f <= 1:
-        return ExponentSet(q, l, tuple(itertools.product(range(q), repeat=l)))
-    out: list[Vec] = []
-
-    def extend(prefix: list[int], budget: int, level: int) -> None:
-        if level == l:
-            out.append(tuple(prefix))
-            return
-        for a in range(q):
-            rem = budget * (q - a)
-            # Remaining coordinates can contribute at most q^(l - level - 1).
-            if rem * q ** (l - level - 1) < f:
-                break  # larger a only shrinks the budget
-            prefix.append(a)
-            extend(prefix, rem, level + 1)
-            prefix.pop()
-
-    extend([], 1, 0)
-    return ExponentSet(q, l, tuple(out))
+    digits = np.arange(q, dtype=np.min_scalar_type(q - 1))
+    factors = q - np.arange(q, dtype=np.int64)
+    rows = np.empty((1, 0), dtype=digits.dtype)
+    budget = np.ones(1, dtype=np.int64)
+    for j in range(1, l + 1):
+        n = len(rows)
+        rows = np.hstack([np.repeat(rows, q, axis=0), np.tile(digits, n)[:, None]])
+        budget = np.repeat(budget, q) * np.tile(factors, n)
+        keep = budget * q ** (l - j) >= f
+        rows, budget = rows[keep], budget[keep]
+    return ExponentSet(q, l, rows)
 
 
 @lru_cache(maxsize=None)
@@ -232,9 +281,4 @@ def xi_bound(q: int, l: int, target: int) -> int:
 
 def support(s: ExponentSet) -> frozenset[int]:
     """1-based coordinates where some member of S is nonzero."""
-    out = set()
-    for v in s.vectors:
-        for i, x in enumerate(v):
-            if x:
-                out.add(i + 1)
-    return frozenset(out)
+    return frozenset((np.flatnonzero(s.rows.any(axis=0)) + 1).tolist())

@@ -6,9 +6,9 @@ basis, least significant digit first.  Index 0 is the additive identity and
 index 1 the multiplicative identity.  Prime fields compute with ``% p``.
 Extension fields carry log/antilog tables, built by walking the powers of a
 primitive element, and below ``TABLE_LIMIT`` full q x q add/mul tables;
-``FieldSpec`` owns them.  ``FieldElement`` is a thin convenience wrapper
-used at API surfaces.  Hot paths (matrix kernels, elimination) operate on
-raw numpy index arrays through the ``*_arr`` methods and ``matmul``.
+``FieldSpec`` owns them.  Scalar methods take and return indices; hot paths
+(matrix kernels, elimination) operate on raw numpy index arrays through the
+``*_arr`` methods and ``matmul``.
 
 ``matmul`` is the one matrix-product kernel of the package: encoding, the
 workers' block products and the decoder's transforms all run through it.  It
@@ -20,12 +20,11 @@ exact, then reduces mod p as integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, FieldMismatchError, ParameterError, RangeError, ShapeError
+from .errors import CapacityError, ParameterError, RangeError, ShapeError
 
 # Extension fields up to this order keep full q x q add/mul tables; larger
 # ones use log/antilog arithmetic.  Prime fields never build q x q tables.
@@ -409,17 +408,6 @@ class FieldSpec:
             out = out * p + d
         return out
 
-    # -- elements and points ---------------------------------------------------
-
-    def element(self, i: int) -> "FieldElement":
-        return FieldElement(self, self.check_index(i))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
@@ -433,55 +421,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     if n != 1:
         raise ParameterError(f"{q} is not a prime power")
     return p, e
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(q), identified by its index in [0, q)."""
-
-    spec: FieldSpec
-    index: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatchError(f"field mismatch: {self.spec} vs {other.spec}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.index, other.index))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.index, other.index))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.index, other.index))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.div(self.index, other.index))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg(self.index))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.index, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.index))
-
-    def coefficients(self) -> tuple[int, ...]:
-        """Polynomial-basis coefficient vector, constant term first."""
-        return _digits(self.index, self.spec.p, self.spec.e)
-
-    def __str__(self) -> str:
-        return str(self.index)
-
-    def __bool__(self) -> bool:
-        return self.index != 0
 
 
 Point = tuple[int, ...]

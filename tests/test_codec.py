@@ -164,13 +164,34 @@ def test_split_matdot_axes():
 # encode / evaluate
 
 
+def monomial_value(spec, point, exponent):
+    """x^exponent at one point, with 0^0 = 1 so constants survive at 0."""
+    value = 1
+    for coord, e in zip(point, exponent):
+        value = spec.mul(value, spec.pow(coord, e))
+    return value
+
+
+def evaluate(op, point):
+    """Pointwise reference for codec.evaluate_many: sum of block * monomial value."""
+    if len(point) != op.l:
+        raise ParameterError(f"point has {len(point)} coordinates, expected {op.l}")
+    spec = op.spec
+    acc = np.zeros(op.block_shape, dtype=np.int64)
+    for degree, block in op.terms.items():
+        v = monomial_value(spec, point, degree)
+        if v:
+            acc = spec.add_arr(acc, spec.mul_arr(np.int64(v), block))
+    return MatrixFq(spec, acc)
+
+
 def test_encode_constant_and_linear():
     a = MatrixFq(GF5, [[1, 2], [3, 4]])
     b = MatrixFq(GF5, [[1], [2]])
     sa, sb = codec.split(a, b, "poly", 1, 1)
     const = codec.encode(sa, ex.ExponentSet.of(5, 1, [(0,)]))
     for p in enumerate_points(GF5, 1):
-        assert codec.evaluate(const, p) == a
+        assert evaluate(const, p) == a
 
     a2 = MatrixFq(GF5, [[1, 2], [3, 4]])
     sa, _ = codec.split(a2, b, "poly", 2, 1)
@@ -178,7 +199,7 @@ def test_encode_constant_and_linear():
     # p(x) = A1 + A2 x
     for x in range(5):
         want = GF5.add_arr(sa.blocks[0], GF5.mul_arr(np.int64(x), sa.blocks[1]))
-        assert codec.evaluate(linear, (x,)).data.tolist() == want.tolist()
+        assert evaluate(linear, (x,)).data.tolist() == want.tolist()
     # decoding the coefficient at each degree returns the exact block
     assert linear.coefficient((0,)).data.tolist() == sa.blocks[0].tolist()
     assert linear.coefficient((1,)).data.tolist() == sa.blocks[1].tolist()
@@ -191,14 +212,14 @@ def test_evaluate_at_origin_and_zero_power():
     blocks = codec.split(MatrixFq(GF5, [[1, 2], [3, 4]]), MatrixFq(GF5, [[0], [0]]),
                          "poly", 2, 1)[0]
     op = codec.encode(blocks, ex.ExponentSet.of(5, 1, [(0,), (2,)]))
-    at_zero = codec.evaluate(op, (0,))
+    at_zero = evaluate(op, (0,))
     assert at_zero.data.tolist() == blocks.blocks[0].tolist()  # 0^0 = 1, 0^2 = 0
 
     op_no_const = codec.encode(
         codec.split(MatrixFq(GF5, [[1, 2]]), MatrixFq(GF5, [[0], [0]]), "poly", 1, 1)[0],
         ex.ExponentSet.of(5, 1, [(3,)]),
     )
-    assert codec.evaluate(op_no_const, (0,)).data.tolist() == [[0, 0]]
+    assert evaluate(op_no_const, (0,)).data.tolist() == [[0, 0]]
 
 
 def test_evaluate_binary_example():
@@ -207,7 +228,18 @@ def test_evaluate_binary_example():
     sa, _ = codec.split(a, MatrixFq.zeros(GF2, 2, 2), "poly", 2, 1)
     op = codec.encode(sa, ex.ExponentSet.of(2, 2, [(0, 0), (1, 1)]))
     want = GF2.add_arr(sa.blocks[0], sa.blocks[1])
-    assert codec.evaluate(op, (1, 1)).data.tolist() == want.tolist()
+    assert evaluate(op, (1, 1)).data.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("spec, l", [(GF8, 3), (GF19, 2), (GF2, 4), (GF5, 1)])
+def test_monomial_matrix_matches_monomial_value(spec, l):
+    q = spec.q
+    support = ex.ExponentSet.of(q, l, np.random.default_rng(q).integers(0, q, size=(30, l)))
+    points = enumerate_points(spec, l)
+    got = codec.monomial_matrix(spec, support, points)
+    assert got.shape == (len(support), len(points))
+    for i, degree in enumerate(support):
+        assert got[i].tolist() == [monomial_value(spec, p, degree) for p in points]
 
 
 def test_evaluate_many_matches_pointwise():
@@ -220,7 +252,7 @@ def test_evaluate_many_matches_pointwise():
     points = enumerate_points(GF5, 1)
     batch = codec.evaluate_many(enc, points)
     for i, p in enumerate(points):
-        assert batch[i].tolist() == codec.evaluate(enc, p).data.tolist()
+        assert batch[i].tolist() == evaluate(enc, p).data.tolist()
 
 
 # ---------------------------------------------------------------------------

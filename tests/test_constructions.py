@@ -3,11 +3,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mvdmm import constructions as cons
 from mvdmm import exponents as ex
-from mvdmm.errors import CapacityError, InfeasibleError, ParameterError
+from mvdmm.errors import CapacityError, InfeasibleError, ParameterError, RangeError
 
 
 def test_box_poly_table_rows():
@@ -401,3 +402,33 @@ def test_budget_region_midpoint_convexity():
             if all((x + y) % 2 == 0 for x, y in zip(a, b)):
                 mid = tuple((x + y) // 2 for x, y in zip(a, b))
                 assert math.prod(q - x for x in mid) >= f, (q, l, f, a, b)
+
+
+def seeded_vectors(q, l, size, seed, low=0):
+    rng = np.random.default_rng(seed)
+    return [tuple(v) for v in rng.integers(low, q, size=(size, l)).tolist()]
+
+
+@pytest.mark.parametrize(
+    "q, k, seed", [(11, (1, 3), 1), (64, (2, 1, 4), 2), (300, (5, 1, 2, 3), 3)]
+)
+def test_star_matches_tuple_products(q, k, seed):
+    l = len(k)
+    vecs = seeded_vectors(q // max(k), l, 60, seed)
+    got = cons._star(k, ex.ExponentSet.of(q, l, vecs))
+    assert got.vectors == tuple(sorted({tuple(ki * x for ki, x in zip(k, v)) for v in vecs}))
+    with pytest.raises(RangeError):
+        cons._star(k, ex.ExponentSet.of(q, l, [(q - 1,) * l]))
+
+
+@pytest.mark.parametrize(
+    "q, l, low, seed", [(7, 2, 2, 1), (19, 3, 4, 2), (300, 4, 100, 3), (5, 3, 0, 4)]
+)
+def test_translate_matches_tuple_shift(q, l, low, seed):
+    vecs = seeded_vectors(q, l, 40, seed, low=low)
+    s = ex.ExponentSet.of(q, l, vecs)
+    mins = [min(v[i] for v in vecs) for i in range(l)]
+    want = tuple(sorted({tuple(x - m for x, m in zip(v, mins)) for v in vecs}))
+    shifted = cons._translate(s)
+    assert shifted.vectors == want
+    assert cons._translate(shifted) is shifted

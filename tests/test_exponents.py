@@ -222,3 +222,128 @@ def test_exponent_set_rejects_out_of_range():
         ex.ExponentSet.of(3, 2, [(0, 3)])
     with pytest.raises(ParameterError):
         ex.ExponentSet.of(3, 2, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# the array-backed set against tuple references
+
+
+def fb_oracle(s):
+    """The per-vector loop: first minimum of prod(q - x) in lexicographic order."""
+    best = None
+    for v in sorted(s):
+        value = math.prod(s.q - x for x in v)
+        if best is None or value < best[0]:
+            best = (value, v)
+    return ex.FootprintValue(*best)
+
+
+@pytest.mark.parametrize(
+    "q, l, size, seed",
+    [(2, 12, 300, 1), (3, 5, 200, 2), (5, 4, 400, 3), (19, 2, 100, 4), (257, 3, 500, 5)],
+)
+def test_fb_matches_per_vector_loop(q, l, size, seed):
+    s = seeded_set(q, l, size, seed)
+    assert ex.fb(s) == fb_oracle(s)
+    summed = ex.minkowski_sum_q(s, seeded_set(q, l, 7, seed + 100))
+    assert ex.fb(summed) == fb_oracle(summed)
+
+
+def test_fb_tie_break_matches_per_vector_loop():
+    # three members attain the minimum 1 * 3 * 3 = 9; the least one is the witness
+    vecs = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 0), (0, 0, 2)]
+    s = ex.ExponentSet.of(3, 3, vecs)
+    assert ex.fb(s) == fb_oracle(s) == ex.FootprintValue(9, (0, 0, 2))
+
+
+def test_fb_is_exact_where_int64_would_wrap():
+    s = seeded_set(300, 8, 300, seed=8)
+    assert 300**8 >= 2**63
+    got = ex.fb(s)
+    assert got == fb_oracle(s)
+    assert type(got.value) is int and all(type(x) is int for x in got.witness)
+    origin = ex.ExponentSet.of(300, 8, [(0,) * 8])
+    assert ex.fb(origin).value == 300**8  # above 2^63
+
+
+def test_fb_of_an_empty_set_raises():
+    with pytest.raises(ParameterError):
+        ex.fb(ex.ExponentSet.of(300, 8, []))
+
+
+@pytest.mark.parametrize("q, l", [(2, 1), (2, 4), (2, 9), (3, 1), (3, 3), (3, 5), (5, 2), (5, 4)])
+def test_hyp_set_matches_product_filter(q, l):
+    fs = sorted({0, 1, 2, q, q + 1, q**l // 3, q**l // 2, q**l - 1, q**l, q**l + 1})
+    for f in fs:
+        s = ex.hyp_set(q, l, f)
+        assert s.vectors == tuple(
+            a for a in itertools.product(range(q), repeat=l) if math.prod(q - x for x in a) >= f
+        )
+        assert s.rows.shape == (len(s), l) and s.rows.dtype == np.min_scalar_type(q - 1)
+
+
+@pytest.mark.parametrize("q, l, size, seed", [(2, 6, 20, 1), (5, 3, 40, 2), (300, 4, 50, 3)])
+def test_support_matches_tuple_scan(q, l, size, seed):
+    s = seeded_set(q, l, size, seed)
+    for t in (s, ex.ExponentSet.of(q, l, [v[:2] + (0,) * (l - 2) for v in s])):
+        assert ex.support(t) == frozenset(i + 1 for v in t for i, x in enumerate(v) if x)
+
+
+def test_exponent_set_matches_tuple_built_set():
+    rng = np.random.default_rng(11)
+    vecs = [tuple(v) for v in rng.integers(0, 7, size=(300, 3)).tolist()]
+    s = ex.ExponentSet.of(7, 3, vecs)
+    ref = sorted(set(vecs))
+    assert list(s) == ref and s.vectors == tuple(ref) and len(s) == len(ref)
+    assert all(type(x) is int for v in s for x in v)
+    shuffled = ex.ExponentSet.of(7, 3, list(reversed(vecs)) + vecs[:50])
+    assert shuffled == s and hash(shuffled) == hash(s)
+    assert len({s, shuffled}) == 1
+    assert ex.ExponentSet.of(7, 3, np.array(ref, dtype=np.int64)) == s
+    assert s != ex.ExponentSet.of(7, 3, ref[1:])
+    assert s != ex.ExponentSet.of(8, 3, ref)
+    assert s != ref
+    assert s.rows.dtype == np.uint8 and ex.ExponentSet.of(300, 1, [(299,)]).rows.dtype == np.uint16
+    with pytest.raises(ValueError):
+        s.rows[0, 0] = 1  # read-only
+
+
+def test_sum_set_operations_build_no_tuples():
+    q, l = 2, 20
+    left = ex.hyp_set(q, 10, 1)  # all 1024 vectors
+    right = ex.hyp_set(q, 10, 128)  # 176 vectors
+    a = ex.ExponentSet.of(q, l, np.pad(left.rows, ((0, 0), (0, 10))))
+    b = ex.ExponentSet.of(q, l, np.pad(right.rows, ((0, 0), (10, 0))))
+    s = ex.minkowski_sum_q(a, b)
+    again = ex.minkowski_sum_q(b, a)
+    assert len(s) == 1024 * 176 >= 10**5
+    assert s == again
+    assert ex.fb(s) == ex.FootprintValue(128, (1,) * 10 + (0,) * 7 + (1,) * 3)
+    for t in (left, right, a, b, s, again):
+        assert "vectors" not in vars(t)
+
+
+@pytest.mark.parametrize(
+    "vectors, shown",
+    [
+        ([(1.5,), (True,)], r"\(1\.5,\)"),
+        ([(1,), (True,)], r"\(True,\)"),
+        ([("a",)], r"\('a',\)"),
+        ([(0,), (1, 2)], r"\(1, 2\)"),
+        ([(0,), 2], r"\b2\b"),
+    ],
+)
+def test_exponent_set_rejects_non_integer_vectors(vectors, shown):
+    with pytest.raises(ParameterError, match=shown):
+        ex.ExponentSet.of(3, 1, vectors)
+
+
+def test_exponent_set_rejects_non_integer_arrays():
+    for arr in (np.array([[0.0, 1.0]]), np.array([[True, False]]), np.array([0, 1])):
+        with pytest.raises(ParameterError):
+            ex.ExponentSet.of(3, 2, arr)
+    with pytest.raises(RangeError, match=r"\(0, 3\)"):
+        ex.ExponentSet.of(3, 2, np.array([[0, 1], [0, 3]]))
+    with pytest.raises(RangeError, match=r"\(1, 10{30}\)"):
+        ex.ExponentSet.of(3, 2, [(0, 1), (1, 10**30)])
+    assert ex.ExponentSet.of(3, 2, [(np.int64(2), np.uint8(1))]).vectors == ((2, 1),)

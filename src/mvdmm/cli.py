@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import constructions, exponents, simulator, tables
 from .constructions import MatdotSolution
@@ -226,31 +227,12 @@ def cmd_enum(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = simulator.SimConfig.from_file(args.config)
-    overrides: dict[str, object] = {}
     for tok in args.set:
-        key, sep, value = tok.partition("=")
-        if not sep:
+        if "=" not in tok or tok.lstrip().startswith("#"):  # a config comment is not an override
             raise ParameterError(f"bad --set {tok!r}, expected KEY=VALUE")
-        key = key.strip()
-        if key in ("r", "s", "t", "seed", "trials"):
-            overrides[key] = int(value)
-        elif key == "N":
-            overrides["n_workers"] = int(value)
-        elif key in ("field", "construction"):
-            overrides[key] = value.strip()
-        elif key == "straggler.kind":
-            overrides["straggler"] = simulator.StragglerModel.from_kind_param(
-                value, cfg.straggler.param_text())
-        elif key == "straggler.param":
-            kind = overrides["straggler"].kind if "straggler" in overrides else cfg.straggler.kind
-            overrides["straggler"] = simulator.StragglerModel.from_kind_param(kind, value)
-        else:
-            raise ParameterError(f"unknown config key {key!r}")
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+    # Each --set is one more config line; the last value of a key wins.
+    cfg = simulator.SimConfig.from_text(cfg.to_text() + "".join(f"{tok}\n" for tok in args.set))
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     report = simulator.run(cfg)
     sys.stdout.write(report.summary())

@@ -10,13 +10,19 @@ dual side, through the closed-form inverse of the grid's Vandermonde map) or
 the kappa coefficients (the primal side, one linear system).  Either way it
 recovers A.B exactly.  All arithmetic is exact, so every equality test in
 this module is literal.
+
+Inside the codec a point or an exponent vector is its row-major index on
+the grid {0..q-1}^l, and a set of coefficient blocks is one stacked
+(k, r, c) array whose i-th row belongs to the i-th member of its degree set
+in lexicographic (so ascending-index) order.  Lookups are binary searches
+on those indices; extraction gathers rows of the stacked array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .exponents import ExponentSet, Vec, reduce_q_vec
+from .exponents import ExponentSet, Vec
 from .field import DEFAULT_POINT_LIMIT, FieldSpec, Point
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,10 @@ def matmul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
 
 @dataclass(frozen=True)
 class BlockSplit:
-    """One operand cut into equal blocks along one axis, zero-padded as needed."""
+    """One operand cut into equal blocks along one axis, zero-padded as needed.
+
+    blocks[i] is the i-th block; the array has shape (count, *block_shape).
+    """
 
     spec: FieldSpec
     mode: str  # poly-a | poly-b | matdot-a | matdot-b
@@ -128,11 +137,11 @@ class BlockSplit:
     original_shape: tuple[int, int]
     padded_shape: tuple[int, int]
     padding: int
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.blocks[0].shape
+        return self.blocks.shape[1:]
 
 
 _SPLIT_AXIS = {"poly-a": 0, "poly-b": 1, "matdot-a": 1, "matdot-b": 0}
@@ -148,7 +157,7 @@ def _split_one(mat: MatrixFq, mode: str, count: int) -> BlockSplit:
         widths = [(0, 0), (0, 0)]
         widths[axis] = (0, pad)
         data = np.pad(data, widths)
-    blocks = tuple(np.ascontiguousarray(b) for b in np.split(data, count, axis=axis))
+    blocks = np.stack(np.split(data, count, axis=axis))
     return BlockSplit(
         spec=mat.spec,
         mode=mode,
@@ -193,17 +202,18 @@ def reassemble(blocks: BlockSplit) -> MatrixFq:
 
 @dataclass(frozen=True)
 class EncodedOperand:
-    """A block-matrix polynomial: one matrix block per degree vector."""
+    """A block-matrix polynomial: blocks[i] is the coefficient block of the
+    i-th degree of `support` (lexicographic order)."""
 
     spec: FieldSpec
     q: int
     l: int
     support: ExponentSet
-    terms: Mapping[Vec, np.ndarray]
-    block_shape: tuple[int, int]
+    blocks: np.ndarray  # (len(support), *block_shape)
 
-    def coefficient(self, degree: Vec) -> MatrixFq:
-        return MatrixFq(self.spec, self.terms[tuple(degree)])
+    @property
+    def block_shape(self) -> tuple[int, int]:
+        return self.blocks.shape[1:]
 
 
 def encode(
@@ -219,21 +229,14 @@ def encode(
         raise ParameterError(
             f"{blocks.count} blocks cannot be matched to {len(degrees)} degrees"
         )
-    if order is None:
-        seq: Sequence[Vec] = degrees.vectors
-    else:
-        seq = [tuple(v) for v in order]
-        if sorted(seq) != list(degrees.vectors):
+    stacked = blocks.blocks
+    if order is not None:
+        # Block j goes to order[j]; in support order that is one permutation.
+        at = _grid_index(degrees.q, degrees.l, order)
+        if not np.array_equal(np.sort(at), _grid_index(degrees.q, degrees.l, degrees.rows)):
             raise ParameterError("explicit degree order must permute the degree set")
-    terms = dict(zip(seq, blocks.blocks))
-    return EncodedOperand(
-        spec=blocks.spec,
-        q=degrees.q,
-        l=degrees.l,
-        support=degrees,
-        terms=terms,
-        block_shape=blocks.block_shape,
-    )
+        stacked = stacked[np.argsort(at)]
+    return EncodedOperand(blocks.spec, degrees.q, degrees.l, degrees, stacked)
 
 
 def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> np.ndarray:
@@ -258,8 +261,7 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     """Evaluations at many points, shape (len(points), *block_shape)."""
     spec = op.spec
     vals = monomial_matrix(spec, op.support, points)  # (terms, points)
-    flat = np.stack([op.terms[v].reshape(-1) for v in op.support.vectors])
-    out = spec.matmul(vals.T, flat)  # (points, block entries)
+    out = spec.matmul(vals.T, op.blocks.reshape(len(op.blocks), -1))  # (points, block entries)
     return out.reshape(len(points), *op.block_shape)
 
 
@@ -287,6 +289,14 @@ def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
 def _grid_digits(q: int, l: int, index: np.ndarray) -> np.ndarray:
     """Inverse of _grid_index: shape (len(index), l)."""
     return index[:, None] // q ** np.arange(l - 1, -1, -1, dtype=np.int64) % q
+
+
+def _positions(grid: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `wanted` sits in the ascending `grid`, and whether it is there."""
+    pos = np.searchsorted(grid, wanted)
+    hit = pos < grid.size
+    hit[hit] = grid[pos[hit]] == wanted[hit]
+    return pos, hit
 
 
 def _complement(size: int, index: np.ndarray) -> np.ndarray:
@@ -376,58 +386,58 @@ def _dual_side(spec: FieldSpec, erasures: int, kappa: int) -> bool:
 
 @dataclass(frozen=True)
 class InterpolationSystem:
-    """The evaluation matrix of the product polynomial's monomial space.
+    """An audited evaluation code: the support S of the product polynomial
+    and the N evaluation points, both as grid indices.
 
-    kappa is the number of unknown coefficients; recovery_threshold is the
-    evaluation count that guarantees solvability for any point subset.
-    point_grid and support_grid are the grid indices of the points and of
-    the support's exponent vectors.
+    kappa = |S| is the number of unknown coefficients; recovery_threshold
+    is the evaluation count that guarantees solvability for any point
+    subset.  point_grid holds the points' grid indices in the caller's
+    order, support_grid those of S in ascending order.  No evaluation
+    matrix is kept: the primal side builds the rows it needs on demand.
     """
 
     spec: FieldSpec
     support: ExponentSet
-    points: tuple[Point, ...]
-    matrix: np.ndarray  # (kappa, len(points))
     kappa: int
     recovery_threshold: int
     point_grid: np.ndarray
     support_grid: np.ndarray
 
     def index_of_degree(self, degree: Vec) -> int:
-        try:
-            return self.support.vectors.index(tuple(degree))
-        except ValueError:
-            raise ParameterError(f"degree {tuple(degree)} is not in the support S") from None
+        wanted = _grid_index(self.spec.q, self.support.l, [degree])
+        pos, hit = _positions(self.support_grid, wanted)
+        if not hit[0]:
+            raise ParameterError(f"degree {tuple(degree)} is not in the support S")
+        return int(pos[0])
 
 
 def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> InterpolationSystem:
-    """Fill the evaluation matrix and verify that the points determine every
-    function in the span of the support.
+    """Verify that the points determine every function in the span of the
+    support.
 
     With e0 unused grid points the audit takes the side with fewer unknowns
-    (see _dual_side): either the kappa x N matrix has rank kappa (primal), or
-    no nonzero function vanishing off the e0 unused points lies in the span,
-    i.e. the block T[outside the support, unused points] has rank e0 (dual).
-    The two are the same guarantee; on a full grid (e0 = 0) the dual side
-    rests on the exact check of T1.
+    (see _dual_side): either the kappa x N monomial matrix, built for the
+    audit only, has rank kappa (primal), or no nonzero function vanishing
+    off the e0 unused points lies in the span, i.e. the block T[outside the
+    support, unused points] has rank e0 (dual).  The two are the same
+    guarantee; on a full grid (e0 = 0) the dual side rests on the exact
+    check of T1.
     """
-    points = [tuple(p) for p in points]
-    if len(set(points)) != len(points):
-        raise ParameterError("evaluation points must be distinct")
     threshold = exponents.delta(support) + 1
     if len(points) < threshold:
         raise InsufficientResponsesError(threshold, len(points))
     q, l = spec.q, support.l
     point_grid = _grid_index(q, l, points)
+    if np.unique(point_grid).size != point_grid.size:
+        raise ParameterError("evaluation points must be distinct")
     support_grid = _grid_index(q, l, support.rows)
-    g = monomial_matrix(spec, support, points)
     kappa = len(support)
     unused = _complement(q**l, point_grid)
     if _dual_side(spec, unused.size, kappa):
         block = _dual_block(spec, l, _outside(q, l, support_grid), unused)
         rank = kappa - unused.size + _linalg.matrix_rank(spec, block.T)
     else:
-        rank = _linalg.matrix_rank(spec, g)
+        rank = _linalg.matrix_rank(spec, monomial_matrix(spec, support, points))
     if rank != kappa:
         # Would contradict the footprint bound; surface loudly.
         raise InternalConsistencyError(
@@ -436,8 +446,6 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
     return InterpolationSystem(
         spec=spec,
         support=support,
-        points=tuple(points),
-        matrix=g,
         kappa=kappa,
         recovery_threshold=threshold,
         point_grid=point_grid,
@@ -508,14 +516,25 @@ def parse_response(line: str, spec: FieldSpec, shape: tuple[int, int]) -> Worker
 
 @dataclass
 class Interpolation:
-    """Recovered coefficient blocks plus the work done to get them."""
+    """Recovered coefficient blocks plus the work done to get them.
 
-    coefficients: dict[Vec, MatrixFq]
+    blocks[i] is the coefficient block at the degree with grid index
+    grid[i]; grid is ascending (the whole support, or the one degree asked
+    for with `only`).
+    """
+
+    spec: FieldSpec
+    l: int
+    grid: np.ndarray
+    blocks: np.ndarray  # (len(grid), *block_shape)
     used_points: tuple[Point, ...]
     stats: _linalg.EliminationStats
 
     def __getitem__(self, degree: Vec) -> MatrixFq:
-        return self.coefficients[tuple(degree)]
+        pos, hit = _positions(self.grid, _grid_index(self.spec.q, self.l, [degree]))
+        if not hit[0]:
+            raise IncompleteRecoveryError(f"missing coefficient at {tuple(degree)}")
+        return MatrixFq(self.spec, self.blocks[pos[0]])
 
 
 # Responses stacked per product when combining them with decoder weights;
@@ -581,9 +600,9 @@ def interpolate(
       O(kappa e w).
 
     Otherwise it eliminates the kappa unknown coefficients directly from the
-    responses' rows of the evaluation matrix (primal side).  Both sides raise
-    RankDeficiencyError, in kappa terms, exactly when the responding points
-    do not determine every function in the span of S.
+    monomial rows at the responding points, built on demand (primal side).
+    Both sides raise RankDeficiencyError, in kappa terms, exactly when the
+    responding points do not determine every function in the span of S.
 
     With `only`, just the requested coefficient is recovered, as one weight
     per response: on the dual side T's row at the target, corrected through
@@ -605,15 +624,13 @@ def interpolate(
         grid = _grid_index(spec.q, l, [r.point for r in uniq])
     except ParameterError as exc:
         raise ParameterError(f"response at a point outside GF({spec.q})^{l}") from exc
-    column = np.full(size, -1, dtype=np.int64)
-    column[sys.point_grid] = np.arange(len(sys.points))
-    unknown = np.flatnonzero(column[grid] < 0)
+    unknown = np.flatnonzero(~np.isin(grid, sys.point_grid))
     if unknown.size:
         raise ParameterError(f"response at unknown point {tuple(uniq[unknown[0]].point)}")
 
     missing = _complement(size, grid)
     if not _dual_side(spec, missing.size, sys.kappa):
-        return _interpolate_primal(sys, uniq, [sys.matrix[:, c] for c in column[grid]], only)
+        return _interpolate_primal(sys, uniq, grid, only)
     try:
         return _interpolate_dual(sys, uniq, grid, missing, only)
     except _linalg.RankDeficiencyError as exc:
@@ -641,7 +658,7 @@ def _interpolate_dual(
             stats.mult_ops += z.size
             stats.add_ops += z.size
         combined = _combine(spec, weights, uniq, stats)
-        return Interpolation({tuple(only): MatrixFq(spec, combined.reshape(shape))}, used, stats)
+        return Interpolation(spec, l, target, combined.reshape(1, *shape), used, stats)
     values = np.zeros((spec.q**l, int(np.prod(shape))), dtype=np.int64)
     for g, r in zip(grid, uniq):
         values[g] = r.product.data.reshape(-1)
@@ -652,67 +669,57 @@ def _interpolate_dual(
         x = spec.sub_arr(x, spec.matmul(_dual_block(spec, l, sys.support_grid, missing), z))
         stats.mult_ops += sys.kappa * z.size
         stats.add_ops += sys.kappa * z.size
-    coeffs = {v: MatrixFq(spec, x[i].reshape(shape)) for i, v in enumerate(sys.support.vectors)}
-    return Interpolation(coeffs, used, stats)
+    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), used, stats)
 
 
 def _interpolate_primal(
-    sys: InterpolationSystem, uniq: list[WorkerResponse], rows: list[np.ndarray],
+    sys: InterpolationSystem, uniq: list[WorkerResponse], grid: np.ndarray,
     only: Vec | None,
 ) -> Interpolation:
-    """Eliminate the kappa coefficients from the responses' evaluation rows."""
-    spec = sys.spec
+    """Eliminate the kappa coefficients from the responders' evaluation rows."""
+    spec, l = sys.spec, sys.support.l
     shape = uniq[0].product.data.shape
+    rows = list(monomial_matrix(spec, sys.support, _grid_digits(spec.q, l, grid)).T)
     if only is not None:
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
         combined = _combine(spec, y, [uniq[i] for i in used], stats)
-        coeffs = {tuple(only): MatrixFq(spec, combined.reshape(shape))}
-        return Interpolation(coeffs, tuple(uniq[i].point for i in used), stats)
+        return Interpolation(spec, l, sys.support_grid[target][None], combined.reshape(1, *shape),
+                             tuple(uniq[i].point for i in used), stats)
     rhs = [r.product.data.reshape(-1) for r in uniq]
     x, used, stats = _linalg.solve_exact(spec, rows, rhs, sys.kappa)
-    coeffs = {
-        v: MatrixFq(spec, x[i].reshape(shape))
-        for i, v in enumerate(sys.support.vectors)
-    }
-    return Interpolation(coeffs, tuple(uniq[i].point for i in used), stats)
+    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape),
+                         tuple(uniq[i].point for i in used), stats)
 
 
 def extract_poly(
-    coeffs: Interpolation | Mapping[Vec, MatrixFq],
-    sol: PolySolution,
-    split_a: BlockSplit,
-    split_b: BlockSplit,
+    coeffs: Interpolation, sol: PolySolution, split_a: BlockSplit, split_b: BlockSplit,
 ) -> MatrixFq:
-    """Assemble the block grid of A.B from recovered coefficients."""
-    table = coeffs.coefficients if isinstance(coeffs, Interpolation) else coeffs
-    spec = split_a.spec
-    grid_rows = []
-    for a_vec in sol.d_a.vectors:
-        row_blocks = []
-        for b_vec in sol.d_b.vectors:
-            key = reduce_q_vec(tuple(x + y for x, y in zip(a_vec, b_vec)), sol.q)
-            if key not in table:
-                raise IncompleteRecoveryError(f"missing coefficient at {key}")
-            row_blocks.append(table[key].data)
-        grid_rows.append(np.concatenate(row_blocks, axis=1))
-    full = np.concatenate(grid_rows, axis=0)
+    """Assemble the block grid of A.B from recovered coefficients.
+
+    Block (i, j) is the coefficient at the reduced sum of the i-th degree of
+    D_A and the j-th of D_B; all m x n sums are formed at once and their
+    blocks gathered in one step.
+    """
+    q = sol.q
+    sums = (sol.d_a.rows[:, None, :].astype(np.int64) + sol.d_b.rows[None, :, :]).reshape(-1, sol.l)
+    np.subtract(sums, q - 1, out=sums, where=sums >= q)  # x^q = x: q + r reduces to r + 1
+    pos, hit = _positions(coeffs.grid, _grid_index(q, sol.l, sums))
+    if not hit.all():
+        first = tuple(sums[hit.argmin()].tolist())
+        raise IncompleteRecoveryError(f"missing coefficient at {first}")
+    m, n = len(sol.d_a), len(sol.d_b)
+    br, bc = coeffs.blocks.shape[1:]
+    full = coeffs.blocks[pos].reshape(m, n, br, bc).transpose(0, 2, 1, 3).reshape(m * br, n * bc)
     r = split_a.original_shape[0]
     t = split_b.original_shape[1]
-    return MatrixFq(spec, full[:r, :t])
+    return MatrixFq(split_a.spec, full[:r, :t])
 
 
 def extract_matdot(
-    coeffs: Interpolation | Mapping[Vec, MatrixFq],
-    sol: MatdotSolution,
-    split_a: BlockSplit,
-    split_b: BlockSplit,
+    coeffs: Interpolation, sol: MatdotSolution, split_a: BlockSplit, split_b: BlockSplit,
 ) -> MatrixFq:
     """A.B is the single coefficient at the solution's target degree."""
-    table = coeffs.coefficients if isinstance(coeffs, Interpolation) else coeffs
-    key = tuple(sol.degree_target)
-    if key not in table:
-        raise IncompleteRecoveryError(f"missing coefficient at {key}")
     r = split_a.original_shape[0]
     t = split_b.original_shape[1]
-    return MatrixFq(split_a.spec, table[key].data[:r, :t])
+    return MatrixFq(split_a.spec, coeffs[sol.degree_target].data[:r, :t])

@@ -122,7 +122,10 @@ class SimConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParameterError(f"bad config line (expected key = value): {raw!r}")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in cls.CONFIG_KEYS:
+                raise ParameterError(f"unknown config key {key!r}")
+            kv[key] = value.strip()
 
         def integer(key: str) -> int:
             try:

@@ -201,6 +201,56 @@ def test_simulate_config_errors_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "simulate", "--config", str(tmp_path / "missing.cfg"))[0] == 2
 
 
+@pytest.fixture
+def gf19_config(tmp_path):
+    """A small GF(19) scheme with no straggler model."""
+    cfg = tmp_path / "gf19.cfg"
+    cfg.write_text(
+        "field = 19\nconstruction = poly-box m=2,2 n=2,2\n"
+        "r = 4\ns = 3\nt = 4\nN = 361\nseed = 1\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+@pytest.mark.parametrize("order", [("kind", "param"), ("param", "kind")])
+def test_simulate_set_straggler_kind_and_param_in_either_order(capsys, gf19_config, order,
+                                                               tmp_path):
+    sets = {"kind": "straggler.kind=random", "param": "straggler.param=0.2"}
+    argv = ["simulate", "--config", str(gf19_config), "--out", str(tmp_path / "t.txt")]
+    for which in order:
+        argv += ["--set", sets[which]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "success: True" in out and "responses used: 106" in out
+    used = [int(line.split()[0]) for line in (tmp_path / "t.txt").read_text().splitlines()]
+    assert len(used) == 106 and used != list(range(106))  # some of the first 106 dropped
+
+
+def test_simulate_set_last_value_wins(capsys, gf19_config, tmp_path):
+    def transcript(*sets):
+        out = tmp_path / "t.txt"
+        argv = ["simulate", "--config", str(gf19_config), "--out", str(out)]
+        for tok in sets:
+            argv += ["--set", tok]
+        assert run_cli(capsys, *argv)[0] == 0
+        return out.read_text()
+
+    assert transcript("seed=9", "seed=4") == transcript("seed=4") != transcript("seed=9")
+
+
+@pytest.mark.parametrize("token, match", [
+    ("r=x", "r = 'x'"),
+    ("sead=7", "unknown config key 'sead'"),
+    ("#seed=4", "bad --set '#seed=4'"),
+    ("seed", "bad --set 'seed'"),
+])
+def test_simulate_set_errors_exit_2(capsys, gf19_config, token, match):
+    code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config), "--set", token)
+    assert code == 2 and out == ""
+    assert match in err
+
+
 # ---------------------------------------------------------------------------
 # selftest and entry point
 

@@ -178,7 +178,7 @@ def evaluate(op, point):
         raise ParameterError(f"point has {len(point)} coordinates, expected {op.l}")
     spec = op.spec
     acc = np.zeros(op.block_shape, dtype=np.int64)
-    for degree, block in op.terms.items():
+    for degree, block in zip(op.support.vectors, op.blocks):
         v = monomial_value(spec, point, degree)
         if v:
             acc = spec.add_arr(acc, spec.mul_arr(np.int64(v), block))
@@ -200,12 +200,22 @@ def test_encode_constant_and_linear():
     for x in range(5):
         want = GF5.add_arr(sa.blocks[0], GF5.mul_arr(np.int64(x), sa.blocks[1]))
         assert evaluate(linear, (x,)).data.tolist() == want.tolist()
-    # decoding the coefficient at each degree returns the exact block
-    assert linear.coefficient((0,)).data.tolist() == sa.blocks[0].tolist()
-    assert linear.coefficient((1,)).data.tolist() == sa.blocks[1].tolist()
+    # the coefficient at each degree is the exact block
+    assert np.array_equal(linear.blocks, sa.blocks)
 
     with pytest.raises(ParameterError):
         codec.encode(sa, ex.ExponentSet.of(5, 1, [(0,)]))
+
+
+def test_encode_order_places_block_j_at_order_j():
+    a = MatrixFq(GF5, [[1], [2], [3]])
+    sa, _ = codec.split(a, MatrixFq.zeros(GF5, 1, 1), "poly", 3, 1)
+    degrees = ex.ExponentSet.of(5, 1, [(0,), (1,), (4,)])
+    op = codec.encode(sa, degrees, order=[(4,), (0,), (1,)])
+    assert op.blocks[:, 0, 0].tolist() == [2, 3, 1]  # degrees (0,), (1,), (4,)
+    for bad in ([(0,), (0,), (1,)], [(0,), (1,), (3,)], [(0,), (1,), (5,)], [(0,), (1,)]):
+        with pytest.raises(ParameterError):
+            codec.encode(sa, degrees, order=bad)
 
 
 def test_evaluate_at_origin_and_zero_power():
@@ -261,12 +271,15 @@ def test_evaluate_many_matches_pointwise():
 
 def test_build_system_tiny():
     sys1 = codec.build_system(GF5, ex.ExponentSet.of(5, 1, [(0,)]), [(0,)])
-    assert sys1.matrix.tolist() == [[1]]
+    assert codec.monomial_matrix(GF5, sys1.support, [(0,)]).tolist() == [[1]]
     assert sys1.kappa == 1
 
     support = ex.ExponentSet.of(5, 1, [(0,), (1,), (2,)])
     sys3 = codec.build_system(GF5, support, [(0,), (1,), (2,)])
-    assert sys3.matrix.tolist() == [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
+    assert codec.monomial_matrix(GF5, sys3.support, [(0,), (1,), (2,)]).tolist() == [
+        [1, 1, 1], [0, 1, 2], [0, 1, 4]]
+    assert sys3.point_grid.tolist() == [0, 1, 2]
+    assert sys3.support_grid.tolist() == [0, 1, 2]
 
     with pytest.raises(ParameterError):
         codec.build_system(GF5, support, [(0,), (0,), (1,)])
@@ -364,15 +377,72 @@ def test_subset_independence():
     sub2 = [responses[i] for i in range(63, 361)]
     i1 = codec.interpolate(system, sub1)
     i2 = codec.interpolate(system, sub2)
-    for key in i1.coefficients:
-        assert i1[key] == i2[key]
+    assert np.array_equal(i1.grid, system.support_grid)
+    assert np.array_equal(i1.grid, i2.grid)
+    assert np.array_equal(i1.blocks, i2.blocks)
+
+
+def _only_interpolation(sol, degree):
+    """An Interpolation that holds the single coefficient at `degree`."""
+    rng = np.random.default_rng(17)
+    a = codec.random_matrix(GF5, 2 * sol.m, 2, rng)
+    b = codec.random_matrix(GF5, 2, 2 * sol.n, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    points = enumerate_points(GF5, 1)
+    system = codec.build_system(GF5, sol.sum_set(), points)
+    payloads = codec.make_payloads(codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b), points)
+    interp = codec.interpolate(system, [codec.worker_compute(p) for p in payloads], only=degree)
+    return interp, sa, sb
 
 
 def test_missing_coefficient_raises():
     sol = cons.box_poly(5, (2,), (2,))
-    sa, sb = codec.split(MatrixFq.zeros(GF5, 4, 2), MatrixFq.zeros(GF5, 2, 4), "poly", 2, 2)
-    with pytest.raises(IncompleteRecoveryError):
-        codec.extract_poly({}, sol, sa, sb)
+    interp, sa, sb = _only_interpolation(sol, (1,))
+    assert interp.grid.tolist() == [1]
+    with pytest.raises(IncompleteRecoveryError, match=r"\(0,\)"):
+        codec.extract_poly(interp, sol, sa, sb)
+
+
+def test_interpolation_lacking_a_degree_raises():
+    sol = cons.box_poly(5, (2,), (2,))
+    interp, _, _ = _only_interpolation(sol, (3,))
+    assert interp[(3,)].data.shape == interp.blocks.shape[1:]
+    with pytest.raises(IncompleteRecoveryError, match=r"\(2,\)"):
+        interp[(2,)]
+
+
+def _reference_extract_poly(interp, sol, split_a, split_b):
+    """The per-pair loop: reduce each sum of degrees and look its block up."""
+    table = {degree: interp[degree].data for degree in sol.sum_set().vectors}
+    grid_rows = []
+    for a_vec in sol.d_a.vectors:
+        row = [table[ex.reduce_q_vec(tuple(x + y for x, y in zip(a_vec, b_vec)), sol.q)]
+               for b_vec in sol.d_b.vectors]
+        grid_rows.append(np.concatenate(row, axis=1))
+    full = np.concatenate(grid_rows, axis=0)
+    return MatrixFq(split_a.spec, full[:split_a.original_shape[0], :split_b.original_shape[1]])
+
+
+@pytest.mark.parametrize("make", [
+    # q = 3 with three of the six sums past q - 1: (2,2) + (0,1) reduces to (1,1).
+    lambda: cons._poly_solution(3, 2, ex.ExponentSet.of(3, 2, [(0, 0), (2, 2)]),
+                                ex.ExponentSet.of(3, 2, [(0, 1), (0, 2), (1, 0)]), 1),
+    lambda: cons.sep_vars(2, 2, 2, 2, 2),
+], ids=["gf3-wrapping", "gf2-sep-vars"])
+def test_extract_poly_matches_per_pair_reference(make):
+    sol = make()
+    spec = FieldSpec.of_order(sol.q)
+    rng = np.random.default_rng(18)
+    a = codec.random_matrix(spec, 2 * sol.m - 1, 3, rng)  # row padding
+    b = codec.random_matrix(spec, 3, 2 * sol.n, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    support = sol.sum_set()
+    grid = support.rows.astype(np.int64) @ sol.q ** np.arange(sol.l - 1, -1, -1)  # row-major
+    blocks = rng.integers(0, sol.q, size=(len(support), 2, 2))
+    interp = codec.Interpolation(spec, sol.l, grid, blocks, (), None)
+    got = codec.extract_poly(interp, sol, sa, sb)
+    assert got == _reference_extract_poly(interp, sol, sa, sb)
+    assert got.data.shape == (a.rows, b.cols)
 
 
 # ---------------------------------------------------------------------------

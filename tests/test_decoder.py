@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mvdmm import _linalg, codec, constructions as cons
+from mvdmm import _linalg, codec, constructions as cons, simulator
 from mvdmm.errors import InsufficientResponsesError, ParameterError, ShapeError
 from mvdmm.field import FieldSpec, enumerate_points
 
@@ -97,6 +97,48 @@ def test_every_subset_decodes_exactly_when_its_monomial_rank_is_kappa():
                     for ok in (True, False) for partial in (True, False)}
 
 
+def test_dual_side_builds_no_monomial_matrix(monkeypatch):
+    """decode-gf23's scheme: the dual audit and decode read only T blocks."""
+    spec = FieldSpec(23)
+    sol = simulator.parse_construction("better-box m=2,2 F=81", 23)
+    points = enumerate_points(spec, sol.l)
+    rng = np.random.default_rng(23)
+    responses, sa, sb, oracle = _setup(spec, sol, points, rng)
+    subset = [responses[i] for i in sorted(rng.choice(len(points), size=449, replace=False))]
+    codec.inverse_vandermonde(spec)  # T1 itself is built once per field from a q x q Vandermonde
+
+    def refuse(*args):
+        raise AssertionError("monomial_matrix called on the dual side")
+
+    monkeypatch.setattr(codec, "monomial_matrix", refuse)
+    system = codec.build_system(spec, sol.sum_set(), points)
+    assert len(points) - len(subset) < system.kappa
+    assert _decode(system, sol, subset, sa, sb) == oracle
+
+
+def test_primal_side_builds_rows_for_the_responders_only(monkeypatch):
+    """e >= kappa on a half grid: the primal rows are built on demand."""
+    spec = FieldSpec(19)
+    sol = cons.box_poly(19, (1, 1), (2, 2))
+    points = enumerate_points(spec, sol.l)[::2]
+    rng = np.random.default_rng(19)
+    responses, sa, sb, oracle = _setup(spec, sol, points, rng)
+    system = codec.build_system(spec, sol.sum_set(), points)
+    subset = [responses[i] for i in sorted(rng.choice(len(points), size=sol.recovery_threshold,
+                                                      replace=False))]
+    assert spec.q**sol.l - len(subset) >= system.kappa
+    calls = []
+    real = codec.monomial_matrix
+
+    def spy(spec_, support, pts):
+        calls.append(len(pts))
+        return real(spec_, support, pts)
+
+    monkeypatch.setattr(codec, "monomial_matrix", spy)
+    assert _decode(system, sol, subset, sa, sb) == oracle
+    assert calls == [len(subset)]
+
+
 def _gf5_responses(rng):
     spec = FieldSpec(5)
     sol = cons.box_poly(5, (2,), (2,))
@@ -152,7 +194,19 @@ def test_conflicting_duplicate_responses_raise_and_identical_ones_collapse():
         codec.interpolate(system, responses + [clash])
     twice = codec.interpolate(system, responses + [first])
     once = codec.interpolate(system, responses)
-    assert twice.coefficients == once.coefficients
+    assert np.array_equal(twice.grid, once.grid)
+    assert np.array_equal(twice.blocks, once.blocks)
+
+
+def test_responses_at_points_outside_the_system_raise():
+    spec, _, responses = _gf5_responses(np.random.default_rng(7))
+    sol = cons.box_poly(5, (2,), (2,))
+    system = codec.build_system(spec, sol.sum_set(), [(x,) for x in range(4)])
+    with pytest.raises(ParameterError, match=r"unknown point \(4,\)"):
+        codec.interpolate(system, responses)
+    stray = codec.WorkerResponse(9, (5,), responses[0].product)
+    with pytest.raises(ParameterError, match="outside GF"):
+        codec.interpolate(system, responses[:3] + [stray])
 
 
 # ---------------------------------------------------------------------------

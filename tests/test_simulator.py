@@ -160,6 +160,12 @@ def test_straggler_param_parse_errors_are_typed(kind, param):
         StragglerModel.from_kind_param(kind, param)
 
 
+@pytest.mark.parametrize("line", ["sead = 7", "straggler.knd = random"])
+def test_config_unknown_key_is_named(line):
+    with pytest.raises(ParameterError, match=repr(line.split(" =")[0])):
+        SimConfig.from_text(BOX19.to_text() + line + "\n")
+
+
 def test_config_non_integer_value_names_its_line():
     text = BOX19.to_text().replace("\nr = 6\n", "\nr = x\n")
     with pytest.raises(ParameterError, match="r = 'x'"):

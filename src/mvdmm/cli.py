@@ -272,6 +272,24 @@ def cmd_selftest(args) -> int:
                 ok = False
     check("field axioms / inverses (q <= 9)", ok)
 
+    # matmul packs g output digits per float64, g falling as n grows; test n
+    # on both sides of every drop below 50,000 (GF(4) and GF(9) have none).
+    mm_rng = np.random.default_rng(args.seed)
+    ok = True
+    for q in (4, 8, 9, 16, 64):
+        spec = FieldSpec.of_order(q)
+        unit = spec.e * (spec.p - 1) ** 2
+        drops = {-(-(1 << 53 // g) // unit) for g in range(2, spec.e + 1)}
+        for n in sorted({1, 7, 20} | {d + i for d in drops if d <= 50_000 for i in (-1, 0)}):
+            a = mm_rng.integers(0, q, size=(1, n))
+            b = mm_rng.integers(0, q, size=(n, 1))
+            want = 0
+            for u, v in zip(a[0].tolist(), b[:, 0].tolist()):
+                want = spec.add(want, spec.mul(u, v))
+            if spec.matmul(a, b).tolist() != [[want]]:
+                ok = False
+    check("FieldSpec.matmul == scalar schoolbook on GF(4), GF(8), GF(9), GF(16), GF(64)", ok)
+
     ok = True
     for q in (2, 3, 4, 5):
         for l in (1, 2, 3):

@@ -124,11 +124,12 @@ def matmul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
 # block splitting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSplit:
     """One operand cut into equal blocks along one axis, zero-padded as needed.
 
     blocks[i] is the i-th block; the array has shape (count, *block_shape).
+    `==` is identity; to compare contents, compare `.blocks`.
     """
 
     spec: FieldSpec
@@ -200,10 +201,13 @@ def reassemble(blocks: BlockSplit) -> MatrixFq:
 # encoding and evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedOperand:
     """A block-matrix polynomial: blocks[i] is the coefficient block of the
-    i-th degree of `support` (lexicographic order)."""
+    i-th degree of `support` (lexicographic order).
+
+    `==` is identity; to compare contents, compare `.blocks`.
+    """
 
     spec: FieldSpec
     q: int
@@ -384,7 +388,7 @@ def _dual_side(spec: FieldSpec, erasures: int, kappa: int) -> bool:
 # interpolation system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolationSystem:
     """An audited evaluation code: the support S of the product polynomial
     and the N evaluation points, both as grid indices.
@@ -394,6 +398,7 @@ class InterpolationSystem:
     subset.  point_grid holds the points' grid indices in the caller's
     order, support_grid those of S in ascending order.  No evaluation
     matrix is kept: the primal side builds the rows it needs on demand.
+    `==` is identity; to compare contents, compare the grids.
     """
 
     spec: FieldSpec
@@ -514,20 +519,20 @@ def parse_response(line: str, spec: FieldSpec, shape: tuple[int, int]) -> Worker
 # decoding
 
 
-@dataclass
+@dataclass(eq=False)
 class Interpolation:
     """Recovered coefficient blocks plus the work done to get them.
 
     blocks[i] is the coefficient block at the degree with grid index
     grid[i]; grid is ascending (the whole support, or the one degree asked
-    for with `only`).
+    for with `only`).  `==` is identity; to compare contents, compare
+    `.grid` and `.blocks`.
     """
 
     spec: FieldSpec
     l: int
     grid: np.ndarray
     blocks: np.ndarray  # (len(grid), *block_shape)
-    used_points: tuple[Point, ...]
     stats: _linalg.EliminationStats
 
     def __getitem__(self, degree: Vec) -> MatrixFq:
@@ -647,7 +652,6 @@ def _interpolate_dual(
     spec, l = sys.spec, sys.support.l
     shape = uniq[0].product.data.shape
     outside = _outside(spec.q, l, sys.support_grid)
-    used = tuple(r.point for r in uniq)
     stats = _linalg.EliminationStats()
     if only is not None:
         target = sys.support_grid[sys.index_of_degree(only)][None]
@@ -658,7 +662,7 @@ def _interpolate_dual(
             stats.mult_ops += z.size
             stats.add_ops += z.size
         combined = _combine(spec, weights, uniq, stats)
-        return Interpolation(spec, l, target, combined.reshape(1, *shape), used, stats)
+        return Interpolation(spec, l, target, combined.reshape(1, *shape), stats)
     values = np.zeros((spec.q**l, int(np.prod(shape))), dtype=np.int64)
     for g, r in zip(grid, uniq):
         values[g] = r.product.data.reshape(-1)
@@ -669,7 +673,7 @@ def _interpolate_dual(
         x = spec.sub_arr(x, spec.matmul(_dual_block(spec, l, sys.support_grid, missing), z))
         stats.mult_ops += sys.kappa * z.size
         stats.add_ops += sys.kappa * z.size
-    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), used, stats)
+    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
 
 
 def _interpolate_primal(
@@ -685,11 +689,10 @@ def _interpolate_primal(
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
         combined = _combine(spec, y, [uniq[i] for i in used], stats)
         return Interpolation(spec, l, sys.support_grid[target][None], combined.reshape(1, *shape),
-                             tuple(uniq[i].point for i in used), stats)
+                             stats)
     rhs = [r.product.data.reshape(-1) for r in uniq]
-    x, used, stats = _linalg.solve_exact(spec, rows, rhs, sys.kappa)
-    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape),
-                         tuple(uniq[i].point for i in used), stats)
+    x, _, stats = _linalg.solve_exact(spec, rows, rhs, sys.kappa)
+    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
 
 
 def extract_poly(

@@ -14,7 +14,9 @@ primitive element, and below ``TABLE_LIMIT`` full q x q add/mul tables;
 workers' block products and the decoder's transforms all run through it.  It
 multiplies base-p digit matrices with float64 BLAS, cutting the inner
 dimension so that every partial sum is an integer below 2^53 and therefore
-exact, then reduces mod p as integers.
+exact, then reduces mod p as integers.  Over GF(p^e) it packs as many output
+digits into one float64 as fit without carries (Kronecker substitution), so
+BLAS forms e * ceil(e/g) digit products per field product instead of e^2.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ MAX_ORDER = 1 << 16
 DEFAULT_POINT_LIMIT = 1 << 20
 
 # float64 represents every integer up to 2^53 exactly.
-EXACT_FLOAT_LIMIT = 1 << 53
+EXACT_FLOAT_BITS = 53
+EXACT_FLOAT_LIMIT = 1 << EXACT_FLOAT_BITS
 
 # Orders with a built-in modulus (lexicographically least irreducible,
 # comparing integer encodings of the coefficient vector).
@@ -123,7 +126,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_digit_planes", "matmul_chunk", "__weakref__",
+        "_planes", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -200,14 +203,14 @@ class FieldSpec:
         # Longest inner dimension for which an entry of ``matmul``'s float64
         # product (e * chunk terms of at most (p-1)^2) stays below 2^53.
         self.matmul_chunk = (EXACT_FLOAT_LIMIT - 1) // (e * (p - 1) ** 2)
-        self._log = self._exp = self._digit_planes = None
+        self._log = self._exp = None
         self._add_table = self._mul_table = None
+        self._planes = {}
         if e == 1:
             return
         # Row k holds base-p digit k of every index.
         idx = np.arange(q, dtype=np.int64)
         digits = np.stack([idx // p**k % p for k in range(e)])
-        self._digit_planes = digits.astype(np.float64)
         self._build_log_tables(digits)
         if q <= TABLE_LIMIT:
             self._add_table = self._add_formula(idx[:, None], idx[None, :]).astype(np.int32)
@@ -372,14 +375,22 @@ class FieldSpec:
         The operands enter as base-p digits in [0, p), held as float64.  Over
         GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where Y_i is digit
         i of Y and (x^i X)_j is digit j of the elementwise field product
-        x^i * X, which carries the reduction by the modulus.  So one matmul of
-        the (e*r) x (e*n) left digits by the (e*n) x t right digits gives all
-        e output digits from e^2 digit products; over GF(p), e = 1 and the
-        digits are the indices.  With the inner dimension cut into chunks of
-        at most ``matmul_chunk``, an entry of a chunk's product sums at most
-        e * matmul_chunk terms in [0, (p-1)^2].  So every partial sum BLAS
-        forms, in whatever order, is an integer below 2^53 and exact.  Each
-        chunk is reduced mod p as integers before the next is added.
+        x^i * X, which carries the reduction by the modulus.  The left operand
+        packs g consecutive output digits j into one float64, digit j in slot
+        j % g of 53 // g bits (``_packing``, ``_packed_planes``).  So one
+        matmul of the (ceil(e/g)*r) x (e*n) packed left by the (e*n) x t right
+        digits gives all e output digits from e * ceil(e/g) digit products;
+        over GF(p), e = g = 1 and the digits are the indices.
+
+        Exactness.  The inner dimension is cut into chunks of at most
+        w = min(n, ``matmul_chunk``) indices.  A slot of a chunk's product
+        sums at most w * e terms in [0, (p-1)^2], and g is chosen so that
+        w * e * (p-1)^2 < 2^(53 // g): no slot carries into the next, and
+        every partial sum BLAS forms, in whatever order, is a non-negative
+        integer below 2^(g * (53 // g)) <= 2^53, hence exact.  At g = 1 this
+        is the bound ``matmul_chunk`` keeps.  Slots are split off the int64
+        result by shifts (and a mask), and each chunk is reduced mod p as
+        integers before the next is added.
         """
         x = np.asarray(x)
         y = np.asarray(y)
@@ -387,26 +398,65 @@ class FieldSpec:
             raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
         p, e, step = self.p, self.e, self.matmul_chunk
         (r, n), t = x.shape, y.shape[1]
+        g = 1
         if e == 1:
             left = x.astype(np.float64)[None, :, None, :]
             right = y.astype(np.float64)[None]
         else:
+            g, bits = self._packing(n)
+            mask = 1 if p == 2 else (1 << bits) - 1
             shifted = np.stack([x] + [self.mul_arr(p**i, x) for i in range(1, e)], axis=1)
-            left = np.take(self._digit_planes, shifted, axis=1)  # (digit j, r, power i, n)
-            right = np.take(self._digit_planes, y, axis=1)  # (digit i, n, t)
+            left = np.take(self._packed_planes(g), shifted, axis=1)  # (word, r, power i, n)
+            right = np.take(self._packed_planes(1), y, axis=1)  # (digit i, n, t)
         acc = None
         for start in range(0, max(n, 1), step):
             width = e * (min(start + step, n) - start)
-            a = left[..., start:start + step].reshape(e * r, width)
+            a = left[..., start:start + step].reshape(len(left) * r, width)
             b = right[:, start:start + step].reshape(width, t)
             part = (a @ b).astype(np.int64)
-            part %= p
+            if g > 1:
+                words = part.reshape(len(left), r, t)
+                part = np.empty((e, r, t), dtype=np.int64)
+                for s in range(g):
+                    slot = part[s::g]  # digits s, s + g, ...: slot s of each word
+                    np.right_shift(words[:len(slot)], s * bits, out=slot)
+                    slot &= mask
+            if g == 1 or p != 2:
+                part %= p
             acc = part if acc is None else (acc + part) % p
         digits = acc.reshape(e, r, t)
         out = digits[-1]
         for d in digits[-2::-1]:
             out = out * p + d
         return out
+
+    def _packing(self, n: int) -> tuple[int, int]:
+        """(g, slot bits) of ``matmul`` at inner dimension n.
+
+        g is the largest value in 1..e with w * e * (p-1)^2 < 2^(53 // g),
+        w = min(n, matmul_chunk): the most output digits one float64 holds
+        without a carry between their slots of 53 // g bits.
+        """
+        bound = min(n, self.matmul_chunk) * self.e * (self.p - 1) ** 2
+        g = next(g for g in range(self.e, 0, -1) if bound < 1 << (EXACT_FLOAT_BITS // g))
+        return g, EXACT_FLOAT_BITS // g
+
+    def _packed_planes(self, g: int) -> np.ndarray:
+        """(ceil(e/g), q) float64 table, built once per g.
+
+        Column v, row b holds digits b*g .. b*g+g-1 of index v, digit b*g+s
+        shifted into slot s (bits s * (53 // g) upward).  At g = 1 row k is
+        digit k.
+        """
+        planes = self._planes.get(g)
+        if planes is None:
+            p, bits = self.p, EXACT_FLOAT_BITS // g
+            idx = np.arange(self.q, dtype=np.int64)
+            words = np.zeros((-(-self.e // g), self.q), dtype=np.int64)
+            for j in range(self.e):
+                words[j // g] += idx // p**j % p << (j % g * bits)
+            planes = self._planes[g] = words.astype(np.float64)
+        return planes
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

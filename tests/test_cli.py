@@ -259,7 +259,8 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
+    assert "PASS FieldSpec.matmul == scalar schoolbook" in out
 
 
 def test_console_entry_point():

@@ -1,5 +1,6 @@
 """Coding pipeline: splits, encodings, evaluation, interpolation, extraction."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -411,6 +412,19 @@ def test_interpolation_lacking_a_degree_raises():
         interp[(2,)]
 
 
+def test_stacked_array_records_compare_by_identity():
+    """`==` on records that hold numpy arrays is identity and never raises."""
+    sol = cons.box_poly(5, (2,), (2,))
+    interp, sa, _ = _only_interpolation(sol, (1,))
+    enc = codec.encode(sa, sol.d_a)
+    system = codec.build_system(GF5, sol.sum_set(), enumerate_points(GF5, 1))
+    for record in (sa, enc, interp, system):
+        twin = dataclasses.replace(record)
+        assert record == record
+        assert record != twin
+    assert np.array_equal(dataclasses.replace(sa).blocks, sa.blocks)
+
+
 def _reference_extract_poly(interp, sol, split_a, split_b):
     """The per-pair loop: reduce each sum of degrees and look its block up."""
     table = {degree: interp[degree].data for degree in sol.sum_set().vectors}
@@ -439,7 +453,7 @@ def test_extract_poly_matches_per_pair_reference(make):
     support = sol.sum_set()
     grid = support.rows.astype(np.int64) @ sol.q ** np.arange(sol.l - 1, -1, -1)  # row-major
     blocks = rng.integers(0, sol.q, size=(len(support), 2, 2))
-    interp = codec.Interpolation(spec, sol.l, grid, blocks, (), None)
+    interp = codec.Interpolation(spec, sol.l, grid, blocks, None)
     got = codec.extract_poly(interp, sol, sa, sb)
     assert got == _reference_extract_poly(interp, sol, sa, sb)
     assert got.data.shape == (a.rows, b.cols)

@@ -169,18 +169,111 @@ def test_vectorized_ops_match_scalar():
             assert int(subs[i]) == spec.sub(int(x[i]), int(y[i]))
 
 
+def schoolbook_matmul(spec, a, b):
+    """Scalar reference: one spec.mul and one spec.add per inner index."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, row in enumerate(a.tolist()):
+        for j, col in enumerate(b.T.tolist()):
+            acc = 0
+            for u, v in zip(row, col):
+                acc = spec.add(acc, spec.mul(u, v))
+            out[i, j] = acc
+    return out
+
+
 def test_matmul_planes_match_schoolbook():
     rng = np.random.default_rng(1)
     for spec in (FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(19)):
         a = rng.integers(0, spec.q, size=(5, 7))
         b = rng.integers(0, spec.q, size=(7, 4))
-        fast = spec.matmul(a, b)
-        for i in range(5):
-            for j in range(4):
-                acc = 0
-                for k in range(7):
-                    acc = spec.add(acc, spec.mul(int(a[i, k]), int(b[k, j])))
-                assert acc == int(fast[i, j])
+        assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b))
+
+
+def packing_transitions(spec, limit):
+    """Inner dimensions n <= limit at which matmul's g drops: the least w with
+    w * e * (p-1)^2 >= 2^(53 // g), for each g in 2..e."""
+    unit = spec.e * (spec.p - 1) ** 2
+    return sorted({-(-(1 << 53 // g) // unit) for g in range(2, spec.e + 1)} & set(range(1, limit + 1)))
+
+
+# Every transition of g up to this n is tested on both sides; larger ones
+# (g = 2 -> 1 on every field, at n >= 2^21) are reached by forcing g.
+TRANSITION_LIMIT = 50_000
+PACKED_ORDERS = [4, 8, 9, 16, 25, 27, 64, 256, 243]
+
+
+def _matmul_cases(spec):
+    """(r, n, t) shapes: small ones, plus 1 x n x 1 on both sides of each
+    packing transition."""
+    shapes = [(3, 0, 2), (3, 1, 2), (4, 7, 3), (2, 20, 5)]
+    for n in packing_transitions(spec, TRANSITION_LIMIT):
+        shapes += [(1, n - 1, 1), (1, n, 1)] if n > 64 else [(3, n - 1, 2), (3, n, 2)]
+    return shapes
+
+
+@pytest.mark.parametrize("q", PACKED_ORDERS)
+def test_matmul_matches_schoolbook_across_packings(q):
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(q)
+    seen = set()
+    for r, n, t in _matmul_cases(spec):
+        seen.add(spec._packing(n)[0])
+        for a, b in (
+            (rng.integers(0, q, size=(r, n)), rng.integers(0, q, size=(n, t))),
+            (np.full((r, n), q - 1), np.full((n, t), q - 1)),
+        ):
+            assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b)), (r, n, t)
+    assert len(seen) == len(packing_transitions(spec, TRANSITION_LIMIT)) + 1
+    chunked = FieldSpec.of_order(q)
+    chunked.matmul_chunk = 4
+    a = rng.integers(0, q, size=(3, 23))
+    b = rng.integers(0, q, size=(23, 2))
+    assert chunked._packing(23) == spec._packing(4)
+    assert np.array_equal(chunked.matmul(a, b), schoolbook_matmul(spec, a, b))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 64, 243])
+def test_matmul_exact_at_every_smaller_packing(q, monkeypatch):
+    """Any g below the chosen one also keeps slots carry-free, down to g = 1
+    (the unpacked digit product), which real inputs reach only at n >= 2^21."""
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(q + 1)
+    a = rng.integers(0, q, size=(4, 9))
+    b = rng.integers(0, q, size=(9, 3))
+    want = schoolbook_matmul(spec, a, b)
+    top, _ = spec._packing(9)
+    for g in range(1, top + 1):
+        monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, g=g: (g, 53 // g))
+        assert np.array_equal(spec.matmul(a, b), want), g
+        assert spec._packed_planes(g).shape == (-(-spec.e // g), q)
+
+
+@pytest.mark.parametrize("q", [2, 19, 65521] + PACKED_ORDERS + [65536])
+def test_matmul_packing_rule(q):
+    spec = FieldSpec.of_order(q)
+    unit = spec.e * (spec.p - 1) ** 2
+    for n in [0, 1, 2, 7, 43, 1000, 43690, 43691, 10**6, 10**9, 10**12, 10**16, 10**18]:
+        g, bits = spec._packing(n)
+        bound = min(n, spec.matmul_chunk) * unit
+        assert 1 <= g <= spec.e and bits == 53 // g
+        assert bound < 2**bits
+        assert g == spec.e or bound >= 2 ** (53 // (g + 1))
+    assert spec._packing(spec.matmul_chunk)[0] == 1
+
+
+def test_matmul_gf2_16_packed_matches_polynomial_oracle():
+    spec = FieldSpec(2, 16)
+    n = 100
+    assert spec._packing(n) == (4, 13)
+    rng = np.random.default_rng(216)
+    a = rng.integers(0, spec.q, size=(2, n))
+    b = rng.integers(0, spec.q, size=(n, 3))
+    bits = lambda v: [v >> k & 1 for k in range(16)]
+    want = np.zeros((2, 3), dtype=np.int64)
+    for i, j, k in itertools.product(range(2), range(3), range(n)):
+        prod = poly_mul_divmod_oracle(bits(int(a[i, k])), bits(int(b[k, j])), spec.modulus, 2)
+        want[i, j] ^= sum(c << d for d, c in enumerate(prod))
+    assert np.array_equal(spec.matmul(a, b), want)
 
 
 def test_matmul_inner_dimension_mismatch():

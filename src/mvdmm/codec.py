@@ -45,7 +45,12 @@ from .field import DEFAULT_POINT_LIMIT, FieldSpec, Point
 
 @dataclass(frozen=True)
 class MatrixFq:
-    """A dense matrix of field-element indices."""
+    """A dense matrix of field-element indices.
+
+    `data` is C-contiguous in the field's index dtype (`spec.dtype`).  The
+    range check runs on the input as given, before that cast, so an entry
+    outside [0, q) raises instead of wrapping.
+    """
 
     spec: FieldSpec
     data: np.ndarray
@@ -54,12 +59,11 @@ class MatrixFq:
         arr = np.asarray(self.data)
         if arr.size and arr.dtype.kind not in "biu":
             raise ParameterError(f"matrix entries must be integers, got dtype {arr.dtype}")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.spec.q):
+        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= self.spec.q):
             raise ParameterError("matrix entries must be element indices in [0, q)")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", np.ascontiguousarray(arr, dtype=self.spec.dtype))
 
     @property
     def rows(self) -> int:
@@ -79,11 +83,11 @@ class MatrixFq:
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatrixFq":
-        return cls(spec, np.zeros((rows, cols), dtype=np.int64))
+        return cls(spec, np.zeros((rows, cols), dtype=spec.dtype))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixFq":
-        return cls(spec, np.eye(n, dtype=np.int64))
+        return cls(spec, np.eye(n, dtype=spec.dtype))
 
     def to_text(self) -> str:
         head = f"{self.rows} {self.cols} {self.spec}\n"

@@ -10,13 +10,22 @@ primitive element, and below ``TABLE_LIMIT`` full q x q add/mul tables;
 (matrix kernels, elimination) operate on raw numpy index arrays through the
 ``*_arr`` methods and ``matmul``.
 
+Every index fits the field's index dtype, ``np.min_scalar_type(q - 1)``:
+uint8 up to q = 256, uint16 up to ``MAX_ORDER``.  ``matmul`` results and
+``codec.MatrixFq`` data are held in it.  The ``*_arr`` methods accept index
+arrays of any integer dtype and compute wherever a sign or a sum matters in
+int64, so unsigned inputs never wrap.
+
 ``matmul`` is the one matrix-product kernel of the package: encoding, the
 workers' block products and the decoder's transforms all run through it.  It
 multiplies base-p digit matrices with float64 BLAS, cutting the inner
 dimension so that every partial sum is an integer below 2^53 and therefore
-exact, then reduces mod p as integers.  Over GF(p^e) it packs as many output
-digits into one float64 as fit without carries (Kronecker substitution), so
-BLAS forms e * ceil(e/g) digit products per field product instead of e^2.
+exact, then reduces mod p as integers (an in-place ``& 1`` over GF(2)).
+Over GF(p^e) it packs as many output digits into one float64 as fit without
+carries (Kronecker substitution), so BLAS forms e * ceil(e/g) digit products
+per field product instead of e^2.  The result is allocated once, in the
+index dtype, and filled in row tiles of at most ``MATMUL_TILE`` output
+digits, so each tile's float64 product and int64 reduction stay in cache.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ TABLE_LIMIT = 512
 
 # Largest supported field order (irreducibility checked exhaustively).
 MAX_ORDER = 1 << 16
+
+# Output digits (e per entry) of one row tile of ``FieldSpec.matmul``: about
+# 1 MB of float64 product and of int64 reduction per tile.
+MATMUL_TILE = 1 << 17
 
 # Default cap on point enumerations (covers q^l up to 2^20 worker grids).
 DEFAULT_POINT_LIMIT = 1 << 20
@@ -121,12 +134,13 @@ class FieldSpec:
 
     Text form: the decimal characteristic for prime fields ("19"), or
     "p^e/m" where m is the integer encoding of the modulus coefficient
-    vector in base p ("2^3/11" for x^3 + x + 1).
+    vector in base p ("2^3/11" for x^3 + x + 1).  ``dtype`` is the index
+    dtype, ``np.min_scalar_type(q - 1)``.
     """
 
     __slots__ = (
-        "p", "e", "q", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_planes", "matmul_chunk", "__weakref__",
+        "p", "e", "q", "dtype", "modulus", "_log", "_exp", "_mul_table", "_add_table",
+        "_planes", "_times_x", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -200,12 +214,14 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
+        self.dtype = np.min_scalar_type(q - 1)
         # Longest inner dimension for which an entry of ``matmul``'s float64
         # product (e * chunk terms of at most (p-1)^2) stays below 2^53.
         self.matmul_chunk = (EXACT_FLOAT_LIMIT - 1) // (e * (p - 1) ** 2)
         self._log = self._exp = None
         self._add_table = self._mul_table = None
         self._planes = {}
+        self._times_x = None
         if e == 1:
             return
         # Row k holds base-p digit k of every index.
@@ -314,7 +330,7 @@ class FieldSpec:
         if self.p == 2:
             return np.bitwise_xor(x, y)
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        xs, ys = np.asarray(x), np.asarray(y)
+        xs, ys = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
         scale = 1
         for _ in range(self.e):
             out += ((xs % self.p + ys % self.p) % self.p) * scale
@@ -348,13 +364,12 @@ class FieldSpec:
         return self._mul_formula(np.asarray(x), np.asarray(y))
 
     def neg_arr(self, x):
-        x = np.asarray(x)
         if self.e == 1:
-            return (-x) % self.p
+            return self._mod_p(np.subtract, 0, x)
         if self.p == 2:
-            return x.copy()
-        out = np.zeros_like(x)
-        xs = x
+            return np.array(x)
+        xs = np.asarray(x, dtype=np.int64)
+        out = np.zeros_like(xs)
         scale = 1
         for _ in range(self.e):
             out += ((-(xs % self.p)) % self.p) * scale
@@ -375,12 +390,14 @@ class FieldSpec:
         The operands enter as base-p digits in [0, p), held as float64.  Over
         GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where Y_i is digit
         i of Y and (x^i X)_j is digit j of the elementwise field product
-        x^i * X, which carries the reduction by the modulus.  The left operand
-        packs g consecutive output digits j into one float64, digit j in slot
-        j % g of 53 // g bits (``_packing``, ``_packed_planes``).  So one
-        matmul of the (ceil(e/g)*r) x (e*n) packed left by the (e*n) x t right
-        digits gives all e output digits from e * ceil(e/g) digit products;
-        over GF(p), e = g = 1 and the digits are the indices.
+        x^i * X, which carries the reduction by the modulus; one gather
+        through the (e, q) times-x^i table (``_times_x_table``) forms every
+        x^i X.  The left operand packs g consecutive output digits j into one
+        float64, digit j in slot j % g of 53 // g bits (``_packing``,
+        ``_packed_planes``).  So one matmul of the (ceil(e/g)*r) x (e*n)
+        packed left by the (e*n) x t right digits gives all e output digits
+        from e * ceil(e/g) digit products; over GF(p), e = g = 1 and the
+        digits are the indices.
 
         Exactness.  The inner dimension is cut into chunks of at most
         w = min(n, ``matmul_chunk``) indices.  A slot of a chunk's product
@@ -390,7 +407,14 @@ class FieldSpec:
         integer below 2^(g * (53 // g)) <= 2^53, hence exact.  At g = 1 this
         is the bound ``matmul_chunk`` keeps.  Slots are split off the int64
         result by shifts (and a mask), and each chunk is reduced mod p as
-        integers before the next is added.
+        integers (``& 1`` over GF(2)) before the next is added.
+
+        Tiles.  The (r, t) result is allocated once, in the index dtype
+        ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
+        max(1, MATMUL_TILE // (e * t)) rows (``_tile_rows``), so a tile's
+        float64 product and its int64 digits stay near 1 MB.  The right
+        operand's digits are expanded once per call and shared by every
+        tile; only a tile's left rows are expanded with it.
         """
         x = np.asarray(x)
         y = np.asarray(y)
@@ -400,35 +424,58 @@ class FieldSpec:
         (r, n), t = x.shape, y.shape[1]
         g = 1
         if e == 1:
-            left = x.astype(np.float64)[None, :, None, :]
             right = y.astype(np.float64)[None]
         else:
             g, bits = self._packing(n)
             mask = 1 if p == 2 else (1 << bits) - 1
-            shifted = np.stack([x] + [self.mul_arr(p**i, x) for i in range(1, e)], axis=1)
-            left = np.take(self._packed_planes(g), shifted, axis=1)  # (word, r, power i, n)
             right = np.take(self._packed_planes(1), y, axis=1)  # (digit i, n, t)
-        acc = None
-        for start in range(0, max(n, 1), step):
-            width = e * (min(start + step, n) - start)
-            a = left[..., start:start + step].reshape(len(left) * r, width)
-            b = right[:, start:start + step].reshape(width, t)
-            part = (a @ b).astype(np.int64)
-            if g > 1:
-                words = part.reshape(len(left), r, t)
-                part = np.empty((e, r, t), dtype=np.int64)
-                for s in range(g):
-                    slot = part[s::g]  # digits s, s + g, ...: slot s of each word
-                    np.right_shift(words[:len(slot)], s * bits, out=slot)
-                    slot &= mask
-            if g == 1 or p != 2:
-                part %= p
-            acc = part if acc is None else (acc + part) % p
-        digits = acc.reshape(e, r, t)
-        out = digits[-1]
-        for d in digits[-2::-1]:
-            out = out * p + d
+        chunks = [(start, right[:, start:start + step].reshape(-1, t))
+                  for start in range(0, max(n, 1), step)]
+        out = np.empty((r, t), dtype=self.dtype)
+        rows = self._tile_rows(t)
+        for lo in range(0, r, rows):
+            tile = x[lo:lo + rows]
+            if e == 1:
+                left = tile.astype(np.float64)[None]
+            else:
+                shifted = np.take(self._times_x_table(), tile, axis=1).transpose(1, 0, 2)
+                left = np.take(self._packed_planes(g), shifted, axis=1)  # (word, row, power i, n)
+            acc = None
+            for start, b in chunks:
+                a = left[..., start:start + step].reshape(len(left) * len(tile), len(b))
+                part = (a @ b).astype(np.int64)
+                if g > 1:
+                    words = part.reshape(len(left), len(tile), t)
+                    part = np.empty((e, len(tile), t), dtype=np.int64)
+                    for s in range(g):
+                        slot = part[s::g]  # digits s, s + g, ...: slot s of each word
+                        np.right_shift(words[:len(slot)], s * bits, out=slot)
+                        slot &= mask
+                acc = part if acc is None else np.add(acc, part, out=acc)
+                if p != 2:
+                    acc %= p
+                elif g == 1 or start:  # a GF(2^e) slot mask reduced the first chunk
+                    acc &= 1
+            digits = acc.reshape(e, len(tile), t)
+            value = digits[-1]
+            for d in digits[-2::-1]:
+                value = value * p + d
+            out[lo:lo + rows] = value
         return out
+
+    def _tile_rows(self, t: int) -> int:
+        """Rows of one ``matmul`` row tile for t output columns: at most
+        ``MATMUL_TILE`` output digits (e per entry), and at least one row."""
+        return max(1, MATMUL_TILE // (self.e * max(t, 1)))
+
+    def _times_x_table(self) -> np.ndarray:
+        """(e, q) table in the index dtype, built once: row i holds x^i * v
+        for every index v (x^i has index p^i)."""
+        if self._times_x is None:
+            idx = np.arange(self.q)
+            rows = [idx] + [self.mul_arr(self.p**i, idx) for i in range(1, self.e)]
+            self._times_x = np.stack(rows).astype(self.dtype)
+        return self._times_x
 
     def _packing(self, n: int) -> tuple[int, int]:
         """(g, slot bits) of ``matmul`` at inner dimension n.

@@ -115,9 +115,40 @@ def test_matrix_rejects_non_integer_entries():
         MatrixFq(GF5, [[1.7, 2.2]])
     with pytest.raises(ParameterError):
         MatrixFq(GF5, np.ones((2, 2)))
-    assert MatrixFq(GF5, [[1, 2]]).data.dtype == np.int64
+    assert MatrixFq(GF5, [[1, 2]]).data.dtype == GF5.dtype
     assert MatrixFq(GF5, np.zeros((0, 3))).rows == 0
     assert MatrixFq(GF5, [[]]).cols == 0
+
+
+@pytest.mark.parametrize(
+    "p, e, data",
+    [
+        (2, 1, np.array([[0, -1]], dtype=np.int64)),
+        (2, 1, np.array([[1, 2]], dtype=np.int64)),
+        (2, 1, np.array([[256, 0]], dtype=np.int64)),
+        (2, 16, np.array([[65536, 0]], dtype=np.int64)),
+        (2, 8, np.array([[300, 1]], dtype=np.uint16)),
+    ],
+    ids=["gf2-minus-1", "gf2-q", "gf2-256", "gf2^16-65536", "gf2^8-uint16-300"],
+)
+def test_matrix_checks_range_before_narrowing(p, e, data):
+    # Each entry would wrap into [0, q) if it were cast to the index dtype first.
+    with pytest.raises(ParameterError, match=r"\[0, q\)"):
+        MatrixFq(FieldSpec(p, e), data)
+
+
+def test_matrix_data_in_index_dtype():
+    gf256, gf257 = FieldSpec(2, 8), FieldSpec(257)
+    assert (gf256.dtype, gf257.dtype, GF2.dtype) == (np.uint8, np.uint16, np.uint8)
+    fortran = np.asfortranarray(np.arange(12, dtype=np.int64).reshape(3, 4))
+    for spec in (gf256, gf257, GF19):
+        m = MatrixFq(spec, fortran)
+        assert m.data.dtype == spec.dtype and m.data.flags.c_contiguous
+        assert m.data.tolist() == fortran.tolist()
+        assert MatrixFq.zeros(spec, 2, 3).data.dtype == spec.dtype
+        assert MatrixFq.identity(spec, 3).data.dtype == spec.dtype
+        assert codec.matmul(m, MatrixFq.identity(spec, 4)) == m
+    assert MatrixFq(GF2, np.array([[True, False]])).data.tolist() == [[1, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,68 @@ def test_matmul_short_chunks_match_one_chunk(p, e):
     assert np.array_equal(chunked.matmul(a, b), whole.matmul(a, b))
 
 
+def elementwise_matmul(spec, a, b):
+    """Schoolbook product one inner index at a time, through the elementwise
+    add_arr/mul_arr (pinned to the scalar ops above); fast enough for
+    products that span several row tiles."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = spec.add_arr(out, spec.mul_arr(a[:, k:k + 1], b[k:k + 1, :]))
+    return out
+
+
+TILED_FIELDS = [(2, 1), (23, 1), (2, 3), (2, 6), (2, 16)]
+
+
+@pytest.mark.parametrize("p, e", TILED_FIELDS)
+def test_matmul_tile_rule(p, e):
+    spec = FieldSpec(p, e)
+    for t in [0, 1, 5, 64, 4096, field.MATMUL_TILE // spec.e, field.MATMUL_TILE + 1]:
+        rows = spec._tile_rows(t)
+        assert rows == 1 or rows * spec.e * t <= field.MATMUL_TILE
+        assert (rows + 1) * spec.e * max(t, 1) > field.MATMUL_TILE
+
+
+@pytest.mark.parametrize("p, e", TILED_FIELDS)
+def test_matmul_at_tile_boundaries(p, e):
+    spec = FieldSpec(p, e)
+    q, n = spec.q, 5
+    t = field.MATMUL_TILE // (spec.e * 7)  # a few rows per tile
+    rows = spec._tile_rows(t)
+    assert 1 < rows < 10
+    rng = np.random.default_rng(q)
+    b_rand, b_top = rng.integers(0, q, size=(n, t)), np.full((n, t), q - 1)
+    for r in (rows - 1, rows, rows + 1, 3 * rows + 1):
+        for a, b in ((rng.integers(0, q, size=(r, n)), b_rand), (np.full((r, n), q - 1), b_top)):
+            got = spec.matmul(a, b)
+            assert got.dtype == spec.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, elementwise_matmul(spec, a, b)), r
+
+
+@pytest.mark.parametrize("p, e", TILED_FIELDS)
+def test_matmul_across_small_tiles_at_every_packing(p, e, monkeypatch):
+    """A tiny tile constant makes small shapes cross many tiles; every packing
+    g (forced) and a short inner chunk must still give the schoolbook product."""
+    spec = FieldSpec(p, e)
+    q, (r, n, t) = spec.q, (11, 9, 5)
+    rng = np.random.default_rng(q + 2)
+    operands = [(rng.integers(0, q, size=(r, n)), rng.integers(0, q, size=(n, t))),
+                (np.full((r, n), q - 1), np.full((n, t), q - 1))]
+    wants = [schoolbook_matmul(spec, a, b) for a, b in operands]
+    chunked = FieldSpec(p, e)
+    chunked.matmul_chunk = 4
+    top, _ = spec._packing(n)
+    for tile in (1, spec.e * t, 3 * spec.e * t + 1):  # 1, 1 and 3 rows per tile
+        monkeypatch.setattr(field, "MATMUL_TILE", tile)
+        for g in range(1, top + 1):
+            monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, g=g: (g, 53 // g))
+            for s in (spec, chunked):
+                for (a, b), want in zip(operands, wants):
+                    got = s.matmul(a, b)
+                    assert got.dtype == spec.dtype and got.flags.c_contiguous
+                    assert np.array_equal(got, want), (tile, g, s.matmul_chunk)
+
+
 # SHA-256 of _exp.tobytes() + _log.tobytes() (int64), computed with the
 # earlier generator search that multiplied one scalar polynomial at a time.
 PINNED_LOG_TABLES = {
@@ -380,6 +442,24 @@ def test_prime_field_array_ops_sampled(p):
     rng = np.random.default_rng(p)
     x = np.concatenate([[0, 1, p - 1, p - 1], rng.integers(0, p, size=2000)])
     y = np.concatenate([[p - 1, p - 1, 0, p - 1], rng.integers(0, p, size=2000)])
+    _prime_field_ops_match_scalar(spec, x, y)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 23, 256])
+def test_array_ops_on_index_dtype_all_pairs(q):
+    """Unsigned index arrays must not wrap: (-x) % p on uint8 would."""
+    spec = FieldSpec.of_order(q)
+    x, y = (a.reshape(-1).astype(spec.dtype) for a in np.meshgrid(np.arange(q), np.arange(q)))
+    _prime_field_ops_match_scalar(spec, x, y)
+
+
+@pytest.mark.parametrize("p, e", [(509, 1), (65521, 1), (2, 16), (3, 7)])
+def test_array_ops_on_index_dtype_sampled(p, e):
+    spec = FieldSpec(p, e)
+    q = spec.q
+    rng = np.random.default_rng(q + 7)
+    x = np.concatenate([[0, 1, q - 1, q - 1], rng.integers(0, q, size=2000)]).astype(spec.dtype)
+    y = np.concatenate([[q - 1, q - 1, 0, q - 1], rng.integers(0, q, size=2000)]).astype(spec.dtype)
     _prime_field_ops_match_scalar(spec, x, y)
 
 

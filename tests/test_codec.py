@@ -298,6 +298,95 @@ def test_evaluate_many_matches_pointwise():
 
 
 # ---------------------------------------------------------------------------
+# GF(2): the packed XOR butterfly
+
+
+def gf2_operand(l, terms, shape, rng):
+    """Random blocks on `terms` random degrees of {0,1}^l, always with the all-ones degree."""
+    grid = np.union1d(rng.choice(2**l - 1, size=terms - 1, replace=False), [2**l - 1])
+    support = ex.ExponentSet.of(2, l, codec._grid_digits(2, l, grid))
+    blocks = rng.integers(0, 2, size=(len(grid), *shape)).astype(GF2.dtype)
+    return codec.EncodedOperand(GF2, 2, l, support, blocks)
+
+
+def monomial_reference(op, points):
+    vals = codec.monomial_matrix(GF2, op.support, points)
+    flat = GF2.matmul(vals.T, op.blocks.reshape(len(op.blocks), -1))
+    return flat.reshape(len(points), *op.block_shape)
+
+
+def check_gf2_evaluation(op, index, packed):
+    """evaluate_many at the grid points `index` equals the monomial product,
+    and the cost rule picks the side the case is meant to exercise."""
+    points = codec._grid_digits(2, op.l, np.asarray(index))
+    j = int(max(index)).bit_length()
+    assert codec._packed_side(j, len(index), len(op.blocks)) is packed
+    got = codec.evaluate_many(op, [tuple(p) for p in points.tolist()])
+    assert got.dtype == GF2.dtype and got.flags.c_contiguous
+    assert got.shape == (len(index), *op.block_shape)
+    assert np.array_equal(got, monomial_reference(op, points))
+
+
+# Block shapes whose entry counts cover w = 1 and every residue mod 8.
+GF2_SHAPES = [(1, 1), (1, 9), (2, 1), (11, 1), (1, 4), (13, 1), (2, 3), (1, 15), (8, 1),
+              (1, 17), (3, 1), (1, 7)]
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_gf2_evaluate_many_full_grid(l):
+    rng = np.random.default_rng(200 + l)
+    op = gf2_operand(l, min(2**l, 24), GF2_SHAPES[l - 1], rng)
+    check_gf2_evaluation(op, np.arange(2**l), packed=True)
+
+
+@pytest.mark.parametrize("l", [1, 3, 7, 12])
+def test_gf2_evaluate_many_prefix_grids(l):
+    rng = np.random.default_rng(300 + l)
+    for n, shape in zip(sorted({2**l - 1, 2 ** (l - 1) + 1, 1}), [(1, 1), (3, 2), (1, 5)]):
+        op = gf2_operand(l, min(2**l, 20), shape, rng)
+        check_gf2_evaluation(op, np.arange(n), packed=True)
+
+
+def test_gf2_evaluate_many_shuffled_and_scattered_points():
+    rng = np.random.default_rng(17)
+    # a shuffled subset of a small grid, and many points scattered over a large one
+    check_gf2_evaluation(gf2_operand(9, 30, (2, 7), rng), rng.permutation(512)[:300], packed=True)
+    check_gf2_evaluation(gf2_operand(16, 64, (1, 3), rng),
+                         rng.choice(2**16, size=2000, replace=False), packed=True)
+    # scattered points below 2^10 on l = 16: only the sub-cube [0, 2^10) is transformed
+    check_gf2_evaluation(gf2_operand(16, 40, (5, 1), rng), rng.permutation(2**10)[:50], packed=True)
+    # a few points scattered over a large grid keep the monomial product
+    few = np.append(rng.choice(2**15, size=4, replace=False), 2**16 - 1)
+    check_gf2_evaluation(gf2_operand(16, 3, (1, 6), rng), few, packed=False)
+    check_gf2_evaluation(gf2_operand(18, 8, (2, 2), rng), rng.choice(2**18, size=200), packed=False)
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_gf2_dual_block_is_the_kronecker_power_of_t1(l):
+    t1 = codec.inverse_vandermonde(GF2).astype(np.int64)
+    want = np.ones((1, 1), dtype=np.int64)
+    for _ in range(l):
+        want = np.kron(want, t1)
+    grid = np.arange(2**l)
+    got = codec._dual_block(GF2, l, grid, grid)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    rows, cols = np.random.default_rng(l).permutation(2**l)[: 2 ** (l - 1) + 1], grid[::-1]
+    assert np.array_equal(codec._dual_block(GF2, l, rows, cols), want[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("w", [1, 3, 8, 13, 22])
+def test_gf2_transform_on_packed_words_equals_the_dual_matrix(w):
+    l = 6
+    values = np.random.default_rng(w).integers(0, 2, size=(2**l, w)).astype(GF2.dtype)
+    grid = np.arange(2**l)
+    want = GF2.matmul(codec._dual_block(GF2, l, grid, grid), values)
+    stats = codec._linalg.EliminationStats()
+    got = codec._transform(GF2, l, values.copy(), stats)
+    assert np.array_equal(got, want)
+    assert stats.add_ops == l * values.size // 2
+
+
+# ---------------------------------------------------------------------------
 # interpolation system
 
 
@@ -317,6 +406,14 @@ def test_build_system_tiny():
         codec.build_system(GF5, support, [(0,), (0,), (1,)])
     with pytest.raises(InsufficientResponsesError):
         codec.build_system(GF5, support, [(0,), (1,)])
+
+
+def test_build_system_rejects_repeated_points_anywhere():
+    sol = cons.sep_vars(2, 5, 5, 8, 8)
+    points = enumerate_points(GF2, 10)
+    points[700] = points[3]
+    with pytest.raises(ParameterError, match="distinct"):
+        codec.build_system(GF2, sol.sum_set(), points)
 
 
 def test_build_system_binary_rank():
@@ -588,3 +685,22 @@ def test_parse_response_wrong_entry_count_is_typed():
     with pytest.raises(ParameterError, match="4 entries, got 5 fields"):
         codec.parse_response("0 1 1 2 3", GF5, (2, 2))
 
+
+
+def test_from_text_entry_beyond_int64_is_typed():
+    big = "99999999999999999999"
+    with pytest.raises(ParameterError, match=rf"\[0, q\), got {big}"):
+        MatrixFq.from_text(f"1 2 5\n1 {big}\n")
+
+
+def test_parse_response_entry_beyond_int64_is_typed():
+    big = "99999999999999999999"
+    with pytest.raises(ParameterError, match=rf"\[0, q\), got {big}"):
+        codec.parse_response(f"0 1 1 {big}", GF5, (1, 2))
+
+
+def test_matrix_entry_beyond_int64_names_the_range():
+    with pytest.raises(ParameterError, match=rf"\[0, q\), got {2**70}"):
+        MatrixFq(GF5, [[1, 2**70]])
+    with pytest.raises(ParameterError, match=rf"\[0, q\), got {-2**70}"):
+        MatrixFq(GF5, [[-2**70, 0]])

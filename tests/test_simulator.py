@@ -1,7 +1,10 @@
 """Straggler simulation: determinism, models, failure paths, sweeps."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mvdmm import codec, simulator
@@ -248,3 +251,37 @@ def test_payload_shapes_match_split_contract():
     assert payloads2[0].a_part.data.shape == (3, 2)
     assert payloads2[0].b_part.data.shape == (2, 5)
     assert codec.worker_compute(payloads2[0]).product.data.shape == (3, 5)
+
+
+def test_plan_does_not_import_numpy_ma():
+    # numpy.ma takes about 17 ms to import; set-up must not pull it in.
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from mvdmm import simulator\n"
+        "simulator.plan(simulator.SimConfig('2', 'sep-vars mprime=5 nprime=5 F=8', 8, 8, 8, 1000))\n"
+        "simulator.plan(simulator.SimConfig('23', 'better-box m=2,2 F=81', 8, 8, 8, 500))\n"
+        "print(eager, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    eager, after = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy release imports numpy.ma with numpy itself")
+    assert after == "False"
+
+
+@pytest.mark.parametrize("n_workers", [16384, 16364], ids=["full-grid", "partial-grid"])
+def test_paper_scale_gf2_l14(n_workers):
+    # sep-vars m' = n' = 7, F = 8 over GF(2): l = 14, kappa = 9801, k+1 = 16321.
+    cfg = SimConfig(field="2", construction="sep-vars mprime=7 nprime=7 F=8",
+                    r=128, s=16, t=128, n_workers=n_workers)
+    pl = simulator.plan(cfg)
+    assert (pl.solution.l, pl.system.kappa, pl.threshold) == (14, 9801, 16321)
+    rng = np.random.Generator(np.random.PCG64(n_workers))
+    a = codec.random_matrix(pl.spec, 128, 16, rng)
+    b = codec.random_matrix(pl.spec, 16, 128, rng)
+    responders = rng.choice(n_workers, size=pl.threshold, replace=False)
+    payloads, sa, sb = pl.make_payloads(a, b)
+    interp = codec.interpolate(pl.system, [codec.worker_compute(payloads[i]) for i in responders])
+    assert codec.extract_poly(interp, pl.solution, sa, sb) == codec.matmul(a, b)

@@ -16,6 +16,12 @@ the grid {0..q-1}^l, and a set of coefficient blocks is one stacked
 (k, r, c) array whose i-th row belongs to the i-th member of its degree set
 in lexicographic (so ascending-index) order.  Lookups are binary searches
 on those indices; extraction gathers rows of the stacked array.
+
+The worker plane is index arrays too.  Each operand's evaluations are one
+(N, r, c) array, and a payload holds row views of the two.  A response
+holds its product as a bare array; `interpolate` stacks the responses
+into one (grid indices, (R, r, c) products) pair and checks it once.
+`MatrixFq` is kept for the caller's A and B, the product A.B and text.
 """
 
 from __future__ import annotations
@@ -47,27 +53,15 @@ from .field import DEFAULT_POINT_LIMIT, FieldSpec, Point
 class MatrixFq:
     """A dense matrix of field-element indices.
 
-    `data` is C-contiguous in the field's index dtype (`spec.dtype`).  The
-    range check runs on the input as given, before that cast, so an entry
-    outside [0, q) raises instead of wrapping.
+    `data` is C-contiguous in the field's index dtype (`spec.dtype`),
+    checked and cast by `_indices`.
     """
 
     spec: FieldSpec
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype == object:  # where Python ints beyond the int64 range land
-            bad = next((x for x in arr.flat if isinstance(x, int) and not 0 <= x < self.spec.q), None)
-            if bad is not None:
-                raise ParameterError(f"matrix entries must be element indices in [0, q), got {bad}")
-        if arr.size and arr.dtype.kind not in "biu":
-            raise ParameterError(f"matrix entries must be integers, got dtype {arr.dtype}")
-        if arr.ndim != 2:
-            raise ShapeError(f"matrix data must be 2-D, got shape {arr.shape}")
-        if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= self.spec.q):
-            raise ParameterError("matrix entries must be element indices in [0, q)")
-        object.__setattr__(self, "data", np.ascontiguousarray(arr, dtype=self.spec.dtype))
+        object.__setattr__(self, "data", _indices(self.spec, self.data))
 
     @property
     def rows(self) -> int:
@@ -81,7 +75,6 @@ class MatrixFq:
         return (
             isinstance(other, MatrixFq)
             and self.spec == other.spec
-            and self.data.shape == other.data.shape
             and bool(np.array_equal(self.data, other.data))
         )
 
@@ -113,6 +106,23 @@ class MatrixFq:
         if len(values) != r * c:
             raise ParameterError(f"expected {r * c} entries, got {len(values)}")
         return _from_ints(spec, values, (r, c))
+
+
+def _indices(spec: FieldSpec, data, ndim: int = 2) -> np.ndarray:
+    """`data`, with `ndim` axes, as a C-contiguous array in the field's index
+    dtype; entries are checked to lie in [0, q) before that cast, so none wraps."""
+    arr = np.asarray(data)
+    if arr.dtype == object:  # where Python ints beyond the int64 range land
+        bad = next((x for x in arr.flat if isinstance(x, int) and not 0 <= x < spec.q), None)
+        if bad is not None:
+            raise ParameterError(f"matrix entries must be element indices in [0, q), got {bad}")
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ParameterError(f"matrix entries must be integers, got dtype {arr.dtype}")
+    if arr.ndim != ndim:  # a stack of matrices has one more axis
+        raise ShapeError(f"matrix data must be 2-D, got shape {arr.shape[ndim - 2:]}")
+    if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= spec.q):
+        raise ParameterError("matrix entries must be element indices in [0, q)")
+    return np.ascontiguousarray(arr, dtype=spec.dtype)
 
 
 def _from_ints(spec: FieldSpec, values: list[int], shape: tuple[int, int]) -> MatrixFq:
@@ -280,7 +290,8 @@ def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Poin
 
 def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     """Evaluations at many points, shape (len(points), *block_shape), in the
-    field's index dtype.
+    field's index dtype.  The points are checked and turned into grid
+    indices once, on every field; a point off the grid raises ParameterError.
 
     Over GF(2) the value at point x is the XOR of the blocks at the degrees
     e with e & ~x = 0 (on grid indices), so evaluating on the grid is the
@@ -295,20 +306,20 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     which is the path for every other field: the points x monomials matrix
     times the stacked blocks.
     """
-    spec, n = op.spec, len(points)
+    spec = op.spec
+    at = _grid_index(spec.q, op.l, points)
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
     if spec.q == 2:
-        at = _grid_index(2, op.l, points)
-        j = int(at.max()).bit_length()
-        if _packed_side(j, n, len(op.blocks)):
+        j = int(at.max(initial=0)).bit_length()
+        if _packed_side(j, at.size, len(op.blocks)):
             inside = _grid_index(2, op.l, op.support.rows)
             keep = inside < 2**j
             cube = np.zeros((2**j, -(-flat.shape[1] // 8)), dtype=np.uint8)
             cube[inside[keep]] = np.packbits(flat[keep], axis=1)
             out = np.unpackbits(_butterfly(cube, j)[at], axis=1, count=flat.shape[1])
-            return out.reshape(n, *op.block_shape)
-    vals = monomial_matrix(spec, op.support, points)  # (terms, points)
-    return spec.matmul(vals.T, flat).reshape(n, *op.block_shape)
+            return out.reshape(at.size, *op.block_shape)
+    vals = monomial_matrix(spec, op.support, _grid_digits(spec.q, op.l, at))  # (terms, points)
+    return spec.matmul(vals.T, flat).reshape(at.size, *op.block_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +336,12 @@ def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
     """Row-major index of each vector of {0..q-1}^l."""
     try:
         arr = np.asarray(vectors, dtype=np.int64)
-    except ValueError:  # ragged
+    except (ValueError, TypeError, OverflowError):  # ragged, or not integers
         arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != l or arr.min() < 0 or arr.max() >= q:
+    if arr is not None and arr.shape == (0,):  # no vectors at all
+        arr = arr.reshape(0, l)
+    if (arr is None or arr.ndim != 2 or arr.shape[1] != l
+            or arr.min(initial=0) < 0 or arr.max(initial=0) >= q):
         raise ParameterError(f"vectors must have {l} coordinates in [0, {q})")
     return arr @ q ** np.arange(l - 1, -1, -1, dtype=np.int64)
 
@@ -542,19 +556,24 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
 # worker payloads and responses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerPayload:
+    """Worker `index`'s operands at `point`, row views of `evaluate_many`'s arrays."""
+
+    spec: FieldSpec
     index: int
     point: Point
-    a_part: MatrixFq
-    b_part: MatrixFq
+    a_part: np.ndarray
+    b_part: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerResponse:
+    """Worker `index`'s product at `point`; `interpolate` checks it in its stack."""
+
     index: int
     point: Point
-    product: MatrixFq
+    product: np.ndarray
 
 
 def make_payloads(
@@ -562,20 +581,17 @@ def make_payloads(
 ) -> list[WorkerPayload]:
     vals_a = evaluate_many(enc_a, points)
     vals_b = evaluate_many(enc_b, points)
-    spec = enc_a.spec
-    return [
-        WorkerPayload(i, tuple(p), MatrixFq(spec, vals_a[i]), MatrixFq(spec, vals_b[i]))
-        for i, p in enumerate(points)
-    ]
+    return [WorkerPayload(enc_a.spec, i, tuple(p), a, b)
+            for i, (p, a, b) in enumerate(zip(np.asarray(points).tolist(), vals_a, vals_b))]
 
 
 def worker_compute(payload: WorkerPayload) -> WorkerResponse:
-    return WorkerResponse(payload.index, payload.point, matmul(payload.a_part, payload.b_part))
+    return WorkerResponse(payload.index, payload.point, payload.spec.matmul(payload.a_part, payload.b_part))
 
 
 def format_response(resp: WorkerResponse) -> str:
     coords = ",".join(str(c) for c in resp.point)
-    flat = " ".join(str(int(x)) for x in resp.product.data.reshape(-1))
+    flat = " ".join(map(str, np.ravel(resp.product).tolist()))
     return f"{resp.index} {coords} {flat}"
 
 
@@ -592,7 +608,7 @@ def parse_response(line: str, spec: FieldSpec, shape: tuple[int, int]) -> Worker
         values = [int(x) for x in parts[2:]]
     except ValueError:
         raise ParameterError(f"response line has a non-integer field: {line!r}") from None
-    return WorkerResponse(index, point, _from_ints(spec, values, shape))
+    return WorkerResponse(index, point, _from_ints(spec, values, shape).data)
 
 
 # ---------------------------------------------------------------------------
@@ -622,32 +638,48 @@ class Interpolation:
         return MatrixFq(self.spec, self.blocks[pos[0]])
 
 
-# Responses stacked per product when combining them with decoder weights;
-# bounds the stacked copy (and its digit planes) rather than holding all R.
+# Responses combined per matmul with decoder weights; bounds the right
+# operand's digit planes rather than expanding all R products at once.
 COMBINE_CHUNK = 64
 
 
-def _distinct(responses: Iterable[WorkerResponse]) -> list[WorkerResponse]:
-    """One response per point in arrival order; conflicting duplicates raise."""
-    first: dict[Point, WorkerResponse] = {}
-    for r in responses:
-        p = tuple(r.point)
-        kept = first.setdefault(p, r)
-        if kept is not r and kept.product != r.product:
-            raise ParameterError(f"conflicting responses at point {p}")
-    return list(first.values())
+def _stack(
+    sys: InterpolationSystem, responses: Sequence[WorkerResponse],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The responses' grid indices and stacked products, checked once; identical
+    duplicates collapse to their first arrival, a conflicting one raises."""
+    spec, l = sys.spec, sys.support.l
+    try:
+        grid = _grid_index(spec.q, l, [r.point for r in responses])
+        products = np.stack([r.product for r in responses])
+    except ParameterError as exc:
+        raise ParameterError(f"response at a point outside GF({spec.q})^{l}") from exc
+    except ValueError:
+        raise ShapeError("responses carry products of different shapes") from None
+    stray = ~np.isin(grid, sys.point_grid)
+    if stray.any():
+        raise ParameterError(f"response at unknown point {tuple(map(int, responses[stray.argmax()].point))}")
+    products = _indices(spec, products, ndim=3)
+    order = np.argsort(grid, kind="stable")  # np.unique would import numpy.ma
+    repeat = grid[order[1:]] == grid[order[:-1]]
+    if repeat.any():  # each repeat must equal the arrival before it at its point
+        later, earlier = order[1:][repeat], order[:-1][repeat]
+        clash = later[(products[later] != products[earlier]).reshape(later.size, -1).any(axis=1)]
+        if clash.size:
+            raise ParameterError(f"conflicting responses at point {tuple(map(int, responses[clash[0]].point))}")
+        keep = np.sort(order[np.r_[True, ~repeat]])
+        grid, products = grid[keep], products[keep]
+    return grid, products
 
 
 def _combine(
-    spec: FieldSpec, weights: np.ndarray, responses: Sequence[WorkerResponse],
-    stats: _linalg.EliminationStats,
+    spec: FieldSpec, weights: np.ndarray, products: np.ndarray, stats: _linalg.EliminationStats,
 ) -> np.ndarray:
-    """sum_i weights[i] * responses[i].product, flattened."""
+    """sum_i weights[i] * products[i] for flattened products."""
     acc = None
-    for start in range(0, len(responses), COMBINE_CHUNK):
-        part = np.stack([r.product.data.reshape(-1)
-                         for r in responses[start:start + COMBINE_CHUNK]])
-        term = spec.matmul(weights[None, start:start + COMBINE_CHUNK], part)[0]
+    for start in range(0, len(products), COMBINE_CHUNK):
+        term = spec.matmul(weights[None, start:start + COMBINE_CHUNK],
+                           products[start:start + COMBINE_CHUNK])[0]
         acc = term if acc is None else spec.add_arr(acc, term)
     stats.mult_ops += weights.size * acc.size
     stats.add_ops += weights.size * acc.size
@@ -695,29 +727,17 @@ def interpolate(
     in chunks (O(R w)); on the primal side the eliminator expresses that
     unknown as a combination of response equations.
     """
-    uniq = _distinct(responses)
-    if require_threshold and len(uniq) < sys.recovery_threshold:
-        raise InsufficientResponsesError(sys.recovery_threshold, len(uniq))
-    if not uniq:
-        raise InsufficientResponsesError(sys.kappa, 0)
-    shape = uniq[0].product.data.shape
-    if any(r.product.data.shape != shape for r in uniq):
-        raise ShapeError("responses carry products of different shapes")
-    spec, l = sys.spec, sys.support.l
-    size = spec.q**l
+    responses = list(responses)
+    if not responses:
+        raise InsufficientResponsesError(sys.recovery_threshold if require_threshold else sys.kappa, 0)
+    grid, products = _stack(sys, responses)
+    if require_threshold and grid.size < sys.recovery_threshold:
+        raise InsufficientResponsesError(sys.recovery_threshold, grid.size)
+    missing = _complement(sys.spec.q**sys.support.l, grid)
+    if not _dual_side(sys.spec, missing.size, sys.kappa):
+        return _interpolate_primal(sys, grid, products, only)
     try:
-        grid = _grid_index(spec.q, l, [r.point for r in uniq])
-    except ParameterError as exc:
-        raise ParameterError(f"response at a point outside GF({spec.q})^{l}") from exc
-    unknown = np.flatnonzero(~np.isin(grid, sys.point_grid))
-    if unknown.size:
-        raise ParameterError(f"response at unknown point {tuple(uniq[unknown[0]].point)}")
-
-    missing = _complement(size, grid)
-    if not _dual_side(spec, missing.size, sys.kappa):
-        return _interpolate_primal(sys, uniq, grid, only)
-    try:
-        return _interpolate_dual(sys, uniq, grid, missing, only)
+        return _interpolate_dual(sys, grid, products, missing, only)
     except _linalg.RankDeficiencyError as exc:
         # The kappa-column system lacks exactly the dual block's rank deficit.
         raise _linalg.RankDeficiencyError(
@@ -725,12 +745,12 @@ def interpolate(
 
 
 def _interpolate_dual(
-    sys: InterpolationSystem, uniq: list[WorkerResponse], grid: np.ndarray,
+    sys: InterpolationSystem, grid: np.ndarray, products: np.ndarray,
     missing: np.ndarray, only: Vec | None,
 ) -> Interpolation:
     """Solve for the erased grid values, then read off the coefficients."""
     spec, l = sys.spec, sys.support.l
-    shape = uniq[0].product.data.shape
+    shape, flat = products.shape[1:], products.reshape(grid.size, -1)
     outside = _outside(spec.q, l, sys.support_grid)
     stats = _linalg.EliminationStats()
     if only is not None:
@@ -741,15 +761,14 @@ def _interpolate_dual(
             weights = spec.sub_arr(weights, spec.matmul(_dual_block(spec, l, target, missing), z)[0])
             stats.mult_ops += z.size
             stats.add_ops += z.size
-        combined = _combine(spec, weights, uniq, stats)
+        combined = _combine(spec, weights, flat, stats)
         return Interpolation(spec, l, target, combined.reshape(1, *shape), stats)
-    values = np.zeros((spec.q**l, int(np.prod(shape))), dtype=spec.dtype)
-    for g, r in zip(grid, uniq):
-        values[g] = r.product.data.reshape(-1)
+    values = np.zeros((spec.q**l, flat.shape[1]), dtype=spec.dtype)
+    values[grid] = flat
     c = _transform(spec, l, values, stats)
     x = c[sys.support_grid]
     if missing.size:
-        z = _solve_erasures(spec, l, outside, missing, [c[i] for i in outside], stats)
+        z = _solve_erasures(spec, l, outside, missing, c[outside], stats)
         x = spec.sub_arr(x, spec.matmul(_dual_block(spec, l, sys.support_grid, missing), z))
         stats.mult_ops += sys.kappa * z.size
         stats.add_ops += sys.kappa * z.size
@@ -757,21 +776,19 @@ def _interpolate_dual(
 
 
 def _interpolate_primal(
-    sys: InterpolationSystem, uniq: list[WorkerResponse], grid: np.ndarray,
-    only: Vec | None,
+    sys: InterpolationSystem, grid: np.ndarray, products: np.ndarray, only: Vec | None,
 ) -> Interpolation:
     """Eliminate the kappa coefficients from the responders' evaluation rows."""
     spec, l = sys.spec, sys.support.l
-    shape = uniq[0].product.data.shape
+    shape, flat = products.shape[1:], products.reshape(grid.size, -1)
     rows = list(monomial_matrix(spec, sys.support, _grid_digits(spec.q, l, grid)).T)
     if only is not None:
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
-        combined = _combine(spec, y, [uniq[i] for i in used], stats)
+        combined = _combine(spec, y, flat[used], stats)
         return Interpolation(spec, l, sys.support_grid[target][None], combined.reshape(1, *shape),
                              stats)
-    rhs = [r.product.data.reshape(-1) for r in uniq]
-    x, _, stats = _linalg.solve_exact(spec, rows, rhs, sys.kappa)
+    x, _, stats = _linalg.solve_exact(spec, rows, list(flat), sys.kappa)
     return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
 
 

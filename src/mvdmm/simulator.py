@@ -9,7 +9,6 @@ by (tick, worker index), and the master decodes from the first k+1 of them.
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -19,8 +18,8 @@ import numpy as np
 from . import codec, constructions
 from .codec import MatrixFq, WorkerResponse
 from .constructions import MatdotSolution, PolySolution
-from .errors import InfeasibleError, InsufficientResponsesError, ParameterError
-from .field import FieldSpec, enumerate_points
+from .errors import CapacityError, InfeasibleError, InsufficientResponsesError, ParameterError
+from .field import DEFAULT_POINT_LIMIT, FieldSpec
 
 PRNG_NAME = "numpy PCG64"  # fixed generator; draw order documented above
 
@@ -76,6 +75,8 @@ class StragglerModel:
                     f"straggler.param = {param!r}: {kind} needs a probability") from None
             return cls(kind=kind, probability=probability)
         if kind == "none":
+            if param:
+                raise ParameterError(f"straggler.param = {param!r}: none takes no parameter")
             return cls()
         raise ParameterError(f"unknown straggler kind {kind!r}")
 
@@ -96,6 +97,13 @@ class SimConfig:
 
     CONFIG_KEYS = ("field", "construction", "r", "s", "t", "N",
                    "straggler.kind", "straggler.param", "seed", "trials")
+
+    def __post_init__(self):
+        for key, value, least in (("r", self.r, 1), ("s", self.s, 1), ("t", self.t, 1),
+                                  ("N", self.n_workers, 1), ("seed", self.seed, 0),
+                                  ("trials", self.trials, 0)):
+            if value < least:
+                raise ParameterError(f"config {key} = {value}: must be >= {least}")
 
     def to_text(self) -> str:
         lines = [
@@ -171,14 +179,15 @@ def parse_construction(descriptor: str, q: int) -> PolySolution | MatdotSolution
     return constructions.build(kind, q, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
-    """Everything about a run that does not depend on the input matrices."""
+    """Everything about a run that does not depend on the input matrices.
+    `==` is identity."""
 
     spec: FieldSpec
     solution: PolySolution | MatdotSolution
     mode: str  # poly | matdot
-    points: tuple
+    points: np.ndarray  # (N, l) grid points, read-only: the first N in row-major order
     system: codec.InterpolationSystem
     threshold: int  # the construction's quoted k+1 used by the master
 
@@ -217,10 +226,13 @@ def plan(cfg: SimConfig) -> Plan:
         raise InfeasibleError(
             f"N = {cfg.n_workers} workers cannot reach the recovery threshold {threshold}"
         )
-    points = enumerate_points(spec, sol.l)[: cfg.n_workers]
+    if spec.q**sol.l > DEFAULT_POINT_LIMIT:
+        raise CapacityError(f"q^l = {spec.q**sol.l} exceeds point limit {DEFAULT_POINT_LIMIT}")
+    points = codec._grid_digits(spec.q, sol.l, np.arange(cfg.n_workers))
+    points.setflags(write=False)
     system = codec.build_system(spec, sol.sum_set(), points)
     return Plan(
-        spec=spec, solution=sol, mode=mode, points=tuple(points),
+        spec=spec, solution=sol, mode=mode, points=points,
         system=system, threshold=threshold,
     )
 
@@ -251,10 +263,7 @@ class SimReport:
 
     def transcript(self) -> str:
         """Line-oriented replayable record of the responses actually used."""
-        out = io.StringIO()
-        for resp in self.responses:
-            out.write(codec.format_response(resp) + "\n")
-        return out.getvalue()
+        return "".join(codec.format_response(resp) + "\n" for resp in self.responses)
 
     def summary(self) -> str:
         lines = [
@@ -341,7 +350,9 @@ def run(cfg: SimConfig) -> SimReport:
 
     probe_min = None
     if cfg.trials > 0:
-        probe_min = _sharpness_probe(pl, payloads, order, oracle, split_a, split_b, cfg.trials, rng)
+        computed = dict(zip(first, responses))
+        probe_min = _sharpness_probe(pl, payloads, computed, order, oracle, split_a, split_b,
+                                     cfg.trials, rng)
 
     return SimReport(
         config=cfg,
@@ -365,21 +376,23 @@ def run(cfg: SimConfig) -> SimReport:
 
 
 def _decode(pl: Plan, responses: list[WorkerResponse], split_a, split_b) -> tuple[MatrixFq, int]:
-    sol = pl.solution
-    if pl.mode == "matdot":
-        interp = codec.interpolate(
-            pl.system, responses, only=sol.degree_target, require_threshold=False
-        )
-        return codec.extract_matdot(interp, sol, split_a, split_b), interp.stats.total_ops
-    interp = codec.interpolate(pl.system, responses, require_threshold=False)
-    return codec.extract_poly(interp, sol, split_a, split_b), interp.stats.total_ops
+    sol, matdot = pl.solution, pl.mode == "matdot"
+    only = sol.degree_target if matdot else None
+    interp = codec.interpolate(pl.system, responses, only=only, require_threshold=False)
+    extract = codec.extract_matdot if matdot else codec.extract_poly
+    return extract(interp, sol, split_a, split_b), interp.stats.total_ops
 
 
 def _sharpness_probe(
-    pl: Plan, payloads, order, oracle, split_a, split_b, trials: int, rng: np.random.Generator
+    pl: Plan, payloads, computed: dict[int, WorkerResponse], order, oracle, split_a, split_b,
+    trials: int, rng: np.random.Generator,
 ) -> int | None:
     """Try random responder subsets of shrinking size; report the smallest
-    size that still decoded correctly.  Diagnostic only (never below kappa)."""
+    size that still decoded correctly.  Diagnostic only (never below kappa).
+
+    `computed` maps worker indices to responses already computed in this
+    run; each other responder's product is computed once, when first drawn.
+    """
     responders = [i for _, i in order]
     floor = pl.system.kappa
     best: int | None = None
@@ -387,8 +400,11 @@ def _sharpness_probe(
     for _ in range(trials):
         for size in sizes:
             chosen = rng.choice(len(responders), size=size, replace=False)
-            subset = [payloads[responders[int(j)]] for j in chosen]
-            resp = [codec.worker_compute(p) for p in subset]
+            subset = [responders[int(j)] for j in chosen]
+            for i in subset:
+                if i not in computed:
+                    computed[i] = codec.worker_compute(payloads[i])
+            resp = [computed[i] for i in subset]
             try:
                 decoded, _ = _decode(pl, resp, split_a, split_b)
             except InsufficientResponsesError:  # includes a rank-deficient subset

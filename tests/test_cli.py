@@ -251,6 +251,19 @@ def test_simulate_set_errors_exit_2(capsys, gf19_config, token, match):
     assert match in err
 
 
+
+@pytest.mark.parametrize("token, match", [
+    ("r=0", "config r = 0: must be >= 1"),
+    ("N=-4", "config N = -4: must be >= 1"),
+    ("trials=-3", "config trials = -3: must be >= 0"),
+    ("seed=-1", "config seed = -1: must be >= 0"),
+    ("straggler.param=0.5", "straggler.param = '0.5': none takes no parameter"),
+])
+def test_simulate_set_out_of_bounds_exit_2(capsys, gf19_config, token, match):
+    code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config), "--set", token)
+    assert code == 2 and out == ""
+    assert match in err
+
 # ---------------------------------------------------------------------------
 # selftest and entry point
 

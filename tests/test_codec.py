@@ -297,6 +297,52 @@ def test_evaluate_many_matches_pointwise():
         assert batch[i].tolist() == evaluate(enc, p).data.tolist()
 
 
+
+def _encoded_pair(spec, rng):
+    """Both operands of box_poly(q, (1, 2), (2, 1)) over `spec`, l = 2."""
+    sol = cons.box_poly(spec.q, (1, 2), (2, 1))
+    a = codec.random_matrix(spec, 2, 3, rng)
+    b = codec.random_matrix(spec, 3, 2, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    return codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 9)], [(0, 0), (0, 2**70)], [(1, 0), (-1, 0)], [(0, 0), (0,)], [(0, 0, 0)],
+], ids=["beyond-q", "beyond-int64", "negative", "too-few-coords", "too-many-coords"])
+def test_evaluate_many_checks_points_on_every_field(spec, points):
+    enc, _ = _encoded_pair(spec, np.random.default_rng(41))
+    with pytest.raises(ParameterError, match=r"2 coordinates in \[0, "):
+        codec.evaluate_many(enc, points)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+def test_evaluate_many_of_no_points(spec):
+    enc, _ = _encoded_pair(spec, np.random.default_rng(42))
+    for points in ([], np.zeros((0, 2), dtype=np.int64)):
+        out = codec.evaluate_many(enc, points)
+        assert out.shape == (0, *enc.block_shape) and out.dtype == spec.dtype
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+def test_payloads_are_views_of_the_evaluate_many_rows(spec):
+    enc_a, enc_b = _encoded_pair(spec, np.random.default_rng(43))
+    points = enumerate_points(spec, 2)[::3]
+    vals_a, vals_b = codec.evaluate_many(enc_a, points), codec.evaluate_many(enc_b, points)
+    payloads = codec.make_payloads(enc_a, enc_b, np.array(points))
+    assert len(payloads) == len(points)
+    for i, (pay, p) in enumerate(zip(payloads, points)):
+        assert (pay.index, pay.point, pay.spec) == (i, p, spec)
+        assert all(type(c) is int for c in pay.point)
+        assert pay.a_part.dtype == pay.b_part.dtype == spec.dtype
+        assert np.array_equal(pay.a_part, vals_a[i]) and np.array_equal(pay.b_part, vals_b[i])
+        assert pay.a_part.base is payloads[0].a_part.base is not None  # one array, no copies
+        assert pay.b_part.base is payloads[0].b_part.base is not None
+        product = codec.worker_compute(pay).product
+        assert product.dtype == spec.dtype
+        assert np.array_equal(product, scalar_matmul(spec, pay.a_part, pay.b_part))
+
 # ---------------------------------------------------------------------------
 # GF(2): the packed XOR butterfly
 
@@ -674,10 +720,11 @@ def test_interpolate_only_outside_support_is_typed(responders):
 
 def test_response_transcript_round_trip():
     rng = np.random.default_rng(15)
-    resp = codec.WorkerResponse(17, (0, 1, 1, 0), codec.random_matrix(GF2, 1, 3, rng))
+    resp = codec.WorkerResponse(17, (0, 1, 1, 0), codec.random_matrix(GF2, 1, 3, rng).data)
     line = codec.format_response(resp)
     back = codec.parse_response(line, GF2, (1, 3))
-    assert back == resp
+    assert (back.index, back.point) == (resp.index, resp.point)
+    assert back.product.dtype == GF2.dtype and np.array_equal(back.product, resp.product)
     assert line.startswith("17 0,1,1,0 ")
 
 

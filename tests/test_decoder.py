@@ -151,7 +151,7 @@ def _gf5_responses(rng):
 def test_dual_stats_count_transform_solve_and_correction():
     spec, system, responses = _gf5_responses(np.random.default_rng(3))
     q, l, kappa = 5, 1, system.kappa
-    w = responses[0].product.data.size
+    w = responses[0].product.size
     transform = 2 * l * q * q**l * w
 
     full = codec.interpolate(system, responses).stats
@@ -188,7 +188,7 @@ def test_responses_of_different_shapes_raise():
 def test_conflicting_duplicate_responses_raise_and_identical_ones_collapse():
     spec, system, responses = _gf5_responses(np.random.default_rng(6))
     first = responses[0]
-    bumped = codec.MatrixFq(spec, spec.add_arr(first.product.data, 1))
+    bumped = codec.MatrixFq(spec, spec.add_arr(first.product, 1)).data
     clash = codec.WorkerResponse(first.index, first.point, bumped)
     with pytest.raises(ParameterError, match=r"\(0,\)"):
         codec.interpolate(system, responses + [clash])
@@ -208,6 +208,65 @@ def test_responses_at_points_outside_the_system_raise():
     with pytest.raises(ParameterError, match="outside GF"):
         codec.interpolate(system, responses[:3] + [stray])
 
+
+
+def test_identical_duplicates_keep_the_first_arrival_on_the_primal_side():
+    spec = FieldSpec(19)
+    sol = cons.box_poly(19, (1, 1), (2, 2))
+    points = enumerate_points(spec, sol.l)[::2]
+    rng = np.random.default_rng(21)
+    responses, sa, sb, oracle = _setup(spec, sol, points, rng)
+    system = codec.build_system(spec, sol.sum_set(), points)
+    subset = [responses[i] for i in rng.choice(len(points), size=sol.recovery_threshold,
+                                                replace=False)]
+    assert spec.q**sol.l - len(subset) >= system.kappa  # primal side
+    # The last response arrives early as well; later copies of it and of
+    # others arrive mid-list and at the end.
+    first_arrivals = subset[:2] + subset[-1:] + subset[2:-1]
+    copy = codec.WorkerResponse(subset[1].index, subset[1].point, subset[1].product.copy())
+    with_repeats = subset[:2] + subset[-1:] + subset[2:5] + [subset[0], copy] + subset[5:]
+    grid, products = codec._stack(system, with_repeats)
+    assert grid.tolist() == [19 * x + y for x, y in (r.point for r in first_arrivals)]
+    assert np.array_equal(products, np.stack([r.product for r in first_arrivals]))
+    want = codec.interpolate(system, first_arrivals)
+    got = codec.interpolate(system, with_repeats)
+    assert np.array_equal(got.grid, want.grid) and np.array_equal(got.blocks, want.blocks)
+    tally = (lambda st: (st.rows_offered, st.rows_used, st.total_ops))
+    assert tally(got.stats) == tally(want.stats)
+    assert codec.extract_poly(got, sol, sa, sb) == oracle
+
+
+def test_conflicting_duplicate_arriving_third_names_its_point():
+    spec, system, responses = _gf5_responses(np.random.default_rng(22))
+    same, other = responses[2], responses[3]
+    clash = codec.WorkerResponse(7, same.point, spec.add_arr(same.product, 1))
+    with pytest.raises(ParameterError, match=r"conflicting responses at point \(2,\)"):
+        codec.interpolate(system, [same, other, same, clash] + responses[4:])
+    with pytest.raises(ParameterError, match=r"at point \(3,\)"):  # not at the identical (2,)
+        codec.interpolate(system, [same, other, same, codec.WorkerResponse(
+            7, other.point, spec.add_arr(other.product, 2))] + responses[:2])
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (lambda p: np.full_like(p, 5, dtype=np.int64), ParameterError, r"in \[0, q\)"),
+    (lambda p: np.full_like(p, -1, dtype=np.int64), ParameterError, r"in \[0, q\)"),
+    (lambda p: p.astype(np.float64), ParameterError, "must be integers"),
+    (lambda p: [[2**70] * p.shape[1]] * p.shape[0], ParameterError, rf"got {2**70}"),
+    (lambda p: np.zeros((1, 1), dtype=p.dtype), ShapeError, "different shapes"),
+    (lambda p: p.reshape(-1), ShapeError, "different shapes"),
+], ids=["beyond-q", "negative", "float", "beyond-int64", "other-shape", "1-D"])
+def test_raw_array_products_are_checked_as_a_stack(bad, error, match):
+    spec, system, responses = _gf5_responses(np.random.default_rng(23))
+    odd = codec.WorkerResponse(responses[2].index, responses[2].point, bad(responses[2].product))
+    with pytest.raises(error, match=match):
+        codec.interpolate(system, responses[:2] + [odd] + responses[3:])
+
+
+def test_one_dimensional_products_throughout_raise_a_shape_error():
+    spec, system, responses = _gf5_responses(np.random.default_rng(24))
+    flat = [codec.WorkerResponse(r.index, r.point, r.product.reshape(-1)) for r in responses]
+    with pytest.raises(ShapeError, match="must be 2-D"):
+        codec.interpolate(system, flat)
 
 # ---------------------------------------------------------------------------
 # the eliminator against an independent reference

@@ -9,6 +9,7 @@ import pytest
 
 from mvdmm import codec, simulator
 from mvdmm.errors import InfeasibleError, ParameterError
+from mvdmm.field import enumerate_points
 from mvdmm.simulator import SimConfig, StragglerModel
 
 
@@ -21,7 +22,7 @@ def test_plan_resolves_construction():
     assert pl.threshold == 298
     assert pl.system.kappa == 144
     assert pl.n_workers == 361
-    assert pl.points[0] == (0, 0) and pl.points[1] == (0, 1)
+    assert pl.points[:2].tolist() == [[0, 0], [0, 1]]
 
 
 def test_plan_table3_scenario():
@@ -120,10 +121,14 @@ def test_completion_order_independence():
 def test_transcript_replay_through_codec():
     report = simulator.run(BOX19)
     pl = simulator.plan(BOX19)
-    shape = report.responses[0].product.data.shape
+    shape = report.responses[0].product.shape
     lines = report.transcript().splitlines()
     replayed = [codec.parse_response(line, pl.spec, shape) for line in lines]
-    assert replayed == report.responses
+
+    def fields(responses):
+        return [(r.index, r.point, r.product.dtype, r.product.tolist()) for r in responses]
+
+    assert fields(replayed) == fields(report.responses)
 
 
 def test_sharpness_probe_reports_at_least_kappa():
@@ -190,6 +195,51 @@ def test_sharpness_probe_lets_unexpected_errors_through(monkeypatch):
         simulator.run(replace(BOX19, trials=1))
     assert len(calls) == 2
 
+
+def test_sharpness_probe_computes_each_responder_once(monkeypatch):
+    real = codec.worker_compute
+    calls = []
+
+    def counting(payload):
+        calls.append(payload.index)
+        return real(payload)
+
+    monkeypatch.setattr(codec, "worker_compute", counting)
+    report = simulator.run(replace(BOX19, trials=3))
+    assert report.probe_min_success is not None
+    assert len(calls) == len(set(calls)) <= report.config.n_workers
+    assert calls[:report.threshold] == [r.index for r in report.responses]
+
+
+@pytest.mark.parametrize("key, attr, value, least", [
+    ("r", "r", 0, 1), ("r", "r", -1, 1), ("s", "s", 0, 1), ("t", "t", -2, 1),
+    ("N", "n_workers", 0, 1), ("seed", "seed", -1, 0), ("trials", "trials", -3, 0),
+])
+def test_config_bounds_are_typed_and_name_the_key(key, attr, value, least):
+    message = rf"config {key} = {value}: must be >= {least}"
+    with pytest.raises(ParameterError, match=message):
+        replace(BOX19, **{attr: value})
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line + "\n"
+                   for line in BOX19.to_text().splitlines())
+    with pytest.raises(ParameterError, match=message):
+        SimConfig.from_text(text)
+
+
+def test_none_straggler_model_takes_no_param():
+    with pytest.raises(ParameterError, match=r"straggler.param = '0.5': none takes no parameter"):
+        StragglerModel.from_kind_param("none", "0.5")
+    assert StragglerModel.from_kind_param("none", " ") == StragglerModel()
+    assert SimConfig.from_text(BOX19.to_text()) == BOX19
+
+
+def test_plan_points_are_a_read_only_grid_prefix():
+    pl = simulator.plan(BOX19)
+    assert pl.points.shape == (361, 2) and pl.points.dtype == np.int64
+    assert not pl.points.flags.writeable
+    assert [tuple(p) for p in pl.points.tolist()] == enumerate_points(pl.spec, 2)
+    short = simulator.plan(replace(BOX19, n_workers=300))
+    assert short.points.tolist() == pl.points[:300].tolist()
+    assert pl == pl and pl != simulator.plan(BOX19)  # identity, not an array comparison
 
 def test_sweep_table7_grid():
     base = SimConfig(field="2^3/11", construction="matdot-half l=3 F=1 d=corner",

@@ -333,17 +333,18 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
 
 
 def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Row-major index of each vector of {0..q-1}^l."""
+    """Row-major index of each vector of {0..q-1}^l.  The coordinates must
+    have an integer dtype: a cast would truncate floats and take bools as 0/1."""
     try:
-        arr = np.asarray(vectors, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):  # ragged, or not integers
+        arr = np.asarray(vectors)
+    except ValueError:  # ragged
         arr = None
     if arr is not None and arr.shape == (0,):  # no vectors at all
-        arr = arr.reshape(0, l)
-    if (arr is None or arr.ndim != 2 or arr.shape[1] != l
+        arr = np.empty((0, l), dtype=np.int64)
+    if (arr is None or arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != l
             or arr.min(initial=0) < 0 or arr.max(initial=0) >= q):
-        raise ParameterError(f"vectors must have {l} coordinates in [0, {q})")
-    return arr @ q ** np.arange(l - 1, -1, -1, dtype=np.int64)
+        raise ParameterError(f"vectors must have {l} coordinates in [0, {q}), as integers")
+    return arr.astype(np.int64, copy=False) @ q ** np.arange(l - 1, -1, -1, dtype=np.int64)
 
 
 def _grid_digits(q: int, l: int, index: np.ndarray) -> np.ndarray:

@@ -301,9 +301,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a**n with the convention 0**0 = 1."""
         if n == 0:

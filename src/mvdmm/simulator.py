@@ -237,16 +237,11 @@ def plan(cfg: SimConfig) -> Plan:
     )
 
 
-@dataclass
-class WorkerStatus:
-    index: int
-    tick: int | None  # None = never completed
-    used: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class SimReport:
-    """Outcome of one simulated run; transcript excludes wall-clock times."""
+    """Outcome of one simulated run; transcript excludes wall-clock times.
+    `ticks[i]` is worker i's completion tick (0: never responds), `used[i]`
+    whether the master read its response.  `==` is identity."""
 
     config: SimConfig
     success: bool
@@ -255,7 +250,8 @@ class SimReport:
     kappa: int
     deficit: int
     decoded_equals_oracle: bool | None
-    worker_status: list[WorkerStatus]
+    ticks: np.ndarray
+    used: np.ndarray
     responses: list[WorkerResponse]
     decode_ops: int | None
     probe_min_success: int | None
@@ -267,7 +263,7 @@ class SimReport:
 
     def summary(self) -> str:
         lines = [
-            f"workers: {len(self.worker_status)}",
+            f"workers: {len(self.ticks)}",
             f"threshold (k+1): {self.threshold}",
             f"kappa: {self.kappa}",
             f"responses used: {self.responses_used}",
@@ -285,27 +281,28 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _completion_ticks(
-    cfg: SimConfig, n: int, rng: np.random.Generator
-) -> list[int | None]:
+def _completion_ticks(cfg: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Each worker's completion tick as int64; 0 means it never responds."""
     model = cfg.straggler
-    if model.kind == "none":
-        return [1] * n
+    if model.kind == "latency":
+        return rng.geometric(model.probability, size=n).astype(np.int64, copy=False)
+    if model.kind == "random":
+        return (rng.random(n) >= model.probability).astype(np.int64)
+    ticks = np.ones(n, dtype=np.int64)
     if model.kind == "adversarial":
-        drop = set(model.drop_indices)
-        bad = [i for i in drop if not 0 <= i < n]
+        bad = [i for i in model.drop_indices if not 0 <= i < n]
         if bad:
             raise ParameterError(f"drop indices {bad} out of range [0, {n})")
-        return [None if i in drop else 1 for i in range(n)]
-    if model.kind == "random":
-        draws = rng.random(n)
-        return [None if draws[i] < model.probability else 1 for i in range(n)]
-    ticks = rng.geometric(model.probability, size=n)
-    return [int(t) for t in ticks]
+        ticks[list(model.drop_indices)] = 0
+    return ticks
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Execute one simulated distributed multiplication end to end."""
+    """Execute one simulated distributed multiplication end to end.
+
+    Responders are read in (tick, worker index) order; the master decodes
+    from the first k+1 of them, or reports the deficit when fewer respond.
+    """
     t0 = time.perf_counter()
     pl = plan(cfg)
     spec = pl.spec
@@ -318,41 +315,25 @@ def run(cfg: SimConfig) -> SimReport:
     t2 = time.perf_counter()
 
     ticks = _completion_ticks(cfg, pl.n_workers, rng)
-    order = sorted((tick, i) for i, tick in enumerate(ticks) if tick is not None)
-    first = [i for _, i in order[: pl.threshold]]
-    used_set = set(first)
-    status = [
-        WorkerStatus(index=i, tick=ticks[i], used=i in used_set)
-        for i in range(pl.n_workers)
-    ]
-    responders = len(order)
-    if responders < pl.threshold:
-        return SimReport(
-            config=cfg,
-            success=False,
-            responses_used=responders,
-            threshold=pl.threshold,
-            kappa=pl.system.kappa,
-            deficit=pl.threshold - responders,
-            decoded_equals_oracle=None,
-            worker_status=status,
-            responses=[codec.worker_compute(payloads[i]) for _, i in order],
-            decode_ops=None,
-            probe_min_success=None,
-            wall_times={"plan+matrices": t1 - t0, "encode": t2 - t1},
-        )
-
-    responses = [codec.worker_compute(payloads[i]) for i in first]
+    responders = np.flatnonzero(ticks)
+    order = responders[np.argsort(ticks[responders], kind="stable")]
+    first = order[: pl.threshold]
+    used = np.zeros(pl.n_workers, dtype=bool)
+    used[first] = True
+    responses = [codec.worker_compute(payloads[i]) for i in first.tolist()]
     t3 = time.perf_counter()
-    decoded, ops = _decode(pl, responses, split_a, split_b)
-    ok = decoded == oracle
-    t4 = time.perf_counter()
+    wall_times = {"plan+matrices": t1 - t0, "encode": t2 - t1, "workers": t3 - t2}
 
-    probe_min = None
-    if cfg.trials > 0:
-        computed = dict(zip(first, responses))
-        probe_min = _sharpness_probe(pl, payloads, computed, order, oracle, split_a, split_b,
-                                     cfg.trials, rng)
+    deficit = pl.threshold - len(responses)
+    ok = ops = probe_min = None
+    if not deficit:
+        decoded, ops = _decode(pl, responses, split_a, split_b)
+        ok = decoded == oracle
+        wall_times["decode"] = time.perf_counter() - t3
+        if cfg.trials > 0:
+            computed = dict(zip(first.tolist(), responses))
+            probe_min = _sharpness_probe(pl, payloads, computed, order, oracle,
+                                         split_a, split_b, cfg.trials, rng)
 
     return SimReport(
         config=cfg,
@@ -360,18 +341,14 @@ def run(cfg: SimConfig) -> SimReport:
         responses_used=len(responses),
         threshold=pl.threshold,
         kappa=pl.system.kappa,
-        deficit=0,
-        decoded_equals_oracle=bool(ok),
-        worker_status=status,
+        deficit=deficit,
+        decoded_equals_oracle=ok,
+        ticks=ticks,
+        used=used,
         responses=responses,
         decode_ops=ops,
         probe_min_success=probe_min,
-        wall_times={
-            "plan+matrices": t1 - t0,
-            "encode": t2 - t1,
-            "workers": t3 - t2,
-            "decode": t4 - t3,
-        },
+        wall_times=wall_times,
     )
 
 
@@ -384,8 +361,8 @@ def _decode(pl: Plan, responses: list[WorkerResponse], split_a, split_b) -> tupl
 
 
 def _sharpness_probe(
-    pl: Plan, payloads, computed: dict[int, WorkerResponse], order, oracle, split_a, split_b,
-    trials: int, rng: np.random.Generator,
+    pl: Plan, payloads, computed: dict[int, WorkerResponse], order: np.ndarray, oracle,
+    split_a, split_b, trials: int, rng: np.random.Generator,
 ) -> int | None:
     """Try random responder subsets of shrinking size; report the smallest
     size that still decoded correctly.  Diagnostic only (never below kappa).
@@ -393,14 +370,12 @@ def _sharpness_probe(
     `computed` maps worker indices to responses already computed in this
     run; each other responder's product is computed once, when first drawn.
     """
-    responders = [i for _, i in order]
     floor = pl.system.kappa
     best: int | None = None
     sizes = sorted({pl.threshold, max(floor, (floor + pl.threshold) // 2), floor})
     for _ in range(trials):
         for size in sizes:
-            chosen = rng.choice(len(responders), size=size, replace=False)
-            subset = [responders[int(j)] for j in chosen]
+            subset = order[rng.choice(len(order), size=size, replace=False)].tolist()
             for i in subset:
                 if i not in computed:
                     computed[i] = codec.worker_compute(payloads[i])

@@ -317,6 +317,28 @@ def test_evaluate_many_checks_points_on_every_field(spec, points):
         codec.evaluate_many(enc, points)
 
 
+@pytest.mark.parametrize("spec", [GF2, GF5], ids=str)
+@pytest.mark.parametrize("l, points", [(1, [(1.7,)]), (2, np.array([[1.0, 2.9]])), (1, [(True,)])],
+                         ids=["float-tuple", "float-array", "bool"])
+def test_non_integer_points_raise_instead_of_truncating(spec, l, points):
+    sol = cons.box_poly(spec.q, (1,) * l, (1,) * l)
+    rng = np.random.default_rng(44)
+    a, b = codec.random_matrix(spec, 1, 2, rng), codec.random_matrix(spec, 2, 1, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    enc_a, enc_b = codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b)
+    with pytest.raises(ParameterError, match="as integers"):
+        codec.evaluate_many(enc_a, points)
+    with pytest.raises(ParameterError, match="as integers"):
+        codec.build_system(spec, sol.sum_set(), points)
+
+    grid = enumerate_points(spec, l)
+    system = codec.build_system(spec, sol.sum_set(), grid)
+    resp = codec.worker_compute(codec.make_payloads(enc_a, enc_b, grid)[0])
+    stray = codec.WorkerResponse(resp.index, points[0], resp.product)
+    with pytest.raises(ParameterError, match="outside GF"):
+        codec.interpolate(system, [stray])
+
+
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 def test_evaluate_many_of_no_points(spec):
     enc, _ = _encoded_pair(spec, np.random.default_rng(42))

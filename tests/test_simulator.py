@@ -55,7 +55,7 @@ def test_run_success_and_oracle():
     assert report.success
     assert report.decoded_equals_oracle
     assert report.responses_used == report.threshold == 298
-    assert sum(1 for w in report.worker_status if w.used) == 298
+    assert report.used.sum() == 298
 
 
 def test_run_adversarial_drop_tolerance():
@@ -78,7 +78,7 @@ def test_run_zero_drop_probability_uses_exactly_threshold():
     report = simulator.run(cfg)
     assert report.success
     assert report.responses_used == 298
-    used = [w.index for w in report.worker_status if w.used]
+    used = np.flatnonzero(report.used).tolist()
     assert used == list(range(298))  # tick ties break by worker index
 
 
@@ -86,10 +86,67 @@ def test_latency_model_orders_by_tick_then_index():
     cfg = replace(BOX19, straggler=StragglerModel(kind="latency", probability=0.3))
     report = simulator.run(cfg)
     assert report.success
-    ticks = {w.index: w.tick for w in report.worker_status}
-    used = [w.index for w in report.worker_status if w.used]
+    ticks = report.ticks.tolist()
+    used = np.flatnonzero(report.used).tolist()
     keys = sorted((ticks[i], i) for i in range(361))[:298]
     assert sorted(used) == sorted(i for _, i in keys)
+
+
+GF2_SEP = SimConfig(field="2", construction="sep-vars mprime=3 nprime=3 F=4",
+                    r=8, s=4, t=8, n_workers=64, seed=0)
+STRAGGLERS = [
+    StragglerModel(),
+    StragglerModel(kind="adversarial", drop_indices=(0, 7, 3, 40)),
+    StragglerModel(kind="random", probability=0.1),
+    StragglerModel(kind="latency", probability=0.3),
+]
+
+
+def _reference_schedule(ticks, threshold):
+    """The first k+1 responders by (tick, worker index), from a tuple sort."""
+    return [i for _, i in sorted((t, i) for i, t in enumerate(ticks.tolist()) if t > 0)[:threshold]]
+
+
+def _check_schedule(report):
+    want = _reference_schedule(report.ticks, report.threshold)
+    assert report.ticks.shape == report.used.shape == (report.config.n_workers,)
+    assert np.flatnonzero(report.used).tolist() == sorted(want)
+    assert [int(line.split()[0]) for line in report.transcript().splitlines()] == want
+    assert report.responses_used == len(want)
+    assert report.deficit == report.threshold - len(want)
+    assert report.success == (not report.deficit)
+
+
+@pytest.mark.parametrize("model", STRAGGLERS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("base, n, seed", [(BOX19, 361, 3), (BOX19, 320, 4),
+                                           (GF2_SEP, 64, 5), (GF2_SEP, 56, 6)],
+                         ids=["gf19-361", "gf19-320", "gf2-64", "gf2-56"])
+def test_schedule_matches_tuple_sort_reference(model, base, n, seed):
+    report = simulator.run(replace(base, n_workers=n, straggler=model, seed=seed))
+    _check_schedule(report)
+    assert report.decoded_equals_oracle is (None if report.deficit else True)
+
+
+@pytest.mark.parametrize("base", [BOX19, GF2_SEP], ids=["gf19", "gf2"])
+def test_schedule_reference_on_a_deficit(base):
+    n, threshold = base.n_workers, simulator.plan(base).threshold
+    drop = tuple(range(n - 1, -1, -(n // (n - threshold + 1))))[: n - threshold + 1]
+    report = simulator.run(replace(base, straggler=StragglerModel(
+        kind="adversarial", drop_indices=drop)))
+    _check_schedule(report)
+    assert report.deficit == 1 and report.decoded_equals_oracle is None
+    assert report.ticks.tolist() == [0 if i in drop else 1 for i in range(n)]
+
+    report = simulator.run(replace(base, straggler=StragglerModel(kind="random", probability=0.6)))
+    _check_schedule(report)
+    assert report.deficit > 1
+
+
+@pytest.mark.parametrize("drop", [(-1,), (3, 361)], ids=["negative", "past-n"])
+def test_adversarial_drop_indices_out_of_range(drop):
+    cfg = replace(BOX19, straggler=StragglerModel(kind="adversarial", drop_indices=drop))
+    with pytest.raises(ParameterError, match=r"out of range \[0, 361\)"):
+        simulator.run(cfg)
 
 
 def test_determinism_byte_identical_transcripts():

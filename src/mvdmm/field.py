@@ -18,14 +18,20 @@ int64, so unsigned inputs never wrap.
 
 ``matmul`` is the one matrix-product kernel of the package: encoding, the
 workers' block products and the decoder's transforms all run through it.  It
-multiplies base-p digit matrices with float64 BLAS, cutting the inner
-dimension so that every partial sum is an integer below 2^53 and therefore
-exact, then reduces mod p as integers (an in-place ``& 1`` over GF(2)).
-Over GF(p^e) it packs as many output digits into one float64 as fit without
-carries (Kronecker substitution), so BLAS forms e * ceil(e/g) digit products
-per field product instead of e^2.  The result is allocated once, in the
-index dtype, and filled in row tiles of at most ``MATMUL_TILE`` output
-digits, so each tile's float64 product and int64 reduction stay in cache.
+multiplies base-p digit matrices with BLAS on the narrowest floating-point
+word that holds every partial sum exactly, in the style of FFLAS-FFPACK:
+float32 over GF(p) while an entry's n terms in [0, (p-1)^2] sum below 2^24,
+float64 otherwise, with the inner dimension cut so that every partial sum
+stays below 2^53.  Any summation order BLAS picks is then exact.  The product is reduced mod p as int32 or int64 integers (an in-place
+``& 1`` over GF(2)).  Over GF(p^e) it packs as many output digits into one
+float64 as fit without carries (Kronecker substitution), so BLAS forms
+e * ceil(e/g) digit products per field product instead of e^2, and the left
+operand's packed x^i X words come from one gather through a fused table.
+Over GF(2^e) the bits of each output index are read straight off the packed
+words.  The result is allocated once, in the index dtype, and filled in row
+tiles of at most ``MATMUL_TILE`` output digits, so each tile's product and
+integer reduction stay in cache.  Over GF(2) ``add_arr`` and ``mul_arr`` are
+XOR and AND.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ MATMUL_TILE = 1 << 17
 # Default cap on point enumerations (covers q^l up to 2^20 worker grids).
 DEFAULT_POINT_LIMIT = 1 << 20
 
-# float64 represents every integer up to 2^53 exactly.
+# float64 represents every integer up to 2^53 exactly, float32 every one up
+# to 2^24.
 EXACT_FLOAT_BITS = 53
 EXACT_FLOAT_LIMIT = 1 << EXACT_FLOAT_BITS
+EXACT_SINGLE_LIMIT = 1 << 24
 
 # Orders with a built-in modulus (lexicographically least irreducible,
 # comparing integer encodings of the coefficient vector).
@@ -140,7 +148,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "dtype", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_planes", "_times_x", "matmul_chunk", "__weakref__",
+        "_planes", "_fused", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -221,7 +229,7 @@ class FieldSpec:
         self._log = self._exp = None
         self._add_table = self._mul_table = None
         self._planes = {}
-        self._times_x = None
+        self._fused = {}
         if e == 1:
             return
         # Row k holds base-p digit k of every index.
@@ -356,6 +364,8 @@ class FieldSpec:
         return self._add_formula(np.asarray(x), np.asarray(y))
 
     def mul_arr(self, x, y):
+        if self.q == 2:
+            return np.bitwise_and(x, y)
         if self._mul_table is not None:
             return self._mul_table[x, y]
         return self._mul_formula(np.asarray(x), np.asarray(y))
@@ -382,36 +392,47 @@ class FieldSpec:
         return self.add_arr(x, self.neg_arr(np.asarray(y)))
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact product of two 2-D matrices of indices in [0, q), on float64 BLAS.
+        """Exact product of two 2-D matrices of indices in [0, q), on BLAS.
 
-        The operands enter as base-p digits in [0, p), held as float64.  Over
-        GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where Y_i is digit
-        i of Y and (x^i X)_j is digit j of the elementwise field product
-        x^i * X, which carries the reduction by the modulus; one gather
-        through the (e, q) times-x^i table (``_times_x_table``) forms every
-        x^i X.  The left operand packs g consecutive output digits j into one
-        float64, digit j in slot j % g of 53 // g bits (``_packing``,
-        ``_packed_planes``).  So one matmul of the (ceil(e/g)*r) x (e*n)
-        packed left by the (e*n) x t right digits gives all e output digits
+        The operands enter as base-p digits in [0, p), held as floating-point
+        words.  Over GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where
+        Y_i is digit i of Y and (x^i X)_j is digit j of the elementwise field
+        product x^i * X, which carries the reduction by the modulus.  The left
+        operand packs g consecutive output digits j into one float64, digit j
+        in slot j % g of 53 // g bits (``_packing``), and one gather through
+        the fused (words, power i, q) table of ``_left_planes`` forms every
+        packed x^i X at once.  So one product of the packed left, (words * r)
+        x (e * n), by the (e * n) x t right digits gives all e output digits
         from e * ceil(e/g) digit products; over GF(p), e = g = 1 and the
         digits are the indices.
 
-        Exactness.  The inner dimension is cut into chunks of at most
-        w = min(n, ``matmul_chunk``) indices.  A slot of a chunk's product
-        sums at most w * e terms in [0, (p-1)^2], and g is chosen so that
-        w * e * (p-1)^2 < 2^(53 // g): no slot carries into the next, and
-        every partial sum BLAS forms, in whatever order, is a non-negative
-        integer below 2^(g * (53 // g)) <= 2^53, hence exact.  At g = 1 this
-        is the bound ``matmul_chunk`` keeps.  Slots are split off the int64
-        result by shifts (and a mask), and each chunk is reduced mod p as
-        integers (``& 1`` over GF(2)) before the next is added.
+        Words.  Over GF(p) the word is float32 when w * (p-1)^2 < 2^24, with
+        w = min(n, ``matmul_chunk``), and float64 otherwise (``_word``).  GF(p^e)
+        always takes float64.  The inner dimension is cut into chunks of at most
+        w indices.  A slot of a chunk's product sums at most w * e terms in
+        [0, (p-1)^2], and g is chosen so that w * e * (p-1)^2 < 2^(53 // g).
+        So every partial sum BLAS forms, in whatever order and with or without
+        fused multiply-adds, is a non-negative integer below the word's
+        mantissa limit (2^24, or 2^(g * (53 // g)) <= 2^53), hence exact, and no
+        slot carries into the next.  At g = 1 this is the bound
+        ``matmul_chunk`` keeps.  A chunk's product is cast to int32 (float32
+        words) or int64 and reduced before the next chunk is added.
+
+        Reduction.  Over GF(p) the product is reduced mod p in place (``& 1``
+        over GF(2)).  Over GF(2^e) bit j of an output index is bit 0 of slot
+        j % g of word j // g, so the index bits are read straight off the
+        packed words, and chunks combine by XOR.  Over GF(p^e) with p odd the
+        slots are split off by shifts and a mask, reduced mod p, and the
+        digits recombined by Horner's rule.
 
         Tiles.  The (r, t) result is allocated once, in the index dtype
         ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
         max(1, MATMUL_TILE // (e * t)) rows (``_tile_rows``), so a tile's
-        float64 product and its int64 digits stay near 1 MB.  The right
-        operand's digits are expanded once per call and shared by every
-        tile; only a tile's left rows are expanded with it.
+        product and its integer digits stay near 1 MB.  The right operand's
+        (digit i, n, t) words are formed once per call and shared by every
+        tile; only a tile's left rows are gathered with it.  Over GF(p), with
+        one chunk and one tile, nothing is allocated besides the operand words,
+        the BLAS result, its integer cast and the output.
         """
         x = np.asarray(x)
         y = np.asarray(y)
@@ -419,60 +440,62 @@ class FieldSpec:
             raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
         p, e, step = self.p, self.e, self.matmul_chunk
         (r, n), t = x.shape, y.shape[1]
-        g = 1
+        word = self._word(n)
+        whole = np.int32 if word is np.float32 else np.int64
         if e == 1:
-            right = y.astype(np.float64)[None]
+            g, bits = 1, 0
+            right = y.astype(word)  # (n, t)
         else:
             g, bits = self._packing(n)
-            mask = 1 if p == 2 else (1 << bits) - 1
+            planes = self._left_planes(g)
             right = np.take(self._packed_planes(1), y, axis=1)  # (digit i, n, t)
-        chunks = [(start, right[:, start:start + step].reshape(-1, t))
-                  for start in range(0, max(n, 1), step)]
         out = np.empty((r, t), dtype=self.dtype)
         rows = self._tile_rows(t)
         for lo in range(0, r, rows):
             tile = x[lo:lo + rows]
             if e == 1:
-                left = tile.astype(np.float64)[None]
-            else:
-                shifted = np.take(self._times_x_table(), tile, axis=1).transpose(1, 0, 2)
-                left = np.take(self._packed_planes(g), shifted, axis=1)  # (word, row, power i, n)
+                left = tile.astype(word)  # (row, n)
+            else:  # (word, row, power i, n), a view of the gathered (word, i, n, row)
+                left = np.take(planes, tile.T, axis=2).transpose(0, 3, 1, 2)
             acc = None
-            for start, b in chunks:
-                a = left[..., start:start + step].reshape(len(left) * len(tile), len(b))
-                part = (a @ b).astype(np.int64)
-                if g > 1:
-                    words = part.reshape(len(left), len(tile), t)
-                    part = np.empty((e, len(tile), t), dtype=np.int64)
-                    for s in range(g):
-                        slot = part[s::g]  # digits s, s + g, ...: slot s of each word
-                        np.right_shift(words[:len(slot)], s * bits, out=slot)
-                        slot &= mask
-                acc = part if acc is None else np.add(acc, part, out=acc)
-                if p != 2:
+            for start in range(0, max(n, 1), step):
+                a, b = left, right
+                if n > step:
+                    a, b = a[..., start:start + step], b[..., start:start + step, :]
+                if e > 1:
+                    k = e * b.shape[1]
+                    a, b = a.reshape(len(a), len(tile), k), b.reshape(k, t)
+                part = (a @ b).astype(whole)  # ([word,] row, t)
+                if p == 2:  # index bits; chunks combine by XOR
+                    if e == 1:
+                        part &= 1
+                    else:
+                        part = _index_bits(part, e, g, bits)
+                    acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
+                else:  # ([digit,] row, t) sums mod p
+                    if g > 1:
+                        part = _split_slots(part, e, g, bits)
+                    acc = part if acc is None else np.add(acc, part, out=acc)
                     acc %= p
-                elif g == 1 or start:  # a GF(2^e) slot mask reduced the first chunk
-                    acc &= 1
-            digits = acc.reshape(e, len(tile), t)
-            value = digits[-1]
-            for d in digits[-2::-1]:
-                value = value * p + d
-            out[lo:lo + rows] = value
+            if p != 2 and e > 1:  # (digit, row, t) to indices, by Horner's rule
+                value = acc[-1]
+                for d in acc[-2::-1]:
+                    value = value * p + d
+                acc = value
+            out[lo:lo + rows] = acc
         return out
+
+    def _word(self, n: int) -> type:
+        """Floating-point word of ``matmul`` at inner dimension n: float32 over
+        GF(p) when min(n, matmul_chunk) * (p-1)^2 < 2^24, else float64."""
+        if self.e == 1 and min(n, self.matmul_chunk) * (self.p - 1) ** 2 < EXACT_SINGLE_LIMIT:
+            return np.float32
+        return np.float64
 
     def _tile_rows(self, t: int) -> int:
         """Rows of one ``matmul`` row tile for t output columns: at most
         ``MATMUL_TILE`` output digits (e per entry), and at least one row."""
         return max(1, MATMUL_TILE // (self.e * max(t, 1)))
-
-    def _times_x_table(self) -> np.ndarray:
-        """(e, q) table in the index dtype, built once: row i holds x^i * v
-        for every index v (x^i has index p^i)."""
-        if self._times_x is None:
-            idx = np.arange(self.q)
-            rows = [idx] + [self.mul_arr(self.p**i, idx) for i in range(1, self.e)]
-            self._times_x = np.stack(rows).astype(self.dtype)
-        return self._times_x
 
     def _packing(self, n: int) -> tuple[int, int]:
         """(g, slot bits) of ``matmul`` at inner dimension n.
@@ -501,6 +524,47 @@ class FieldSpec:
                 words[j // g] += idx // p**j % p << (j % g * bits)
             planes = self._planes[g] = words.astype(np.float64)
         return planes
+
+    def _left_planes(self, g: int) -> np.ndarray:
+        """(ceil(e/g), e, q) float64 table, built once per g: entry [b, i, v]
+        is packed word b (``_packed_planes(g)``) of x^i * v, x^i being the
+        index p^i.  One gather through it forms every packed x^i X.  It
+        holds ceil(e/g) * e * q float64s: 192 bytes over GF(8) at g = 3, 32 MB
+        over GF(2^16) at g = 4."""
+        planes = self._fused.get(g)
+        if planes is None:
+            idx = np.arange(self.q)
+            times_x = np.stack([idx] + [self.mul_arr(self.p**i, idx) for i in range(1, self.e)])
+            planes = self._fused[g] = np.take(self._packed_planes(g), times_x, axis=1)
+        return planes
+
+
+def _index_bits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
+    """GF(2^e) indices from ``matmul``'s (ceil(e/g), r, t) integer product
+    words: bit j is bit 0 of slot j % g of word j // g, the parity of output
+    digit j."""
+    value = words[0] & 1
+    tmp = np.empty_like(value)
+    for j in range(1, e):
+        shift = j % g * bits - j  # moves bit 0 of the slot to bit j
+        if shift >= 0:
+            np.right_shift(words[j // g], shift, out=tmp)
+        else:
+            np.left_shift(words[j // g], -shift, out=tmp)
+        tmp &= 1 << j
+        value |= tmp
+    return value
+
+
+def _split_slots(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
+    """(e, r, t) base-p digit sums from ``matmul``'s (ceil(e/g), r, t) integer
+    product words: digit j is slot j % g of word j // g."""
+    digits = np.empty((e,) + words.shape[1:], dtype=words.dtype)
+    for s in range(g):
+        slot = digits[s::g]  # digits s, s + g, ...: slot s of each word
+        np.right_shift(words[:len(slot)], s * bits, out=slot)
+        slot &= (1 << bits) - 1
+    return digits
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

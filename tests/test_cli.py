@@ -272,7 +272,7 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "PASS FieldSpec.matmul == scalar schoolbook" in out
 
 

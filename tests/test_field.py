@@ -261,6 +261,24 @@ def test_matmul_packing_rule(q):
     assert spec._packing(spec.matmul_chunk)[0] == 1
 
 
+# Largest inner dimension on a float32 word for each prime: the most terms of
+# (p-1)^2 whose sum stays below 2^24.  65521 takes float32 only at n = 0.
+LAST_SINGLE_WORD_N = {2: 2**24 - 1, 3: 2**22 - 1, 23: 34663, 4093: 1, 65521: 0}
+
+
+@pytest.mark.parametrize("q", list(LAST_SINGLE_WORD_N) + PACKED_ORDERS)
+def test_matmul_word_rule(q):
+    spec = FieldSpec.of_order(q)
+    last = LAST_SINGLE_WORD_N.get(q, -1)  # extension fields: always float64
+    for n in sorted({0, 1, 2, 7, 120, 10**9} | {last, last + 1} - {-1}):
+        assert spec._word(n) is (np.float32 if n <= last else np.float64), n
+    if spec.e == 1:
+        assert last * (spec.p - 1) ** 2 < 2**24 <= (last + 1) * (spec.p - 1) ** 2
+        chunked = FieldSpec.of_order(q)
+        chunked.matmul_chunk = 1  # one term per chunk fits float32 unless p = 65521
+        assert chunked._word(10**9) is (np.float32 if last >= 1 else np.float64)
+
+
 def test_matmul_gf2_16_packed_matches_polynomial_oracle():
     spec = FieldSpec(2, 16)
     n = 100
@@ -297,6 +315,39 @@ def test_matmul_exact_one_past_the_chunk_at_largest_prime():
     total = (n - 1) * (p - 1) ** 2 + (p - 2) ** 2
     assert total > EXACT_FLOAT_LIMIT and total % 2 == 1
     assert spec.matmul(a, b).tolist() == [[total % p]]
+
+
+def test_matmul_exact_at_the_float32_word_boundary():
+    p = 4093  # (p-1)^2 < 2^24, but two such terms are not
+    spec = FieldSpec(p)
+    a = np.array([[p - 1, p - 2]], dtype=spec.dtype)
+    # Two terms sum to an odd integer above 2^24, which float32 cannot hold.
+    total = (p - 1) ** 2 + (p - 2) ** 2
+    assert total > 2**24 and total % 2 == 1
+    assert spec.matmul(a, a.T).tolist() == [[total % p]]
+    assert spec.matmul(a[:, :1], a.T[:1]).tolist() == [[(p - 1) ** 2 % p]]
+    assert spec._word(1) is np.float32 and spec._word(2) is np.float64
+
+
+# (p, e, (r, n, t)) of the benchmark's worker block products: kernel-gf2,
+# matdot-gf8, decode-gf23, and T4's (1 x 8) . (8 x 1).
+WORKER_SHAPES = [(2, 1, (16, 512, 16)), (2, 3, (64, 20, 64)), (23, 1, (30, 120, 2)),
+                 (2, 1, (1, 8, 1))]
+
+
+@pytest.mark.parametrize("p, e, shape", WORKER_SHAPES)
+def test_matmul_on_worker_shapes(p, e, shape):
+    spec = FieldSpec(p, e)
+    q, (r, n, t) = spec.q, shape
+    rng = np.random.default_rng(r * n * t + q)
+    for a, b in (
+        (rng.integers(0, q, size=(r, n)), rng.integers(0, q, size=(n, t))),
+        (np.full((r, n), q - 1), np.full((n, t), q - 1)),
+    ):
+        a, b = a.astype(spec.dtype), b.astype(spec.dtype)
+        got = spec.matmul(a, b)
+        assert got.dtype == spec.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, schoolbook_matmul(spec, a, b)), shape
 
 
 def test_matmul_chunk_at_largest_extension_field():

@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
 )
 from .exponents import ExponentSet, Vec
-from .field import DEFAULT_POINT_LIMIT, FieldSpec, Point
+from .field import DEFAULT_POINT_LIMIT, MATMUL_TILE, FieldSpec, Point
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -415,6 +415,30 @@ def _dual_block(spec: FieldSpec, l: int, rows: np.ndarray, cols: np.ndarray) -> 
     return np.asarray(out, dtype=np.int64)
 
 
+@dataclass(frozen=True, eq=False)
+class _DualRows:
+    """Rows of T[rows, cols] (see _dual_block), built a slice at a time: the
+    eliminator builds only the rows it offers, and no product by T holds the
+    whole block."""
+
+    spec: FieldSpec
+    l: int
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return _dual_block(self.spec, self.l, self.rows[part], self.cols)
+
+    def times(self, z: np.ndarray) -> np.ndarray:
+        """T[rows, cols] . z, from slices of about MATMUL_TILE entries of T."""
+        step = max(1, MATMUL_TILE // max(self.cols.size, 1))
+        return np.concatenate([self.spec.matmul(self[lo:lo + step], z)
+                               for lo in range(0, len(self), step)])
+
+
 def _butterfly(grid: np.ndarray, l: int) -> np.ndarray:
     """The GF(2) transform of a (2^l, ...) unsigned array, in place.
 
@@ -689,11 +713,12 @@ def _combine(
 
 def _solve_erasures(
     spec: FieldSpec, l: int, outside: np.ndarray, missing: np.ndarray,
-    rhs: Sequence[np.ndarray], stats: _linalg.EliminationStats,
+    rhs, stats: _linalg.EliminationStats,
 ) -> np.ndarray:
-    """Z with T[outside, missing] . Z = rhs, read off the first independent rows."""
-    block = _dual_block(spec, l, outside, missing)
-    z, _, solved = _linalg.solve_exact(spec, list(block), list(rhs), missing.size)
+    """Z with T[outside, missing] . Z = rhs, read off the first independent
+    rows; rhs slices like the rows of T[outside, missing] (see _linalg)."""
+    rows = _DualRows(spec, l, outside, missing)
+    z, _, solved = _linalg.solve_exact(spec, rows, rhs, missing.size)
     stats.add(solved)
     return z
 
@@ -712,13 +737,16 @@ def interpolate(
     * place the responses on the grid (zeros at the erasures) and apply T,
       one T1 per coordinate: O(l q q^l w) for w entries per block product;
     * the coefficients outside the support S must vanish, which determines
-      the e erased values from the |S-bar| rows outside S: an exact
-      O(|S-bar| e^2) elimination with right-hand side width w;
-    * correct the coefficients on S by T[S, erasures] times those values:
-      O(kappa e w).
+      the e erased values from the rows of T[outside S, erasures].  The
+      eliminator builds those rows a panel at a time and stops at the row
+      that completes rank e.  Each nonzero row it offers costs O(e (e + w)),
+      done in BLAS products, and each zero row nothing;
+    * correct the coefficients on S by T[S, erasures] times those values,
+      built a slice at a time: O(kappa e w).
 
     Otherwise it eliminates the kappa unknown coefficients directly from the
-    monomial rows at the responding points, built on demand (primal side).
+    monomial rows at the responding points, built on demand (primal side),
+    in panels of kappa - rank rows: O(kappa (kappa + w)) per row offered.
     Both sides raise RankDeficiencyError, in kappa terms, exactly when the
     responding points do not determine every function in the span of S.
 
@@ -758,7 +786,7 @@ def _interpolate_dual(
         target = sys.support_grid[sys.index_of_degree(only)][None]
         weights = _dual_block(spec, l, target, grid)[0]
         if missing.size:
-            z = _solve_erasures(spec, l, outside, missing, _dual_block(spec, l, outside, grid), stats)
+            z = _solve_erasures(spec, l, outside, missing, _DualRows(spec, l, outside, grid), stats)
             weights = spec.sub_arr(weights, spec.matmul(_dual_block(spec, l, target, missing), z)[0])
             stats.mult_ops += z.size
             stats.add_ops += z.size
@@ -770,7 +798,7 @@ def _interpolate_dual(
     x = c[sys.support_grid]
     if missing.size:
         z = _solve_erasures(spec, l, outside, missing, c[outside], stats)
-        x = spec.sub_arr(x, spec.matmul(_dual_block(spec, l, sys.support_grid, missing), z))
+        x = spec.sub_arr(x, _DualRows(spec, l, sys.support_grid, missing).times(z))
         stats.mult_ops += sys.kappa * z.size
         stats.add_ops += sys.kappa * z.size
     return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
@@ -782,14 +810,14 @@ def _interpolate_primal(
     """Eliminate the kappa coefficients from the responders' evaluation rows."""
     spec, l = sys.spec, sys.support.l
     shape, flat = products.shape[1:], products.reshape(grid.size, -1)
-    rows = list(monomial_matrix(spec, sys.support, _grid_digits(spec.q, l, grid)).T)
+    rows = monomial_matrix(spec, sys.support, _grid_digits(spec.q, l, grid)).T
     if only is not None:
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
         combined = _combine(spec, y, flat[used], stats)
         return Interpolation(spec, l, sys.support_grid[target][None], combined.reshape(1, *shape),
                              stats)
-    x, _, stats = _linalg.solve_exact(spec, rows, list(flat), sys.kappa)
+    x, _, stats = _linalg.solve_exact(spec, rows, flat, sys.kappa)
     return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
 
 

@@ -209,13 +209,7 @@ def cmd_enum(args) -> int:
         s = exponents.hyp_set(args.q, args.l, args.F, limit=args.limit)
         _emit_set(s, args.stats, args.out)
         return EXIT_OK
-    params = {}
-    for tok in args.param:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ParameterError(f"bad --param {tok!r}, expected KEY=VALUE")
-        params[key] = value
-    sol = constructions.build(args.kind, args.q, params)
+    sol = simulator.parse_construction(" ".join([args.kind, *args.param]), args.q)
     chosen = {"da": sol.d_a, "db": sol.d_b, "sum": sol.sum_set()}[args.set]
     _emit_set(chosen, args.stats, args.out)
     return EXIT_OK

@@ -21,7 +21,7 @@ The worker plane is index arrays too.  Each operand's evaluations are one
 (N, r, c) array, and a payload holds row views of the two.  A response
 holds its product as a bare array; `interpolate` stacks the responses
 into one (grid indices, (R, r, c) products) pair and checks it once.
-`MatrixFq` is kept for the caller's A and B, the product A.B and text.
+`MatrixFq` is kept for the caller's A and B and the product A.B.
 """
 
 from __future__ import annotations
@@ -78,35 +78,6 @@ class MatrixFq:
             and bool(np.array_equal(self.data, other.data))
         )
 
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "MatrixFq":
-        return cls(spec, np.zeros((rows, cols), dtype=spec.dtype))
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MatrixFq":
-        return cls(spec, np.eye(n, dtype=spec.dtype))
-
-    def to_text(self) -> str:
-        head = f"{self.rows} {self.cols} {self.spec}\n"
-        body = "\n".join(" ".join(str(int(x)) for x in row) for row in self.data)
-        return head + body + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "MatrixFq":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split() if lines else []
-        if len(head) != 3:
-            raise ParameterError(f"matrix header must be 'rows cols field', got {' '.join(head)!r}")
-        spec = FieldSpec.from_string(head[2])
-        try:
-            r, c = int(head[0]), int(head[1])
-            values = [int(tok) for ln in lines[1:] for tok in ln.split()]
-        except ValueError as exc:
-            raise ParameterError(f"matrix text holds a non-integer: {exc}") from None
-        if len(values) != r * c:
-            raise ParameterError(f"expected {r * c} entries, got {len(values)}")
-        return _from_ints(spec, values, (r, c))
-
 
 def _indices(spec: FieldSpec, data, ndim: int = 2) -> np.ndarray:
     """`data`, with `ndim` axes, as a C-contiguous array in the field's index
@@ -123,15 +94,6 @@ def _indices(spec: FieldSpec, data, ndim: int = 2) -> np.ndarray:
     if arr.size and ((arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= spec.q):
         raise ParameterError("matrix entries must be element indices in [0, q)")
     return np.ascontiguousarray(arr, dtype=spec.dtype)
-
-
-def _from_ints(spec: FieldSpec, values: list[int], shape: tuple[int, int]) -> MatrixFq:
-    """A matrix of parsed integers; one beyond int64 gets MatrixFq's range error."""
-    try:
-        arr = np.array(values, dtype=np.int64)
-    except OverflowError:
-        arr = np.array(values, dtype=object)
-    return MatrixFq(spec, arr.reshape(shape))
 
 
 def random_matrix(spec: FieldSpec, rows: int, cols: int, rng: np.random.Generator) -> MatrixFq:
@@ -160,41 +122,26 @@ class BlockSplit:
     """
 
     spec: FieldSpec
-    mode: str  # poly-a | poly-b | matdot-a | matdot-b
-    count: int
     original_shape: tuple[int, int]
-    padded_shape: tuple[int, int]
-    padding: int
     blocks: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.blocks)
 
     @property
     def block_shape(self) -> tuple[int, int]:
         return self.blocks.shape[1:]
 
 
-_SPLIT_AXIS = {"poly-a": 0, "poly-b": 1, "matdot-a": 1, "matdot-b": 0}
-
-
-def _split_one(mat: MatrixFq, mode: str, count: int) -> BlockSplit:
-    axis = _SPLIT_AXIS[mode]
-    size = mat.data.shape[axis]
-    padded = -(-size // count) * count
-    pad = padded - size
+def _split_one(mat: MatrixFq, axis: int, count: int) -> BlockSplit:
     data = mat.data
+    pad = -data.shape[axis] % count
     if pad:
         widths = [(0, 0), (0, 0)]
         widths[axis] = (0, pad)
         data = np.pad(data, widths)
-    blocks = np.stack(np.split(data, count, axis=axis))
-    return BlockSplit(
-        spec=mat.spec,
-        mode=mode,
-        count=count,
-        original_shape=(mat.rows, mat.cols),
-        padded_shape=data.shape,
-        padding=pad,
-        blocks=blocks,
-    )
+    return BlockSplit(mat.spec, (mat.rows, mat.cols), np.stack(np.split(data, count, axis=axis)))
 
 
 def split(a: MatrixFq, b: MatrixFq, mode: str, m: int, n: int | None = None) -> tuple[BlockSplit, BlockSplit]:
@@ -208,20 +155,10 @@ def split(a: MatrixFq, b: MatrixFq, mode: str, m: int, n: int | None = None) -> 
     if mode == "poly":
         if n is None:
             raise ParameterError("polynomial mode needs both block counts")
-        return _split_one(a, "poly-a", m), _split_one(b, "poly-b", n)
+        return _split_one(a, 0, m), _split_one(b, 1, n)
     if mode == "matdot":
-        sa = _split_one(a, "matdot-a", m)
-        sb = _split_one(b, "matdot-b", m)
-        return sa, sb
+        return _split_one(a, 1, m), _split_one(b, 0, m)
     raise ParameterError(f"unknown split mode {mode!r}")
-
-
-def reassemble(blocks: BlockSplit) -> MatrixFq:
-    """Concatenate blocks and trim padding; inverse of the split."""
-    axis = _SPLIT_AXIS[blocks.mode]
-    data = np.concatenate(blocks.blocks, axis=axis)
-    r, c = blocks.original_shape
-    return MatrixFq(blocks.spec, data[:r, :c])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +174,6 @@ class EncodedOperand:
     """
 
     spec: FieldSpec
-    q: int
-    l: int
     support: ExponentSet
     blocks: np.ndarray  # (len(support), *block_shape)
 
@@ -267,7 +202,7 @@ def encode(
         if not np.array_equal(np.sort(at), _grid_index(degrees.q, degrees.l, degrees.rows)):
             raise ParameterError("explicit degree order must permute the degree set")
         stacked = stacked[np.argsort(at)]
-    return EncodedOperand(blocks.spec, degrees.q, degrees.l, degrees, stacked)
+    return EncodedOperand(blocks.spec, degrees, stacked)
 
 
 def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> np.ndarray:
@@ -306,19 +241,19 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     which is the path for every other field: the points x monomials matrix
     times the stacked blocks.
     """
-    spec = op.spec
-    at = _grid_index(spec.q, op.l, points)
+    spec, l = op.spec, op.support.l
+    at = _grid_index(spec.q, l, points)
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
     if spec.q == 2:
         j = int(at.max(initial=0)).bit_length()
         if _packed_side(j, at.size, len(op.blocks)):
-            inside = _grid_index(2, op.l, op.support.rows)
+            inside = _grid_index(2, l, op.support.rows)
             keep = inside < 2**j
             cube = np.zeros((2**j, -(-flat.shape[1] // 8)), dtype=np.uint8)
             cube[inside[keep]] = np.packbits(flat[keep], axis=1)
             out = np.unpackbits(_butterfly(cube, j)[at], axis=1, count=flat.shape[1])
             return out.reshape(at.size, *op.block_shape)
-    vals = monomial_matrix(spec, op.support, _grid_digits(spec.q, op.l, at))  # (terms, points)
+    vals = monomial_matrix(spec, op.support, _grid_digits(spec.q, l, at))  # (terms, points)
     return spec.matmul(vals.T, flat).reshape(at.size, *op.block_shape)
 
 
@@ -620,22 +555,6 @@ def format_response(resp: WorkerResponse) -> str:
     return f"{resp.index} {coords} {flat}"
 
 
-def parse_response(line: str, spec: FieldSpec, shape: tuple[int, int]) -> WorkerResponse:
-    parts = line.split()
-    entries = shape[0] * shape[1]
-    if len(parts) != entries + 2:
-        raise ParameterError(
-            f"response line needs an index, a point and {entries} entries, "
-            f"got {len(parts)} fields: {line!r}")
-    try:
-        index = int(parts[0])
-        point = tuple(int(c) for c in parts[1].split(","))
-        values = [int(x) for x in parts[2:]]
-    except ValueError:
-        raise ParameterError(f"response line has a non-integer field: {line!r}") from None
-    return WorkerResponse(index, point, _from_ints(spec, values, shape).data)
-
-
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -821,6 +740,14 @@ def _interpolate_primal(
     return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
 
 
+def _check_blocks(coeffs: Interpolation, split_a: BlockSplit, split_b: BlockSplit) -> None:
+    """Raise ShapeError unless the recovered blocks are blocks of A.B."""
+    want = (split_a.block_shape[0], split_b.block_shape[1])
+    if coeffs.blocks.shape[1:] != want:
+        raise ShapeError(f"recovered blocks of shape {coeffs.blocks.shape[1:]}, "
+                         f"but the product's blocks are {want}")
+
+
 def extract_poly(
     coeffs: Interpolation, sol: PolySolution, split_a: BlockSplit, split_b: BlockSplit,
 ) -> MatrixFq:
@@ -830,6 +757,7 @@ def extract_poly(
     D_A and the j-th of D_B; all m x n sums are formed at once and their
     blocks gathered in one step.
     """
+    _check_blocks(coeffs, split_a, split_b)
     q = sol.q
     sums = (sol.d_a.rows[:, None, :].astype(np.int64) + sol.d_b.rows[None, :, :]).reshape(-1, sol.l)
     np.subtract(sums, q - 1, out=sums, where=sums >= q)  # x^q = x: q + r reduces to r + 1
@@ -849,6 +777,7 @@ def extract_matdot(
     coeffs: Interpolation, sol: MatdotSolution, split_a: BlockSplit, split_b: BlockSplit,
 ) -> MatrixFq:
     """A.B is the single coefficient at the solution's target degree."""
+    _check_blocks(coeffs, split_a, split_b)
     r = split_a.original_shape[0]
     t = split_b.original_shape[1]
     return MatrixFq(split_a.spec, coeffs[sol.degree_target].data[:r, :t])

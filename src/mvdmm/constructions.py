@@ -43,12 +43,11 @@ DEFAULT_SEARCH_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
-class PolySolution:
-    """A validated polynomial splitting: row blocks of A times column blocks of B.
+class _Solution:
+    """Degree sets D_A, D_B with the footprint of their summed set.
 
     ``footprint`` is the achieved footprint value of the summed degree set;
-    ``design_footprint`` is the lower bound the construction guarantees.  For
-    the box and separated-variables families the two coincide.
+    ``design_footprint`` is the lower bound the construction guarantees.
     """
 
     q: int
@@ -63,10 +62,6 @@ class PolySolution:
     @property
     def m(self) -> int:
         return len(self.d_a)
-
-    @property
-    def n(self) -> int:
-        return len(self.d_b)
 
     @property
     def recovery_threshold(self) -> int:
@@ -81,7 +76,20 @@ class PolySolution:
 
 
 @dataclass(frozen=True)
-class MatdotSolution:
+class PolySolution(_Solution):
+    """A validated polynomial splitting: row blocks of A times column blocks of B.
+
+    For the box and separated-variables families the achieved and designed
+    footprints coincide.
+    """
+
+    @property
+    def n(self) -> int:
+        return len(self.d_b)
+
+
+@dataclass(frozen=True)
+class MatdotSolution(_Solution):
     """A validated matdot splitting: A.B is the coefficient at x^d.
 
     ``pairs`` are the m matched (a, d - a) couples; ``removable_coords`` are
@@ -90,32 +98,9 @@ class MatdotSolution:
     footprint of the explicit sum set can be strictly better.
     """
 
-    q: int
-    l: int
-    d_a: ExponentSet
-    d_b: ExponentSet
     degree_target: Vec
     pairs: tuple[tuple[Vec, Vec], ...]
-    footprint: FootprintValue
-    design_footprint: int
-    xi: int
-    sum_size: int
     removable_coords: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.d_a)
-
-    @property
-    def recovery_threshold(self) -> int:
-        return self.q**self.l - self.footprint.value + 1
-
-    @property
-    def design_threshold(self) -> int:
-        return self.q**self.l - self.design_footprint + 1
-
-    def sum_set(self) -> ExponentSet:
-        return minkowski_sum_q(self.d_a, self.d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +298,9 @@ def _db_count(q: int, mvec: Vec, f: int) -> int:
     )
 
 
-def db_size(q: int, mvec: Sequence[int], f: int, l: int | None = None) -> int:
+def db_size(q: int, mvec: Sequence[int], f: int) -> int:
     """Size of the expanded degree set of better_box, by recurrence."""
     mvec = tuple(mvec)
-    if l is not None and l != len(mvec):
-        raise ParameterError(f"l = {l} disagrees with len(mvec) = {len(mvec)}")
     _check_mvec(q, mvec)
     return _db_count(q, mvec, max(1, f))
 
@@ -671,62 +654,3 @@ def build(kind: str, q: int, params: Mapping[str, object]) -> PolySolution | Mat
     if p:
         raise ParameterError(f"unused parameters for {kind}: {sorted(p)}")
     return sol
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def solution_to_text(sol: PolySolution | MatdotSolution) -> str:
-    lines = [f"q={sol.q}", f"l={sol.l}"]
-    if isinstance(sol, MatdotSolution):
-        lines.append("kind=matdot")
-        lines.append(f"d={exponents.format_vec(sol.degree_target)}")
-    else:
-        lines.append("kind=poly")
-    lines.append(f"design_f={sol.design_footprint}")
-    lines.append("DA:")
-    lines.extend(exponents.format_vec(v) for v in sol.d_a)
-    lines.append("DB:")
-    lines.extend(exponents.format_vec(v) for v in sol.d_b)
-    return "\n".join(lines) + "\n"
-
-
-def solution_from_text(text: str) -> PolySolution | MatdotSolution:
-    header: dict[str, str] = {}
-    sets: dict[str, list[Vec]] = {"DA": [], "DB": []}
-    current: str | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in ("DA:", "DB:"):
-            current = line[:-1]
-            continue
-        if current is None:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-        else:
-            sets[current].append(exponents.parse_vec(line))
-    header.setdefault("design_f", "1")
-
-    def field(key: str) -> str:
-        if key not in header:
-            raise ParameterError(f"missing header line {key!r} in solution text")
-        return header[key]
-
-    def int_field(key: str) -> int:
-        try:
-            return int(field(key))
-        except ValueError:
-            raise ParameterError(f"header line {key}={header[key]!r} is not an integer") from None
-
-    q, l, kind, design = int_field("q"), int_field("l"), field("kind"), int_field("design_f")
-    d_a = ExponentSet.of(q, l, sets["DA"])
-    d_b = ExponentSet.of(q, l, sets["DB"])
-    if kind == "matdot":
-        d = exponents.parse_vec(field("d"))
-        return matdot_from_sets(q, l, d_a, d_b, d, design_footprint=design)
-    if kind == "poly":
-        return _poly_solution(q, l, d_a, d_b, design_footprint=design)
-    raise ParameterError(f"unknown solution kind {kind!r}")

@@ -97,11 +97,6 @@ class ExponentSet:
     def to_text(self) -> str:
         return "".join(format_vec(v) + "\n" for v in self.vectors)
 
-    @classmethod
-    def from_text(cls, q: int, l: int, text: str) -> "ExponentSet":
-        vecs = [parse_vec(line) for line in text.splitlines() if line.strip()]
-        return cls.of(q, l, vecs)
-
 
 def _int_rows(q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
     """`vectors` as an (n, l) int64 array; ParameterError names the first

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RangeError, ShapeError
+from .errors import CapacityError, ParameterError, ShapeError
 
 # Extension fields up to this order keep full q x q add/mul tables; larger
 # ones use log/antilog arithmetic.  Prime fields never build q x q tables.
@@ -269,11 +269,6 @@ class FieldSpec:
         raise ParameterError("no primitive element found; modulus is not irreducible")
 
     # -- scalar operations on indices ----------------------------------------
-
-    def check_index(self, i: int) -> int:
-        if not 0 <= i < self.q:
-            raise RangeError(f"element index {i} out of range [0, {self.q})")
-        return i
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:

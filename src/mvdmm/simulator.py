@@ -10,8 +10,7 @@ by (tick, worker index), and the master decodes from the first k+1 of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,6 +174,8 @@ def parse_construction(descriptor: str, q: int) -> PolySolution | MatdotSolution
         key, sep, value = tok.partition("=")
         if not sep:
             raise ParameterError(f"bad construction parameter {tok!r}")
+        if key in params:
+            raise ParameterError(f"construction parameter {key!r} given twice")
         params[key] = value
     return constructions.build(kind, q, params)
 
@@ -258,7 +259,7 @@ class SimReport:
     wall_times: dict[str, float] = field(default_factory=dict)
 
     def transcript(self) -> str:
-        """Line-oriented replayable record of the responses actually used."""
+        """One `format_response` line per response the master used, in arrival order."""
         return "".join(codec.format_response(resp) + "\n" for resp in self.responses)
 
     def summary(self) -> str:
@@ -387,25 +388,3 @@ def _sharpness_probe(
             if decoded == oracle:
                 best = size if best is None else min(best, size)
     return best
-
-
-def sweep(base: SimConfig, grid: Sequence[Mapping[str, object]]) -> list[dict]:
-    """One run per grid point; per-cell failures are recorded, not raised.
-
-    Each cell's overrides are applied to the base config and its seed is
-    base.seed XOR the cell index.
-    """
-    results = []
-    for idx, overrides in enumerate(grid):
-        cell: dict[str, object] = {"index": idx, "overrides": dict(overrides)}
-        try:
-            cfg = replace(base, **overrides)  # type: ignore[arg-type]
-            cfg = replace(cfg, seed=base.seed ^ idx)
-            report = run(cfg)
-            cell["report"] = report
-            cell["success"] = report.success
-        except Exception as exc:  # per-cell isolation by contract
-            cell["error"] = f"{type(exc).__name__}: {exc}"
-            cell["success"] = False
-        results.append(cell)
-    return results

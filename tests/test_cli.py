@@ -150,6 +150,18 @@ def test_enum_solution_sets(capsys):
     assert code == 0
 
 
+def test_enum_solution_parses_params_like_a_descriptor(capsys):
+    base = ("enum", "solution", "sep-vars", "--q", "2", "--param", "mprime=2", "--param", "nprime=2",
+            "--param", "F=2")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *base, "--param", "F=4")
+    assert code == 2 and out == ""
+    assert "'F' given twice" in err
+    code, _, err = run_cli(capsys, *base, "--param", "oops")
+    assert code == 2 and "bad construction parameter 'oops'" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -324,37 +324,6 @@ def test_build_rejects_non_integer_parameter():
         cons.build("poly-box", 5, {"m": "(2,x)", "n": "2"})
 
 
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("q=x\nl=1\nkind=poly\nDA:\n(0)\nDB:\n(0)\n", "q='x'"),
-        ("q=5\nl=1\nkind=matdot\nDA:\n(0)\nDB:\n(0)\n", "'d'"),
-        ("q=5\nl=1\nkind=poly\nDA:\n(0)\nDB:\n(y)\n", r"\(y\)"),
-    ],
-    ids=["bad-q", "matdot-without-d", "bad-vector"],
-)
-def test_solution_from_text_errors_are_typed(text, match):
-    with pytest.raises(ParameterError, match=match):
-        cons.solution_from_text(text)
-
-
-def test_solution_serialization_round_trip():
-    poly = cons.box_poly(19, (2, 2), (6, 6))
-    text = cons.solution_to_text(poly)
-    back = cons.solution_from_text(text)
-    assert back.d_a == poly.d_a and back.d_b == poly.d_b
-    assert back.footprint == poly.footprint
-    assert cons.solution_to_text(back) == text
-
-    matdot = cons.half_hyperbolic(8, 3, 17, (3, 3, 3))
-    text = cons.solution_to_text(matdot)
-    back = cons.solution_from_text(text)
-    assert back.degree_target == matdot.degree_target
-    assert back.pairs == matdot.pairs
-    assert back.design_footprint == matdot.design_footprint
-    assert cons.solution_to_text(back) == text
-
-
 def test_xi_bound_enforced_at_construction():
     # every emitted solution records its hyperbolic bound and respects it
     for sol in (

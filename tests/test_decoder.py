@@ -179,8 +179,7 @@ def test_empty_responses_raise_typed_error():
 
 def test_responses_of_different_shapes_raise():
     spec, system, responses = _gf5_responses(np.random.default_rng(5))
-    odd = codec.WorkerResponse(9, responses[0].point,
-                               codec.MatrixFq.zeros(spec, 1, 1))
+    odd = codec.WorkerResponse(9, responses[0].point, np.zeros((1, 1), dtype=spec.dtype))
     with pytest.raises(ShapeError):
         codec.interpolate(system, [odd] + responses[1:])
 
@@ -267,6 +266,29 @@ def test_one_dimensional_products_throughout_raise_a_shape_error():
     flat = [codec.WorkerResponse(r.index, r.point, r.product.reshape(-1)) for r in responses]
     with pytest.raises(ShapeError, match="must be 2-D"):
         codec.interpolate(system, flat)
+
+
+@pytest.mark.parametrize("construction, field, dims", [
+    ("poly-box m=2,2 n=6,6", "19", (6, 4, 6, 361)),  # blocks of A.B are 2 x 1
+    ("matdot-box m=2,2", "8", (3, 4, 3, 64)),        # the one block is 3 x 3
+], ids=["poly", "matdot"])
+@pytest.mark.parametrize("reshape", [
+    lambda p: p[:1, :1],
+    lambda p: np.tile(p, (2, 2)),
+], ids=["too-small", "too-large"])
+def test_extract_rejects_products_not_shaped_like_the_blocks(construction, field, dims, reshape):
+    pl = simulator.plan(simulator.SimConfig(field=field, construction=construction, r=dims[0],
+                                            s=dims[1], t=dims[2], n_workers=dims[3]))
+    rng = np.random.default_rng(25)
+    a = codec.random_matrix(pl.spec, dims[0], dims[1], rng)
+    b = codec.random_matrix(pl.spec, dims[1], dims[2], rng)
+    payloads, sa, sb = pl.make_payloads(a, b)
+    responses = [codec.worker_compute(p) for p in payloads[:pl.threshold]]
+    assert _decode(pl.system, pl.solution, responses, sa, sb) == codec.matmul(a, b)
+    odd = [codec.WorkerResponse(r.index, r.point, reshape(r.product)) for r in responses]
+    with pytest.raises(ShapeError, match="product's blocks"):
+        _decode(pl.system, pl.solution, odd, sa, sb)
+
 
 # ---------------------------------------------------------------------------
 # the eliminator against an independent reference

@@ -205,16 +205,12 @@ def test_vector_text_forms():
     assert ex.parse_vec("(0,3,1)") == (0, 3, 1)
     assert ex.parse_vec("2,5") == (2, 5)
     s = ex.hyp_set(3, 2, 4)
-    text = s.to_text()
-    assert text.endswith("\n")
-    assert ex.ExponentSet.from_text(3, 2, text) == s
+    assert s.to_text().splitlines() == [ex.format_vec(v) for v in s]
 
 
 def test_parse_vec_rejects_non_integers():
     with pytest.raises(ParameterError, match=r"\(1,x\)"):
         ex.parse_vec("(1,x)")
-    with pytest.raises(ParameterError, match=r"\(0,y\)"):
-        ex.ExponentSet.from_text(3, 2, "(0,1)\n(0,y)\n")
 
 
 def test_exponent_set_rejects_out_of_range():

@@ -220,12 +220,11 @@ def cmd_enum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = simulator.SimConfig.from_file(args.config)
     for tok in args.set:
         if "=" not in tok or tok.lstrip().startswith("#"):  # a config comment is not an override
             raise ParameterError(f"bad --set {tok!r}, expected KEY=VALUE")
-    # Each --set is one more config line; the last value of a key wins.
-    cfg = simulator.SimConfig.from_text(cfg.to_text() + "".join(f"{tok}\n" for tok in args.set))
+    # Each --set replaces its key's value from the file; the last --set of a key wins.
+    cfg = simulator.SimConfig.from_file(args.config, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     report = simulator.run(cfg)

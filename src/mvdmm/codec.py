@@ -582,11 +582,6 @@ class Interpolation:
         return MatrixFq(self.spec, self.blocks[pos[0]])
 
 
-# Responses combined per matmul with decoder weights; bounds the right
-# operand's digit planes rather than expanding all R products at once.
-COMBINE_CHUNK = 64
-
-
 def _stack(
     sys: InterpolationSystem, responses: Sequence[WorkerResponse],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -619,15 +614,52 @@ def _stack(
 def _combine(
     spec: FieldSpec, weights: np.ndarray, products: np.ndarray, stats: _linalg.EliminationStats,
 ) -> np.ndarray:
-    """sum_i weights[i] * products[i] for flattened products."""
-    acc = None
-    for start in range(0, len(products), COMBINE_CHUNK):
-        term = spec.matmul(weights[None, start:start + COMBINE_CHUNK],
-                           products[start:start + COMBINE_CHUNK])[0]
-        acc = term if acc is None else spec.add_arr(acc, term)
+    """sum_i weights[i] * products[i] for flattened products, grouped by weight.
+
+    One stable argsort groups the R products by weight; each group is added
+    (``_group_sums``), and the d <= min(q, R) group sums meet their
+    distinct weights in one (1 x d) . (d x w) product.  That is O(R w) work on
+    the indices themselves.  The tallies count the R w multiplications and
+    additions of the weighted sum.
+    """
+    order = np.argsort(weights, kind="stable")
+    ranked = weights[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    acc = spec.matmul(ranked[starts][None], _group_sums(spec, products[order], starts))[0]
     stats.mult_ops += weights.size * acc.size
     stats.add_ops += weights.size * acc.size
     return acc
+
+
+def _group_sums(spec: FieldSpec, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(len(starts), w) field sums of the row groups rows[starts[i]:starts[i+1]].
+
+    In characteristic 2 a sum is the XOR of the rows, taken over their bytes
+    as uint64 words (single bytes when a row's length is not a multiple of 8).
+    Otherwise the base-p digits of an index are spread into slots of
+    63 // e bits of an int64 (over GF(p) the slot is the index) and summed as
+    integers, at most `per_slot` rows at a time so that no slot carries into
+    the next; the slots are then reduced mod p and the pieces summed again
+    until each group is one row.
+    """
+    if spec.p == 2:
+        word = np.uint64 if rows.shape[1] * rows.itemsize % 8 == 0 else np.uint8
+        return np.bitwise_xor.reduceat(rows.view(word), starts, axis=0).view(spec.dtype)
+    p, e = spec.p, spec.e
+    bits = 63 // e
+    per_slot = ((1 << bits) - 1) // (p - 1)  # digit sums of this many rows fit a slot
+    shifts, mask = range(0, e * bits, bits), (1 << bits) - 1
+    idx = np.arange(spec.q, dtype=np.int64)
+    words = sum(idx // p**k % p << s for k, s in enumerate(shifts))[rows]
+    while True:
+        cuts = np.sort(np.r_[starts, np.arange(0, len(words), per_slot)])
+        cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]  # pieces of at most per_slot rows
+        words = np.add.reduceat(words, cuts, axis=0)
+        digits = [(words >> s & mask) % p for s in shifts]
+        if cuts.size == starts.size:
+            return sum(d * p**k for k, d in enumerate(digits)).astype(spec.dtype)
+        words = sum(d << s for d, s in zip(digits, shifts))
+        starts = np.searchsorted(cuts, starts)
 
 
 def _solve_erasures(
@@ -672,8 +704,8 @@ def interpolate(
     With `only`, just the requested coefficient is recovered, as one weight
     per response: on the dual side T's row at the target, corrected through
     the erasure solve (O(e R) after the solve), then applied to the products
-    in chunks (O(R w)); on the primal side the eliminator expresses that
-    unknown as a combination of response equations.
+    grouped by weight (O(R w), `_combine`); on the primal side the eliminator
+    expresses that unknown as a combination of response equations.
     """
     responses = list(responses)
     if not responses:

@@ -27,16 +27,17 @@ stays below 2^53.  Any summation order BLAS picks is then exact.  The product is
 float64 as fit without carries (Kronecker substitution), so BLAS forms
 e * ceil(e/g) digit products per field product instead of e^2, and the left
 operand's packed x^i X words come from one gather through a fused table.
-Over GF(2^e) the bits of each output index are read straight off the packed
-words.  The result is allocated once, in the index dtype, and filled in row
-tiles of at most ``MATMUL_TILE`` output digits, so each tile's product and
-integer reduction stay in cache.  Over GF(2) ``add_arr`` and ``mul_arr`` are
-XOR and AND.
+Over GF(2^e) the bits of each output index are gathered off the packed
+words by one uint64 multiply per word.  The result is allocated once, in the
+index dtype, and filled in row tiles of at most ``MATMUL_TILE`` output
+digits, so each tile's product and integer reduction stay in cache.  Over
+GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -415,10 +416,10 @@ class FieldSpec:
 
         Reduction.  Over GF(p) the product is reduced mod p in place (``& 1``
         over GF(2)).  Over GF(2^e) bit j of an output index is bit 0 of slot
-        j % g of word j // g, so the index bits are read straight off the
-        packed words, and chunks combine by XOR.  Over GF(p^e) with p odd the
-        slots are split off by shifts and a mask, reduced mod p, and the
-        digits recombined by Horner's rule.
+        j % g of word j // g, so one multiply per word gathers the index
+        bits (``_index_bits``), and chunks combine by XOR.  Over GF(p^e) with
+        p odd the slots are split off by shifts and a mask, reduced mod p,
+        and the digits recombined by Horner's rule.
 
         Tiles.  The (r, t) result is allocated once, in the index dtype
         ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
@@ -535,20 +536,53 @@ class FieldSpec:
 
 
 def _index_bits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
-    """GF(2^e) indices from ``matmul``'s (ceil(e/g), r, t) integer product
-    words: bit j is bit 0 of slot j % g of word j // g, the parity of output
-    digit j."""
-    value = words[0] & 1
-    tmp = np.empty_like(value)
-    for j in range(1, e):
-        shift = j % g * bits - j  # moves bit 0 of the slot to bit j
-        if shift >= 0:
-            np.right_shift(words[j // g], shift, out=tmp)
-        else:
-            np.left_shift(words[j // g], -shift, out=tmp)
-        tmp &= 1 << j
-        value |= tmp
+    """GF(2^e) indices, as uint64, from ``matmul``'s (ceil(e/g), r, t) integer
+    product words: bit j is bit 0 of slot j % g of word j // g, the parity of
+    output digit j.  Each group of ``_gather_steps`` costs four passes over
+    its word (mask, multiply, shift, mask) and one OR."""
+    words = words.view(np.uint64)
+    value = None
+    for b, mask, gather, shift, keep in _gather_steps(e, g, bits):
+        part = np.bitwise_and(words[b], mask)
+        part *= gather
+        if shift:
+            part >>= shift
+        part &= keep
+        value = part if value is None else np.bitwise_or(value, part, out=value)
     return value
+
+
+@lru_cache(maxsize=None)
+def _gather_steps(e: int, g: int, bits: int) -> tuple[tuple, ...]:
+    """Per group of slots, ``_index_bits``'s (word, mask, multiplier, right
+    shift, output mask), the constants as explicit uint64 scalars so that no
+    operand is promoted to float.
+
+    One multiply gathers k slots s0 .. s0+k-1 of a word into output bits
+    j .. j+k-1.  With their bit 0s masked, the word times
+    sum_s 2^(T + s - (s0+s) * bits),  where T = max(j, s0 * bits + (k-1) *
+    (bits-1)) keeps every exponent >= 0, puts the parity of slot s0+s at bit
+    T + s; a right shift by T - j moves it to bit j + s.  The k^2 partial
+    products are single bits at T + s' * bits - s * (bits-1) for slot s0+s'
+    and term s (bits past 2^64 drop off and carry nowhere); as bits and
+    bits - 1 are coprime these differ whenever k <= bits, so nothing carries,
+    and the cross terms land outside T .. T+k-1.  bits = 53 // g, so k = g for
+    g <= 7; larger g take sub-groups of at most bits slots.
+    """
+    steps, j = [], 0
+    while j < e:
+        b, s0 = divmod(j, g)
+        k = min(bits, g - s0, e - j)
+        top = max(j, s0 * bits + (k - 1) * (bits - 1))
+        steps.append((
+            b,
+            np.uint64(sum(1 << (s0 + s) * bits for s in range(k))),
+            np.uint64(sum(1 << top + s - (s0 + s) * bits for s in range(k))),
+            np.uint64(top - j),
+            np.uint64(((1 << k) - 1) << j),
+        ))
+        j += k
+    return tuple(steps)
 
 
 def _split_slots(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -120,8 +121,9 @@ class SimConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "SimConfig":
-        kv = {"straggler.kind": "none", "straggler.param": "", "seed": "0", "trials": "0"}
+    def _config_lines(cls, text: str) -> dict[str, str]:
+        """The key = value lines of a config text; a key may appear once."""
+        kv = {}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -132,7 +134,19 @@ class SimConfig:
             key = key.strip()
             if key not in cls.CONFIG_KEYS:
                 raise ParameterError(f"unknown config key {key!r}")
+            if key in kv:
+                raise ParameterError(f"config key {key!r} given twice")
             kv[key] = value.strip()
+        return kv
+
+    @classmethod
+    def from_text(cls, text: str, overrides: Sequence[str] = ()) -> "SimConfig":
+        """The config of `text`, each KEY=VALUE of `overrides` replacing that
+        key's value (the last of one key's overrides wins)."""
+        kv = {"straggler.kind": "none", "straggler.param": "", "seed": "0", "trials": "0"}
+        kv.update(cls._config_lines(text))
+        for token in overrides:
+            kv.update(cls._config_lines(token))
 
         def integer(key: str) -> int:
             try:
@@ -159,9 +173,9 @@ class SimConfig:
             raise ParameterError(f"config is missing key {exc}") from exc
 
     @classmethod
-    def from_file(cls, path) -> "SimConfig":
+    def from_file(cls, path, overrides: Sequence[str] = ()) -> "SimConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), overrides)
 
 
 def parse_construction(descriptor: str, q: int) -> PolySolution | MatdotSolution:

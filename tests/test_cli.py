@@ -251,6 +251,21 @@ def test_simulate_set_last_value_wins(capsys, gf19_config, tmp_path):
     assert transcript("seed=9", "seed=4") == transcript("seed=4") != transcript("seed=9")
 
 
+def test_simulate_set_replaces_the_files_value(capsys, gf19_config):
+    code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config), "--set", "N=300")
+    assert (code, err) == (0, "")
+    assert "workers: 300" in out
+
+
+def test_simulate_config_with_a_repeated_key_exits_2(capsys, gf19_config):
+    """A key the file gives twice raises, even when --set overrides it."""
+    gf19_config.write_text(gf19_config.read_text() + "N = 300\n", encoding="utf-8")
+    for sets in ([], ["--set", "N=200"]):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config), *sets)
+        assert code == 2 and out == ""
+        assert "config key 'N' given twice" in err
+
+
 @pytest.mark.parametrize("token, match", [
     ("r=x", "r = 'x'"),
     ("sead=7", "unknown config key 'sead'"),

@@ -660,6 +660,42 @@ def test_extract_poly_matches_per_pair_reference(make):
 # matdot mode
 
 
+def _combine_weights(kind, q, rng):
+    if kind == "zero":
+        return np.zeros(40, dtype=np.int64)
+    if kind in ("one", "full"):  # one distinct nonzero weight
+        return np.full(100 if kind == "one" else 40, q - 2, dtype=np.int64)
+    if kind == "distinct":  # R = 200 < q, no weight repeats
+        return rng.permutation(q)[:200]
+    if kind == "single":  # R = 1
+        return np.array([q - 1])
+    return rng.integers(0, q, size=90)
+
+
+@pytest.mark.parametrize("q, kind, width", [
+    (8, "zero", 16), (8, "one", 16), (256, "distinct", 24), (8, "single", 40),
+    (8, "random", 13), (8, "random", 4096), (2, "random", 11),
+    (512, "random", 16), (512, "random", 5),  # uint16 indices: 32 and 10 bytes a row
+    (9, "random", 7), (25, "one", 9), (23, "random", 6), (23, "full", 6), (3**10, "random", 3),
+    (3**10, "full", 3),  # 40 rows of q - 1 in one group: a 6-bit slot sums 31 of them
+])
+def test_grouped_combine_matches_entrywise_reference(q, kind, width):
+    """The decoder's weighted sum of responses, grouped by weight, against a
+    per-entry mul_arr/add_arr sum; its tallies count R w of each."""
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(q + width)
+    weights = _combine_weights(kind, q, rng)
+    products = rng.integers(0, q, size=(weights.size, width)).astype(spec.dtype)
+    products[::1 if kind == "full" else 3] = q - 1  # digit sums at their largest
+    want = np.zeros(width, dtype=np.int64)
+    for w, row in zip(weights.tolist(), products):
+        want = spec.add_arr(want, spec.mul_arr(np.full(width, w), row))
+    stats = codec._linalg.EliminationStats()
+    got = codec._combine(spec, weights, products, stats)
+    assert got.dtype == spec.dtype and np.array_equal(got, want)
+    assert stats.mult_ops == stats.add_ops == weights.size * width
+
+
 def test_matdot_classical_all_subsets():
     rng = np.random.default_rng(10)
     sol = cons.box_matdot(5, (2,))

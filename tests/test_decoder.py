@@ -97,6 +97,28 @@ def test_every_subset_decodes_exactly_when_its_monomial_rank_is_kappa():
                     for ok in (True, False) for partial in (True, False)}
 
 
+@pytest.mark.parametrize("q, descriptor, kappa, k1, side", [
+    (9, "matdot-half l=2 F=9 d=corner", 37, 73, "dual"),  # 8 erasures of 81
+    (9, "matdot-box m=2,2", 9, 33, "primal"),
+    (25, "matdot-box m=3,2", 15, 143, "primal"),
+])
+def test_odd_characteristic_extension_target_decode_equals_the_oracle(q, descriptor, kappa, k1,
+                                                                      side):
+    """The matdot target over GF(9) and GF(25): the grouped combine sums base-p
+    digits of extension-field indices, on both decoder sides."""
+    rng = np.random.default_rng(q)
+    spec = FieldSpec.of_order(q)
+    sol = simulator.parse_construction(descriptor, q)
+    points = enumerate_points(spec, sol.l)
+    system = codec.build_system(spec, sol.sum_set(), points)
+    responses, sa, sb, oracle = _setup(spec, sol, points, rng)
+    assert (system.kappa, system.recovery_threshold) == (kappa, k1)
+    assert codec._dual_side(spec, len(points) - k1, kappa) == (side == "dual")
+    for _ in range(3):
+        picks = rng.choice(len(points), size=k1, replace=False)
+        assert _decode(system, sol, [responses[i] for i in picks], sa, sb) == oracle
+
+
 def test_dual_side_builds_no_monomial_matrix(monkeypatch):
     """decode-gf23's scheme: the dual audit and decode read only T blocks."""
     spec = FieldSpec(23)

@@ -256,6 +256,41 @@ def test_matmul_packing_rule(q):
     assert spec._packing(spec.matmul_chunk)[0] == 1
 
 
+def _reachable_packings(spec):
+    """Every (g, bits) that ``_packing`` returns for some inner dimension n:
+    it is non-increasing in n and changes only where min(n, chunk) * e *
+    (p-1)^2 reaches 2^(53 // g)."""
+    unit = spec.e * (spec.p - 1) ** 2
+    edges = {0, 1, spec.matmul_chunk}
+    for g in range(1, spec.e + 1):
+        last = (2 ** (53 // g) - 1) // unit  # largest n that g's slots hold
+        edges |= {last, last + 1}
+    return sorted({spec._packing(n) for n in edges})
+
+
+@pytest.mark.parametrize("e", range(2, 17))
+def test_index_bits_gather_every_packing(e):
+    """The multiply-gather of GF(2^e) index bits against reading each bit off
+    its slot, for slots at 0, at 2^bits - 1 and random, at every packing."""
+    rng = np.random.default_rng(e)
+    spec = FieldSpec(2, e)
+    packings = _reachable_packings(spec)
+    assert (1, 53) in packings and (e, 53 // e) in packings
+    for g, bits in packings:
+        full = 2**bits - 1
+        slots = np.zeros((e, 3, 64), dtype=np.int64)  # output digit j's sums
+        slots[:, 1] = full
+        slots[:, 2] = rng.integers(0, 2**bits, size=(e, 64))
+        slots[:, 2, :2] = [0, full]
+        words = np.zeros((-(-e // g), 3, 64), dtype=np.int64)
+        for j in range(e):
+            words[j // g] += slots[j] << (j % g * bits)
+        want = sum((slots[j] & 1) << j for j in range(e))
+        got = field._index_bits(words, e, g, bits)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want), (g, bits)
+
+
 # Largest inner dimension on a float32 word for each prime: the most terms of
 # (p-1)^2 whose sum stays below 2^24.  65521 takes float32 only at n = 0.
 LAST_SINGLE_WORD_N = {2: 2**24 - 1, 3: 2**22 - 1, 23: 34663, 4093: 1, 65521: 0}

@@ -226,6 +226,18 @@ def test_config_unknown_key_is_named(line):
         SimConfig.from_text(BOX19.to_text() + line + "\n")
 
 
+@pytest.mark.parametrize("line", ["N = 300", "seed = 0", "straggler.kind = random"])
+def test_config_repeated_key_is_named(line):
+    """A key already in the text raises, even with the same value."""
+    with pytest.raises(ParameterError, match=f"config key {line.split(' =')[0]!r} given twice"):
+        SimConfig.from_text(BOX19.to_text() + line + "\n")
+
+
+def test_config_overrides_replace_the_texts_value():
+    cfg = SimConfig.from_text(BOX19.to_text(), ["N=300", "seed = 5", "seed=6"])
+    assert cfg == replace(BOX19, n_workers=300, seed=6)
+
+
 def test_config_non_integer_value_names_its_line():
     text = BOX19.to_text().replace("\nr = 6\n", "\nr = x\n")
     with pytest.raises(ParameterError, match="r = 'x'"):

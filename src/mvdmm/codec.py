@@ -199,7 +199,7 @@ def encode(
     if order is not None:
         # Block j goes to order[j]; in support order that is one permutation.
         at = _grid_index(degrees.q, degrees.l, order)
-        if not np.array_equal(np.sort(at), _grid_index(degrees.q, degrees.l, degrees.rows)):
+        if not np.array_equal(np.sort(at), degrees.index):
             raise ParameterError("explicit degree order must permute the degree set")
         stacked = stacked[np.argsort(at)]
     return EncodedOperand(blocks.spec, degrees, stacked)
@@ -247,7 +247,7 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     if spec.q == 2:
         j = int(at.max(initial=0)).bit_length()
         if _packed_side(j, at.size, len(op.blocks)):
-            inside = _grid_index(2, l, op.support.rows)
+            inside = op.support.index
             keep = inside < 2**j
             cube = np.zeros((2**j, -(-flat.shape[1] // 8)), dtype=np.uint8)
             cube[inside[keep]] = np.packbits(flat[keep], axis=1)
@@ -279,12 +279,12 @@ def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
     if (arr is None or arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != l
             or arr.min(initial=0) < 0 or arr.max(initial=0) >= q):
         raise ParameterError(f"vectors must have {l} coordinates in [0, {q}), as integers")
-    return arr.astype(np.int64, copy=False) @ q ** np.arange(l - 1, -1, -1, dtype=np.int64)
+    return arr.astype(np.int64, copy=False) @ exponents.radix(q, l)
 
 
 def _grid_digits(q: int, l: int, index: np.ndarray) -> np.ndarray:
     """Inverse of _grid_index: shape (len(index), l)."""
-    return index[:, None] // q ** np.arange(l - 1, -1, -1, dtype=np.int64) % q
+    return index[:, None] // exponents.radix(q, l) % q
 
 
 def _positions(grid: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +449,7 @@ class InterpolationSystem:
     kappa = |S| is the number of unknown coefficients; recovery_threshold
     is the evaluation count that guarantees solvability for any point
     subset.  point_grid holds the points' grid indices in the caller's
-    order, support_grid those of S in ascending order.  No evaluation
+    order; S's own, ascending, are `support.index`.  No evaluation
     matrix is kept: the primal side builds the rows it needs on demand.
     `==` is identity; to compare contents, compare the grids.
     """
@@ -459,11 +459,10 @@ class InterpolationSystem:
     kappa: int
     recovery_threshold: int
     point_grid: np.ndarray
-    support_grid: np.ndarray
 
     def index_of_degree(self, degree: Vec) -> int:
         wanted = _grid_index(self.spec.q, self.support.l, [degree])
-        pos, hit = _positions(self.support_grid, wanted)
+        pos, hit = _positions(self.support.index, wanted)
         if not hit[0]:
             raise ParameterError(f"degree {tuple(degree)} is not in the support S")
         return int(pos[0])
@@ -489,11 +488,10 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
     ordered = np.sort(point_grid)
     if (ordered[1:] == ordered[:-1]).any():
         raise ParameterError("evaluation points must be distinct")
-    support_grid = _grid_index(q, l, support.rows)
     kappa = len(support)
     unused = _complement(q**l, point_grid)
     if _dual_side(spec, unused.size, kappa):
-        block = _dual_block(spec, l, _outside(q, l, support_grid), unused)
+        block = _dual_block(spec, l, _outside(q, l, support.index), unused)
         rank = kappa - unused.size + _linalg.matrix_rank(spec, block.T)
     else:
         rank = _linalg.matrix_rank(spec, monomial_matrix(spec, support, points))
@@ -508,7 +506,6 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
         kappa=kappa,
         recovery_threshold=threshold,
         point_grid=point_grid,
-        support_grid=support_grid,
     )
 
 
@@ -731,10 +728,10 @@ def _interpolate_dual(
     """Solve for the erased grid values, then read off the coefficients."""
     spec, l = sys.spec, sys.support.l
     shape, flat = products.shape[1:], products.reshape(grid.size, -1)
-    outside = _outside(spec.q, l, sys.support_grid)
+    outside = _outside(spec.q, l, sys.support.index)
     stats = _linalg.EliminationStats()
     if only is not None:
-        target = sys.support_grid[sys.index_of_degree(only)][None]
+        target = sys.support.index[sys.index_of_degree(only)][None]
         weights = _dual_block(spec, l, target, grid)[0]
         if missing.size:
             z = _solve_erasures(spec, l, outside, missing, _DualRows(spec, l, outside, grid), stats)
@@ -746,13 +743,13 @@ def _interpolate_dual(
     values = np.zeros((spec.q**l, flat.shape[1]), dtype=spec.dtype)
     values[grid] = flat
     c = _transform(spec, l, values, stats)
-    x = c[sys.support_grid]
+    x = c[sys.support.index]
     if missing.size:
         z = _solve_erasures(spec, l, outside, missing, c[outside], stats)
-        x = spec.sub_arr(x, _DualRows(spec, l, sys.support_grid, missing).times(z))
+        x = spec.sub_arr(x, _DualRows(spec, l, sys.support.index, missing).times(z))
         stats.mult_ops += sys.kappa * z.size
         stats.add_ops += sys.kappa * z.size
-    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
+    return Interpolation(spec, l, sys.support.index, x.reshape(sys.kappa, *shape), stats)
 
 
 def _interpolate_primal(
@@ -766,10 +763,10 @@ def _interpolate_primal(
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)
         combined = _combine(spec, y, flat[used], stats)
-        return Interpolation(spec, l, sys.support_grid[target][None], combined.reshape(1, *shape),
+        return Interpolation(spec, l, sys.support.index[target][None], combined.reshape(1, *shape),
                              stats)
     x, _, stats = _linalg.solve_exact(spec, rows, flat, sys.kappa)
-    return Interpolation(spec, l, sys.support_grid, x.reshape(sys.kappa, *shape), stats)
+    return Interpolation(spec, l, sys.support.index, x.reshape(sys.kappa, *shape), stats)
 
 
 def _check_blocks(coeffs: Interpolation, split_a: BlockSplit, split_b: BlockSplit) -> None:
@@ -786,16 +783,14 @@ def extract_poly(
     """Assemble the block grid of A.B from recovered coefficients.
 
     Block (i, j) is the coefficient at the reduced sum of the i-th degree of
-    D_A and the j-th of D_B; all m x n sums are formed at once and their
-    blocks gathered in one step.
+    D_A and the j-th of D_B; all m x n sums are formed at once as grid
+    indices (`exponents.pair_sums`) and their blocks gathered in one step.
     """
     _check_blocks(coeffs, split_a, split_b)
-    q = sol.q
-    sums = (sol.d_a.rows[:, None, :].astype(np.int64) + sol.d_b.rows[None, :, :]).reshape(-1, sol.l)
-    np.subtract(sums, q - 1, out=sums, where=sums >= q)  # x^q = x: q + r reduces to r + 1
-    pos, hit = _positions(coeffs.grid, _grid_index(q, sol.l, sums))
+    sums = exponents.pair_sums(sol.d_a, sol.d_b).ravel()
+    pos, hit = _positions(coeffs.grid, sums)
     if not hit.all():
-        first = tuple(sums[hit.argmin()].tolist())
+        first = exponents.vector_at(sol.q, sol.l, sums[hit.argmin()])
         raise IncompleteRecoveryError(f"missing coefficient at {first}")
     m, n = len(sol.d_a), len(sol.d_b)
     br, bc = coeffs.blocks.shape[1:]

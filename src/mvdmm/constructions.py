@@ -182,23 +182,11 @@ def matdot_from_sets(
     if len(d_a) != len(d_b):
         raise ParameterError(f"|D_A| = {len(d_a)} != |D_B| = {len(d_b)}")
     m = len(d_a)
-    no_wrap = bool((d_a.rows.max(axis=0, initial=0).astype(np.int64)
-                    + d_b.rows.max(axis=0, initial=0) < q).all())
-    if no_wrap:
-        # No sum can wrap, so each a has the unique candidate partner d - a.
-        members_b = set(d_b.vectors)
-        hits = [
-            (a, tuple(x - y for x, y in zip(d, a)))
-            for a in d_a
-            if tuple(x - y for x, y in zip(d, a)) in members_b
-        ]
-    else:
-        hits = [
-            (a, b)
-            for a in d_a
-            for b in d_b
-            if reduce_q_vec(tuple(x + y for x, y in zip(a, b)), q) == d
-        ]
+    hits = []
+    if all(0 <= x < q for x in d):  # a reduced sum never leaves [0, q)
+        target = sum(x * q ** (l - 1 - i) for i, x in enumerate(d))
+        va, vb = d_a.vectors, d_b.vectors
+        hits = [(va[i], vb[j]) for i, j in zip(*np.nonzero(exponents.pair_sums(d_a, d_b) == target))]
     if len(hits) != m:
         raise ParameterError(
             f"{len(hits)} pairs sum to the target degree, need exactly {m}"
@@ -221,7 +209,7 @@ def matdot_from_sets(
         )
     return MatdotSolution(
         q=q, l=l, d_a=d_a, d_b=d_b, degree_target=d,
-        pairs=tuple(sorted(hits)),
+        pairs=tuple(hits),
         footprint=footprint,
         design_footprint=design_footprint if design_footprint is not None else footprint.value,
         xi=xi, sum_size=len(summed), removable_coords=removable,

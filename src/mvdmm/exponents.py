@@ -6,10 +6,15 @@ values, hyperbolic sets, and the recursive size formulas that make the large
 cases (e.g. l = 20) tractable without enumeration.  No field arithmetic is
 involved; q is any natural number >= 2.
 
-An ExponentSet keeps its members as one read-only numpy array of distinct
-rows in lexicographic order.  Sums, footprints, hyperbolic sets and supports
-are computed on that array; tuples of Python ints are built only for
-callers that iterate over the set.
+An ExponentSet keeps its members as one read-only numpy array of their
+row-major grid indices, sorted and distinct: a vector a has index
+sum_i a_i q^(l-1-i), the numbering of `field.enumerate_points` and of the
+codec's grid, so index order is lexicographic order.  The indices are int64
+when q^l < 2^63 and exact Python ints (an object array) above, where int64
+would wrap.  Reduced sums add indices and correct the coordinates that wrap,
+deduplication is one sort of that key column, and footprints multiply
+per-group table lookups.  The (len, l) array of exponents and the tuples of
+Python ints are decoded only for callers that read them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ Vec = tuple[int, ...]
 
 # Cap on explicit set enumerations (hyp_set and friends).
 DEFAULT_ENUM_LIMIT = 1 << 22
+
+# Digit and budget tables cover groups of coordinates with at most this many values.
+_GROUP_SIZE = 4096
+
+# minkowski_sum_q forms at most this many sums at once (16 MiB of int64 keys).
+_SUM_CHUNK = 1 << 21
 
 
 def reduce_q(a: int, q: int) -> int:
@@ -47,23 +58,40 @@ def reduce_q_vec(v: Iterable[int], q: int) -> Vec:
     return tuple(reduce_q(a, q) for a in v)
 
 
+@lru_cache(maxsize=None)
+def radix(q: int, l: int) -> np.ndarray:
+    """Place values q^(l-1-i) of the row-major grid index on {0..q-1}^l,
+    read-only: int64 when q^l < 2^63, exact Python ints (object) above."""
+    out = np.array([q ** (l - 1 - i) for i in range(l)], dtype=np.int64 if q**l < 1 << 63 else object)
+    out.setflags(write=False)
+    return out
+
+
+def vector_at(q: int, l: int, key: int) -> Vec:
+    """The vector of {0..q-1}^l with row-major grid index `key`, as Python ints."""
+    key = int(key)
+    return tuple(key // q ** (l - 1 - i) % q for i in range(l))
+
+
 @dataclass(frozen=True, eq=False)
 class ExponentSet:
     """A finite set of exponent vectors sharing one (q, l).
 
-    ``rows`` is the only stored data: a read-only (len, l) array of the
-    distinct members in lexicographic order, of the smallest unsigned dtype
-    that holds q - 1.  So equality is set equality and iteration order is
-    deterministic.  ``vectors`` is the same set as a tuple of tuples of
-    Python ints, built on first use.
+    ``index`` is the only stored data: a read-only 1-D array of the members'
+    row-major grid indices, ascending and distinct, in ``radix(q, l)``'s
+    dtype (int64 when q^l < 2^63, Python ints above).  So equality is set
+    equality and iteration order is lexicographic.  ``rows`` is the same set
+    as a read-only (len, l) array in the smallest unsigned dtype that holds
+    q - 1, and ``vectors`` as a tuple of tuples of Python ints; both are
+    decoded on first use.
     """
 
     q: int
     l: int
-    rows: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self) -> None:
-        self.rows.setflags(write=False)
+        self.index.setflags(write=False)
 
     @classmethod
     def of(cls, q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> "ExponentSet":
@@ -74,14 +102,22 @@ class ExponentSet:
         if outside.any():
             v = tuple(rows[outside.argmax()].tolist())
             raise RangeError(f"vector {v} has entries outside [0, {q})")
-        return cls(q, l, _distinct_rows(rows.astype(np.min_scalar_type(q - 1))))
+        return cls(q, l, _distinct(rows @ radix(q, l)))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = np.empty((len(self.index), self.l), dtype=np.min_scalar_type(self.q - 1))
+        for start, width, values in _groups(self):
+            rows[:, start:start + width] = values[:, None] if width == 1 else _tables(self.q, width)[0][values]
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def vectors(self) -> tuple[Vec, ...]:
         return tuple(map(tuple, self.rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.index)
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.vectors)
@@ -89,13 +125,65 @@ class ExponentSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExponentSet):
             return NotImplemented
-        return self.q == other.q and self.l == other.l and np.array_equal(self.rows, other.rows)
+        return self.q == other.q and self.l == other.l and np.array_equal(self.index, other.index)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.l, self.rows.tobytes()))
+        keys = self.index.tobytes() if self.index.dtype != object else tuple(self.index.tolist())
+        return hash((self.q, self.l, keys))
 
     def to_text(self) -> str:
         return "".join(format_vec(v) + "\n" for v in self.vectors)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D key array, ascending: one sort, then
+    equal neighbours dropped."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys if keep.all() else keys[keep]
+
+
+def _widths(q: int, l: int) -> list[int]:
+    """Widths of the runs of consecutive coordinates, from the first, whose
+    joint values fit a table of at most _GROUP_SIZE entries (one coordinate
+    when q itself is larger)."""
+    width = 1
+    while q ** (width + 1) <= _GROUP_SIZE:
+        width += 1
+    return [min(width, l - start) for start in range(0, l, width)]
+
+
+def _groups(s: ExponentSet) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(first coordinate, width, int64 values in [0, q^width)) of each run of
+    `_widths`, read off the members' indices."""
+    q, start = s.q, 0
+    for width in _widths(q, s.l):
+        place = q ** (s.l - start - width)
+        values = s.index // place if place > 1 else s.index
+        if start:
+            values = values % q**width
+        yield start, width, values.astype(np.int64, copy=False)
+        start += width
+
+
+def _budgets(q: int, width: int, values: np.ndarray) -> np.ndarray:
+    """The vanishing budget prod(q - digit) of each value of a run of
+    `width` coordinates, int64."""
+    return q - values if width == 1 else _tables(q, width)[1][values]
+
+
+@lru_cache(maxsize=None)
+def _tables(q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digits (in the row dtype) and the vanishing budget prod(q - digit)
+    (int64) of each of the q^width values of a coordinate group, read-only."""
+    values = np.arange(q**width, dtype=np.int64)
+    digits = values[:, None] // radix(q, width) % q
+    budgets = (q - digits).prod(axis=1)
+    digits = digits.astype(np.min_scalar_type(q - 1))
+    digits.setflags(write=False)
+    budgets.setflags(write=False)
+    return digits, budgets
 
 
 def _int_rows(q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
@@ -154,50 +242,60 @@ def _same_frame(a: ExponentSet, b: ExponentSet) -> None:
         raise ParameterError(f"(q, l) mismatch: ({a.q},{a.l}) vs ({b.q},{b.l})")
 
 
-def minkowski_sum_q(a: ExponentSet, b: ExponentSet) -> ExponentSet:
-    """Pairwise sums reduced coordinatewise; duplicates collapse.
+def pair_sums(a: ExponentSet, b: ExponentSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Grid indices of the reduced sums of A's members lo..hi-1 (all of them
+    by default) with each of B's: shape (hi - lo, len(b)), in radix(q, l)'s
+    dtype and in the order of the pairs (a, b).
 
-    Sums are formed in the smallest dtype that holds 2q - 2, in chunks of
-    A's rows holding at most 16 MiB of sums to bound peak memory.  Each
-    chunk's distinct rows are kept in the sets' row dtype, and more than one
-    chunk is merged the same way.
+    Adding two indices adds their vectors coordinatewise.  A coordinate i
+    whose sum reaches q wraps to sum - (q - 1), because x^q = x, which takes
+    (q - 1) q^(l-1-i) off the index.  Only coordinates with
+    max a_i + max b_i >= q can wrap, and only those are decoded.  int64 keys
+    are added as uint64: two indices below 2^63 can sum past it before the
+    corrections bring them back.
     """
     _same_frame(a, b)
     q, l = a.q, a.l
-    wide = np.min_scalar_type(2 * q - 2)
-    av, bv = a.rows.astype(wide), b.rows.astype(wide)
-    chunk = max(1, (1 << 24) // max(1, len(b) * l * wide.itemsize))
-    parts = [np.empty((0, l), dtype=a.rows.dtype)]
-    for start in range(0, len(a), chunk):
-        s = av[start:start + chunk, None, :] + bv[None, :, :]
-        np.subtract(s, q - 1, out=s, where=s >= q)  # x^q = x: q + r reduces to r + 1
-        parts.append(_distinct_rows(s.reshape(-1, l).astype(a.rows.dtype, copy=False)))
-    # A single chunk is already distinct and sorted.
-    rows = parts[1] if len(parts) == 2 else _distinct_rows(np.concatenate(parts))
-    return ExponentSet(q, l, rows)
+    exact = a.index.dtype == object
+    wide = object if exact else np.uint64
+    sums = np.add.outer(a.index[lo:hi].astype(wide), b.index.astype(wide))
+    top = a.rows.max(axis=0, initial=0).astype(np.int64) + b.rows.max(axis=0, initial=0)
+    for i in np.flatnonzero(top >= q).tolist():
+        wraps = np.add.outer(a.rows[lo:hi, i].astype(np.int64), b.rows[:, i]) >= q
+        step = (q - 1) * q ** (l - 1 - i)
+        np.subtract(sums, step if exact else np.uint64(step), out=sums, where=wraps)
+    return sums if exact else sums.view(np.int64)
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in lexicographic order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+def minkowski_sum_q(a: ExponentSet, b: ExponentSet) -> ExponentSet:
+    """Pairwise sums reduced coordinatewise; duplicates collapse.
+
+    The sums are `pair_sums` indices, formed for chunks of A's members
+    holding at most _SUM_CHUNK sums to bound peak memory.  Each chunk is
+    sorted and its equal neighbours dropped, and more than one chunk is
+    merged the same way.
+    """
+    chunk = max(1, _SUM_CHUNK // max(1, len(b)))
+    parts = [_distinct(pair_sums(a, b, lo, lo + chunk).ravel()) for lo in range(0, max(1, len(a)), chunk)]
+    return ExponentSet(a.q, a.l, parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts)))
 
 
 def fb(s: ExponentSet) -> FootprintValue:
     """Footprint value of a set: the worst (smallest) vanishing budget.
 
-    The budgets are int64 when q^l < 2^63 (no product can wrap) and exact
-    Python ints otherwise.  Rows are sorted, so the first minimum is the
-    lexicographically least witness.
+    Each member's budget prod(q - a_i) is a product of per-group table
+    lookups (`_groups`), in radix(q, l)'s dtype: int64 when q^l < 2^63 (no
+    product can wrap) and exact Python ints otherwise.  Members are sorted,
+    so the first minimum is the lexicographically least witness, and only
+    the witness is decoded.
     """
     if not len(s):
         raise ParameterError("footprint of an empty set is undefined")
-    exact = np.int64 if s.q**s.l < 1 << 63 else object
-    budgets = np.subtract(s.q, s.rows.T, dtype=exact).prod(axis=0)
+    budgets = np.ones(len(s), dtype=s.index.dtype)
+    for _, width, values in _groups(s):
+        budgets = budgets * _budgets(s.q, width, values).astype(s.index.dtype, copy=False)
     i = int(np.argmin(budgets))
-    return FootprintValue(int(budgets[i]), tuple(s.rows[i].tolist()))
+    return FootprintValue(int(budgets[i]), vector_at(s.q, s.l, s.index[i]))
 
 
 def delta(s: ExponentSet) -> int:
@@ -211,23 +309,23 @@ def delta(s: ExponentSet) -> int:
 def hyp_set(q: int, l: int, f: int, limit: int = DEFAULT_ENUM_LIMIT) -> ExponentSet:
     """All vectors of N_{<q}^l whose vanishing budget prod(q - a_i) is >= f.
 
-    Built one coordinate at a time in lexicographic order: a prefix of
-    length j survives while its budget times q^(l - j), the most the
-    remaining coordinates can contribute, still reaches f.
+    Built one run of `_widths` coordinates at a time in lexicographic
+    order: a prefix survives while its budget times q^(coordinates left),
+    the most the remaining coordinates can contribute, still reaches f.
     """
     if q**l > limit:
         raise CapacityError(f"q^l = {q**l} exceeds enumeration limit {limit}")
-    digits = np.arange(q, dtype=np.min_scalar_type(q - 1))
-    factors = q - np.arange(q, dtype=np.int64)
-    rows = np.empty((1, 0), dtype=digits.dtype)
+    keys = np.zeros(1, dtype=radix(q, l).dtype)
     budget = np.ones(1, dtype=np.int64)
-    for j in range(1, l + 1):
-        n = len(rows)
-        rows = np.hstack([np.repeat(rows, q, axis=0), np.tile(digits, n)[:, None]])
-        budget = np.repeat(budget, q) * np.tile(factors, n)
-        keep = budget * q ** (l - j) >= f
-        rows, budget = rows[keep], budget[keep]
-    return ExponentSet(q, l, rows)
+    left = l
+    for width in _widths(q, l):
+        left -= width
+        values = np.arange(q**width)
+        keys = np.add.outer(keys * q**width, values.astype(keys.dtype)).ravel()
+        budget = np.multiply.outer(budget, _budgets(q, width, values)).ravel()
+        keep = budget * q**left >= f
+        keys, budget = keys[keep], budget[keep]
+    return ExponentSet(q, l, keys)
 
 
 @lru_cache(maxsize=None)

@@ -469,7 +469,7 @@ def test_build_system_tiny():
     assert codec.monomial_matrix(GF5, sys3.support, [(0,), (1,), (2,)]).tolist() == [
         [1, 1, 1], [0, 1, 2], [0, 1, 4]]
     assert sys3.point_grid.tolist() == [0, 1, 2]
-    assert sys3.support_grid.tolist() == [0, 1, 2]
+    assert sys3.support.index.tolist() == [0, 1, 2]
 
     with pytest.raises(ParameterError):
         codec.build_system(GF5, support, [(0,), (0,), (1,)])
@@ -575,7 +575,7 @@ def test_subset_independence():
     sub2 = [responses[i] for i in range(63, 361)]
     i1 = codec.interpolate(system, sub1)
     i2 = codec.interpolate(system, sub2)
-    assert np.array_equal(i1.grid, system.support_grid)
+    assert np.array_equal(i1.grid, system.support.index)
     assert np.array_equal(i1.grid, i2.grid)
     assert np.array_equal(i1.blocks, i2.blocks)
 

@@ -8,7 +8,13 @@ import pytest
 
 from mvdmm import constructions as cons
 from mvdmm import exponents as ex
-from mvdmm.errors import CapacityError, InfeasibleError, ParameterError, RangeError
+from mvdmm.errors import (
+    CapacityError,
+    InfeasibleError,
+    InternalConsistencyError,
+    ParameterError,
+    RangeError,
+)
 
 
 def test_box_poly_table_rows():
@@ -123,6 +129,29 @@ def test_sep_vars_structural_shortcut_matches_enumeration():
     summed = sol.sum_set()
     assert len(summed) == sol.m * sol.n
     assert ex.fb(summed) == sol.footprint
+
+
+def test_poly_solution_rejects_colliding_sums():
+    d = ex.ExponentSet.of(5, 2, [(0, 0), (0, 1)])  # (0,0)+(0,1) and (0,1)+(0,0) collide
+    with pytest.raises(InternalConsistencyError, match=r"colliding sums: \|sum\| = 3, expected 4"):
+        cons._poly_solution(5, 2, d, d, design_footprint=1)
+
+
+def test_sep_vars_forms_the_sum_up_to_the_enumeration_limit(monkeypatch):
+    sizes = []
+
+    def spy(a, b):
+        summed = ex.minkowski_sum_q(a, b)
+        sizes.append(len(summed))
+        return summed
+
+    monkeypatch.setattr(cons, "minkowski_sum_q", spy)
+    sol = cons.sep_vars(2, 10, 10, 64, 64)
+    assert sol.m * sol.n == 148_996 <= cons._SUM_ENUM_LIMIT
+    assert sizes == [148_996] and sol.sum_size == 148_996
+    assert sol.footprint.value == 4096
+    wide = cons.sep_vars(2, 10, 10, 4, 4)  # 1013^2 pairs: the structural shortcut
+    assert wide.m * wide.n > cons._SUM_ENUM_LIMIT and sizes == [148_996]
 
 
 def test_box_matdot_examples():
@@ -272,6 +301,23 @@ def test_matdot_from_sets_rejects_bad_pairings():
     d_b = ex.ExponentSet.of(5, 1, [(0,), (3,)])
     with pytest.raises(ParameterError):
         cons.matdot_from_sets(5, 1, d_a, d_b, (1,))
+
+
+def test_matdot_pairs_match_a_tuple_scan_with_wrapping_sums():
+    q = 5
+    d_a = ex.ExponentSet.of(q, 2, [(0, 0), (2, 4), (3, 1)])
+    d_b = ex.ExponentSet.of(q, 2, [(1, 2), (2, 1), (3, 2)])
+    d = (1, 2)
+    sol = cons.matdot_from_sets(q, 2, d_a, d_b, d)
+    scan = tuple(
+        (a, b) for a in d_a for b in d_b
+        if ex.reduce_q_vec([x + y for x, y in zip(a, b)], q) == d
+    )
+    assert sol.pairs == scan == (((0, 0), (1, 2)), ((2, 4), (3, 2)), ((3, 1), (2, 1)))
+    # a target outside [0, q) is hit by no reduced sum, though its index would be
+    with pytest.raises(ParameterError, match="0 pairs sum to the target degree, need exactly 1"):
+        cons.matdot_from_sets(q, 2, ex.ExponentSet.of(q, 2, [(0, 0)]),
+                              ex.ExponentSet.of(q, 2, [(1, 0)]), (0, q))
 
 
 def test_normalization_translates_to_axes():

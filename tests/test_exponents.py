@@ -343,3 +343,72 @@ def test_exponent_set_rejects_non_integer_arrays():
     with pytest.raises(RangeError, match=r"\(1, 10{30}\)"):
         ex.ExponentSet.of(3, 2, [(0, 1), (1, 10**30)])
     assert ex.ExponentSet.of(3, 2, [(np.int64(2), np.uint8(1))]).vectors == ((2, 1),)
+
+
+# ---------------------------------------------------------------------------
+# grid-index storage at the int64 / Python-int boundary
+
+
+def index_of(q, v):
+    """Row-major grid index of v, in Python ints."""
+    key = 0
+    for x in v:
+        key = key * q + x
+    return key
+
+
+def leading_top_vectors(q, l, size, seed):
+    """`size` distinct seeded vectors, sorted; every other one starts with
+    q - 1, so its index is at least (q - 1) q^(l-1) and sums with it wrap."""
+    rng = np.random.default_rng(seed)
+    vecs = set()
+    while len(vecs) < size:
+        v = rng.integers(0, q, size=l)
+        if len(vecs) % 2 == 0:
+            v[0] = q - 1
+        vecs.add(tuple(v.tolist()))
+    return sorted(vecs)
+
+
+@pytest.mark.parametrize("q, l", [(5, 27), (2, 62), (2, 63), (300, 8)])
+def test_index_storage_matches_tuples_across_the_int64_boundary(q, l):
+    a_vecs, b_vecs = leading_top_vectors(q, l, 40, seed=l), leading_top_vectors(q, l, 30, seed=q + l)
+    a = ex.ExponentSet.of(q, l, list(reversed(a_vecs)) + a_vecs[:5])
+    b = ex.ExponentSet.of(q, l, np.array(b_vecs, dtype=np.int64))
+    assert a.vectors == tuple(a_vecs) and b.vectors == tuple(b_vecs)
+    assert a.index.tolist() == [index_of(q, v) for v in a_vecs]
+    assert (a.index.dtype == object) == (q**l >= 2**63)
+    if 2 * q**l > 2**63:  # the largest index sums pass 2^63 before their wrap correction
+        assert max(a.index.tolist()) + max(b.index.tolist()) >= 2**63
+    assert any(x + y >= q for u in a for v in b for x, y in zip(u, v))  # some coordinates wrap
+
+    s = ex.minkowski_sum_q(a, b)
+    assert s.vectors == brute_minkowski(a, b)
+    assert s.index.tolist() == [index_of(q, v) for v in s.vectors]
+    origin = ex.ExponentSet.of(q, l, [(0,) * l])
+    assert ex.fb(origin).value == q**l
+    for t in (a, b, s):
+        assert ex.fb(t) == fb_oracle(t)
+        assert t.rows.dtype == np.min_scalar_type(q - 1)
+        with pytest.raises(ValueError):
+            t.rows[0, 0] = 0  # read-only
+        with pytest.raises(ValueError):
+            t.index[0] = 0
+
+    routes = [
+        ex.ExponentSet.of(q, l, s.vectors),
+        ex.ExponentSet.of(q, l, np.array(s.vectors[::-1], dtype=np.int64)),
+        ex.minkowski_sum_q(b, a),
+        ex.minkowski_sum_q(s, origin),
+    ]
+    for t in routes:
+        assert t == s and hash(t) == hash(s) and t.index.dtype == s.index.dtype
+    assert s != ex.ExponentSet.of(q, l, s.vectors[1:])
+
+
+def test_minkowski_sum_merges_chunks(monkeypatch):
+    a, b = seeded_set(7, 3, 60, seed=1), seeded_set(7, 3, 50, seed=2)
+    whole = ex.minkowski_sum_q(a, b)
+    monkeypatch.setattr(ex, "_SUM_CHUNK", 64)  # one A member per chunk
+    chunked = ex.minkowski_sum_q(a, b)
+    assert chunked == whole and chunked.vectors == brute_minkowski(a, b)

@@ -321,7 +321,7 @@ def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     V1^T . T1 = I is checked exactly, once per field.
     """
     q = spec.q
-    v1 = monomial_matrix(spec, ExponentSet.of(q, 1, [(a,) for a in range(q)]),
+    v1 = monomial_matrix(spec, ExponentSet(q, 1, np.arange(q, dtype=np.int64)),
                          [(x,) for x in range(q)])
     t1 = spec.neg_arr(v1[::-1])
     t1[0] = 0

@@ -6,9 +6,13 @@ product owns one coefficient of the worker polynomial product.  Matdot
 splittings instead make exactly m pairs collide on one target exponent d, so
 the full product A.B is the single coefficient at x^d.
 
-Every construction enumerates its sets explicitly; the recursive size
-formulas (db_size, d_size, hyp_size) are independent cross-checks, and any
-mismatch raises InternalConsistencyError instead of being silently accepted.
+Every construction enumerates its sets explicitly, as grid indices.  Boxes,
+better-box's D_B and the half-hyperbolic matdot set are budget sets: the
+vectors a with prod_i f_i(a_i) >= F for per-coordinate factors f_i, listed
+by exponents.budget_set.  Separated variables place two hyperbolic sets on
+disjoint coordinates by index arithmetic.  The recursive size formulas
+(db_size, d_size, hyp_size) are independent cross-checks, and any mismatch
+raises InternalConsistencyError instead of being silently accepted.
 """
 
 from __future__ import annotations
@@ -107,8 +111,9 @@ class MatdotSolution(_Solution):
 # shared factory helpers
 
 
-def _box(q: int, l: int, upper: Sequence[int]) -> ExponentSet:
-    return ExponentSet.of(q, l, itertools.product(*[range(u) for u in upper]))
+def _box(q: int, upper: Sequence[int]) -> ExponentSet:
+    """The box {a : a_i < upper_i}: a budget set whose factors are 0 or 1."""
+    return exponents.budget_set(q, (np.arange(q) < np.array(upper)[:, None])[None], [1])
 
 
 def _star(k: Sequence[int], s: ExponentSet) -> ExponentSet:
@@ -230,6 +235,8 @@ def box_poly(q: int, mvec: Sequence[int], nvec: Sequence[int]) -> PolySolution:
     mvec, nvec = tuple(mvec), tuple(nvec)
     if len(mvec) != len(nvec):
         raise ParameterError("m and n vectors must have equal length")
+    if not mvec:
+        raise ParameterError("empty block-count vector")
     l = len(mvec)
     for i, (mi, ni) in enumerate(zip(mvec, nvec)):
         if mi < 1 or ni < 1:
@@ -238,8 +245,8 @@ def box_poly(q: int, mvec: Sequence[int], nvec: Sequence[int]) -> PolySolution:
             raise ParameterError(
                 f"coordinate {i + 1} violates m_i * n_i <= q: {mi} * {ni} > {q}"
             )
-    d_a = _box(q, l, mvec)
-    d_b = _star(mvec, _box(q, l, nvec))
+    d_a = _box(q, mvec)
+    d_b = _star(mvec, _box(q, nvec))
     closed = math.prod(q - mi * ni + 1 for mi, ni in zip(mvec, nvec))
     sol = _poly_solution(q, l, d_a, d_b, design_footprint=closed)
     if sol.footprint.value != closed:
@@ -263,12 +270,12 @@ def expand_db(q: int, d_a: ExponentSet, d_b_prime: ExponentSet) -> PolySolution:
     l = d_a.l
     d_a = _translate(d_a)
     top_a = d_a.rows.max(axis=0).astype(np.int64)  # the minima are now zero
-    d_b = _star(1 + top_a, d_b_prime)
-    for i, top in enumerate((top_a + d_b.rows.max(axis=0)).tolist()):
+    for i, top in enumerate((top_a + (1 + top_a) * d_b_prime.rows.max(axis=0)).tolist()):
         if top >= q:
             raise ParameterError(
                 f"coordinate {i + 1} violates max(a_i + b_i) < q: {top} >= {q}"
             )
+    d_b = _star(1 + top_a, d_b_prime)
     return _poly_solution(q, l, d_a, _translate(d_b), design_footprint=1)
 
 
@@ -301,16 +308,9 @@ def db_set(q: int, mvec: Sequence[int], f: int) -> ExponentSet:
     """
     mvec = tuple(mvec)
     _check_mvec(q, mvec)
-    f = max(1, f)
-    l = len(mvec)
-    qs = [q - mi + 1 for mi in mvec]
-    ranges = [range(0, (qi - 1) // mi + 1) for qi, mi in zip(qs, mvec)]
-    out = [
-        tuple(mi * bi for mi, bi in zip(mvec, b))
-        for b in itertools.product(*ranges)
-        if math.prod(qi - mi * bi for qi, mi, bi in zip(qs, mvec, b)) >= f
-    ]
-    return ExponentSet.of(q, l, out)
+    a, m = np.arange(q), np.array(mvec)[:, None]
+    factors = q - m + 1 - a
+    return exponents.budget_set(q, np.where((a % m == 0) & (factors >= 1), factors, 0)[None], [f])
 
 
 def _check_mvec(q: int, mvec: Vec) -> None:
@@ -326,7 +326,6 @@ def better_box(q: int, mvec: Sequence[int], f: int) -> PolySolution:
     mvec = tuple(mvec)
     _check_mvec(q, mvec)
     f = max(1, f)
-    l = len(mvec)
     d_b = db_set(q, mvec, f)
     if not len(d_b):
         raise InfeasibleError(f"no expanded degrees reach footprint {f} for m = {mvec}")
@@ -335,8 +334,7 @@ def better_box(q: int, mvec: Sequence[int], f: int) -> PolySolution:
         raise InternalConsistencyError(
             f"enumerated |D_B| = {len(d_b)} != recurrence value {expected}"
         )
-    d_a = _box(q, l, mvec)
-    return _poly_solution(q, l, d_a, d_b, design_footprint=f)
+    return _poly_solution(q, len(mvec), _box(q, mvec), d_b, design_footprint=f)
 
 
 def sep_vars(q: int, m_prime: int, n_prime: int, f_a: int, f_b: int) -> PolySolution:
@@ -351,8 +349,9 @@ def sep_vars(q: int, m_prime: int, n_prime: int, f_a: int, f_b: int) -> PolySolu
     right = exponents.hyp_set(q, n_prime, f_b)
     if not len(left) or not len(right):
         raise InfeasibleError(f"hyperbolic set empty for footprints ({f_a}, {f_b})")
-    d_a = ExponentSet.of(q, l, np.pad(left.rows, ((0, 0), (0, n_prime))))
-    d_b = ExponentSet.of(q, l, np.pad(right.rows, ((0, 0), (m_prime, 0))))
+    dtype = exponents.radix(q, l).dtype
+    d_a = ExponentSet(q, l, left.index.astype(dtype) * q**n_prime)
+    d_b = ExponentSet(q, l, right.index.astype(dtype))
     return _poly_solution(
         q, l, d_a, d_b, design_footprint=f_a * f_b, structural=True
     )
@@ -378,7 +377,7 @@ def validate_poly(d_a: ExponentSet, d_b: ExponentSet) -> "PolyValidation":
     sum_size = len(seen)
     expected = len(d_a) * len(d_b)
     ok = not collisions and sum_size == expected
-    summed = ExponentSet.of(q, l, seen.keys())
+    summed = ExponentSet.of(q, l, np.array(list(seen), dtype=np.int64).reshape(len(seen), l))
     footprint = exponents.fb(summed)
     xi = exponents.xi_bound(q, l, sum_size)
     return PolyValidation(
@@ -426,7 +425,7 @@ def box_matdot(q: int, mvec: Sequence[int]) -> MatdotSolution:
             raise ParameterError(
                 f"coordinate {i + 1} violates 2(m_i - 1) < q: m_i = {mi}, q = {q}"
             )
-    box = _box(q, l, mvec)
+    box = _box(q, mvec)
     d = tuple(mi - 1 for mi in mvec)
     closed = math.prod(q - 2 * mi + 2 for mi in mvec)
     sol = matdot_from_sets(q, l, box, box, d, design_footprint=closed)
@@ -437,21 +436,19 @@ def box_matdot(q: int, mvec: Sequence[int]) -> MatdotSolution:
     return sol
 
 
-def half_hyp_set(q: int, f: int, g: int, degree_target: Sequence[int]) -> list[Vec]:
+def half_hyp_set(q: int, f: int, g: int, degree_target: Sequence[int]) -> ExponentSet:
     """Enumerate {a : a <= d, prod(q - 2a_i) >= f, prod(q - 2(d_i - a_i)) >= g}.
 
     Membership of a requires d - a to be a usable partner degree, hence the
-    a <= d cap on top of the two budget conditions.
+    a <= d cap on top of the two budget conditions: a budget set with two
+    budgets whose factors are zero above d.
     """
-    d = tuple(degree_target)
-    f, g = max(1, f), max(1, g)
-    out = []
-    for a in itertools.product(*[range(x + 1) for x in d]):
-        if math.prod(q - 2 * x for x in a) >= f and math.prod(
-            q - 2 * (dx - x) for dx, x in zip(d, a)
-        ) >= g:
-            out.append(a)
-    return out
+    d = tuple(int(x) for x in degree_target)
+    _check_degree_target(q, d)
+    a, dv = np.arange(q), np.array(d)[:, None]
+    inside = a <= dv
+    factors = np.stack([np.where(inside, q - 2 * a, 0), np.where(inside, q - 2 * (dv - a), 0)])
+    return exponents.budget_set(q, factors, [f, g])
 
 
 @lru_cache(maxsize=None)
@@ -467,7 +464,13 @@ def _d_count(q: int, f: int, g: int, d: Vec) -> int:
     )
 
 
+def _check_l(l: int) -> None:
+    if l < 1:
+        raise ParameterError(f"need l >= 1, got {l}")
+
+
 def _check_degree_target(q: int, d: Vec) -> None:
+    _check_l(len(d))
     half = -(-q // 2)  # ceil(q/2); valid degrees are 0..half-1
     for i, x in enumerate(d):
         if not 0 <= x < half:
@@ -492,16 +495,14 @@ def half_hyperbolic(q: int, l: int, f: int, degree_target: Sequence[int]) -> Mat
     d = tuple(int(x) for x in degree_target)
     if len(d) != l:
         raise ParameterError(f"target degree {d} has length {len(d)}, expected {l}")
-    _check_degree_target(q, d)
-    members = half_hyp_set(q, f, f, d)
-    if not members:
+    dset = half_hyp_set(q, f, f, d)
+    if not len(dset):
         raise InfeasibleError(f"no degrees reach footprint {f} at target {d}")
     expected = d_size(q, f, f, d)
-    if len(members) != expected:
+    if len(dset) != expected:
         raise InternalConsistencyError(
-            f"enumerated size {len(members)} != recurrence value {expected}"
+            f"enumerated size {len(dset)} != recurrence value {expected}"
         )
-    dset = ExponentSet.of(q, l, members)
     design = max(1, f) if f >= 1 else math.prod(q - 2 * x for x in d)
     return matdot_from_sets(q, l, dset, dset, d, design_footprint=design)
 
@@ -512,6 +513,7 @@ def corner_degree(q: int, l: int) -> Vec:
     This is the target the bundled appendix tables use for the symmetric
     matdot family.
     """
+    _check_l(l)
     return (-(-q // 2) - 1,) * l
 
 
@@ -524,6 +526,7 @@ def search_best_d(
     bundled tables instead fix the corner degree (see corner_degree), which
     is not always the maximizer.
     """
+    _check_l(l)
     half = -(-q // 2)
     total = half**l
     if total > limit:
@@ -560,18 +563,13 @@ def matdot_q2_fb(sol: MatdotSolution) -> FootprintValue:
 def project_zero_coords(sol: MatdotSolution) -> MatdotSolution:
     """Drop coordinates where the target degree is zero (fewer variables,
     same footprint).  Keeps at least one coordinate."""
-    drop = set(i - 1 for i in sol.removable_coords)
-    keep = [i for i in range(sol.l) if i not in drop]
-    if not keep:
-        keep = [0]
+    keep = [i for i, x in enumerate(sol.degree_target) if x] or [0]
     if len(keep) == sol.l:
         return sol
-    def cut(v: Vec) -> Vec:
-        return tuple(v[i] for i in keep)
-    d_a = ExponentSet.of(sol.q, len(keep), (cut(v) for v in sol.d_a))
-    d_b = ExponentSet.of(sol.q, len(keep), (cut(v) for v in sol.d_b))
+    d_a = ExponentSet.of(sol.q, len(keep), sol.d_a.rows[:, keep])
+    d_b = ExponentSet.of(sol.q, len(keep), sol.d_b.rows[:, keep])
     return matdot_from_sets(
-        sol.q, len(keep), d_a, d_b, cut(sol.degree_target),
+        sol.q, len(keep), d_a, d_b, tuple(sol.degree_target[i] for i in keep),
         design_footprint=max(1, sol.design_footprint // sol.q ** (sol.l - len(keep))),
     )
 

@@ -2,8 +2,9 @@
 
 Everything here is pure integer combinatorics over the box N_{<q}^l: the
 exponent reduction that mirrors x^q = x, reduced Minkowski sums, footprint
-values, hyperbolic sets, and the recursive size formulas that make the large
-cases (e.g. l = 20) tractable without enumeration.  No field arithmetic is
+values, budget sets (the hyperbolic sets and the constructions' degree
+sets), and the recursive size formulas that make the large cases (e.g.
+l = 20) tractable without enumeration.  No field arithmetic is
 involved; q is any natural number >= 2.
 
 An ExponentSet keeps its members as one read-only numpy array of their
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,7 +109,7 @@ class ExponentSet:
     def rows(self) -> np.ndarray:
         rows = np.empty((len(self.index), self.l), dtype=np.min_scalar_type(self.q - 1))
         for start, width, values in _groups(self):
-            rows[:, start:start + width] = values[:, None] if width == 1 else _tables(self.q, width)[0][values]
+            rows[:, start:start + width] = values[:, None] if width == 1 else _digits(self.q, width)[values]
         rows.setflags(write=False)
         return rows
 
@@ -144,46 +145,58 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys if keep.all() else keys[keep]
 
 
-def _widths(q: int, l: int) -> list[int]:
-    """Widths of the runs of consecutive coordinates, from the first, whose
-    joint values fit a table of at most _GROUP_SIZE entries (one coordinate
-    when q itself is larger)."""
+@lru_cache(maxsize=None)
+def _spans(q: int, l: int) -> tuple[tuple[int, int], ...]:
+    """(first coordinate, width) of the runs of consecutive coordinates, from
+    the first, whose joint values fit a table of at most _GROUP_SIZE entries
+    (one coordinate when q itself is larger)."""
     width = 1
     while q ** (width + 1) <= _GROUP_SIZE:
         width += 1
-    return [min(width, l - start) for start in range(0, l, width)]
+    return tuple((start, min(width, l - start)) for start in range(0, l, width))
 
 
 def _groups(s: ExponentSet) -> Iterator[tuple[int, int, np.ndarray]]:
     """(first coordinate, width, int64 values in [0, q^width)) of each run of
-    `_widths`, read off the members' indices."""
-    q, start = s.q, 0
-    for width in _widths(q, s.l):
+    `_spans`, read off the members' indices."""
+    q = s.q
+    for start, width in _spans(q, s.l):
         place = q ** (s.l - start - width)
         values = s.index // place if place > 1 else s.index
         if start:
             values = values % q**width
         yield start, width, values.astype(np.int64, copy=False)
-        start += width
-
-
-def _budgets(q: int, width: int, values: np.ndarray) -> np.ndarray:
-    """The vanishing budget prod(q - digit) of each value of a run of
-    `width` coordinates, int64."""
-    return q - values if width == 1 else _tables(q, width)[1][values]
 
 
 @lru_cache(maxsize=None)
-def _tables(q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digits (in the row dtype) and the vanishing budget prod(q - digit)
-    (int64) of each of the q^width values of a coordinate group, read-only."""
-    values = np.arange(q**width, dtype=np.int64)
-    digits = values[:, None] // radix(q, width) % q
-    budgets = (q - digits).prod(axis=1)
+def _digits(q: int, width: int) -> np.ndarray:
+    """The digits of each of the q^width values of a coordinate group, in the
+    row dtype, read-only."""
+    digits = np.arange(q**width, dtype=np.int64)[:, None] // radix(q, width) % q
     digits = digits.astype(np.min_scalar_type(q - 1))
     digits.setflags(write=False)
-    budgets.setflags(write=False)
-    return digits, budgets
+    return digits
+
+
+@lru_cache(maxsize=None)
+def _hyp_factors(q: int, l: int) -> np.ndarray:
+    """The one-budget factor table of the vanishing budget prod(q - a_i)."""
+    return np.broadcast_to(q - np.arange(q, dtype=np.int64), (1, l, q))
+
+
+@lru_cache(maxsize=256)
+def _run(q: int, shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """For a run of coordinates, given by the bytes of its int64 (budgets,
+    width, q) slice of a factor table: the values with no zero factor, each
+    budget's product over the run at them, and each budget's largest product
+    (0 if none is left), read-only."""
+    factors = np.frombuffer(data, dtype=np.int64).reshape(shape + (q,))
+    products = factors[:, np.arange(shape[1]), _digits(q, shape[1])].prod(axis=2)
+    keep = (products > 0).all(axis=0)
+    values, products = np.flatnonzero(keep), products[:, keep]
+    values.setflags(write=False)
+    products.setflags(write=False)
+    return values, products, tuple(products.max(axis=1, initial=0).tolist())
 
 
 def _int_rows(q: int, l: int, vectors: Iterable[Iterable[int]] | np.ndarray) -> np.ndarray:
@@ -293,7 +306,8 @@ def fb(s: ExponentSet) -> FootprintValue:
         raise ParameterError("footprint of an empty set is undefined")
     budgets = np.ones(len(s), dtype=s.index.dtype)
     for _, width, values in _groups(s):
-        budgets = budgets * _budgets(s.q, width, values).astype(s.index.dtype, copy=False)
+        table = _run(s.q, (1, width), _hyp_factors(s.q, width).tobytes())[1][0]
+        budgets = budgets * table[values].astype(s.index.dtype, copy=False)
     i = int(np.argmin(budgets))
     return FootprintValue(int(budgets[i]), vector_at(s.q, s.l, s.index[i]))
 
@@ -306,26 +320,43 @@ def delta(s: ExponentSet) -> int:
     return s.q**s.l - fb(s).value
 
 
-def hyp_set(q: int, l: int, f: int, limit: int = DEFAULT_ENUM_LIMIT) -> ExponentSet:
-    """All vectors of N_{<q}^l whose vanishing budget prod(q - a_i) is >= f.
+def budget_set(q: int, factors: np.ndarray, floors: Sequence[int]) -> ExponentSet:
+    """All vectors a of N_{<q}^l with prod_i factors[j, i, a_i] >= floors[j]
+    for every budget j.
 
-    Built one run of `_widths` coordinates at a time in lexicographic
-    order: a prefix survives while its budget times q^(coordinates left),
-    the most the remaining coordinates can contribute, still reaches f.
+    `factors` is a (budgets, l, q) table of integers in [0, q], so no
+    product passes q^l and the products can share radix(q, l)'s dtype.
+    Floors below 1 count as 1, so a zero factor rules its value out.  Built
+    one run of `_spans` coordinates at a time in lexicographic order, from
+    cached run tables: a prefix survives while each budget's product, times
+    the most the remaining runs can contribute, still reaches its floor.
     """
+    factors = np.asarray(factors, dtype=np.int64)
+    n, l = factors.shape[:2]
+    runs = [(width, *_run(q, (n, width), factors[:, start:start + width].tobytes()))
+            for start, width in _spans(q, l)]
+    rest = [(1,) * n]  # rest[k][j]: budget j's largest product over the runs after run k
+    for *_, top in reversed(runs):
+        rest.insert(0, tuple(x * y for x, y in zip(top, rest[0])))
+    floors = [max(1, int(f)) for f in floors]
+    keys = np.zeros(1, dtype=radix(q, l).dtype)
+    if any(top < f for top, f in zip(rest[0], floors)):
+        return ExponentSet(q, l, keys[:0])
+    budget = np.ones((n, 1), dtype=keys.dtype)
+    for (width, values, products, _), after in zip(runs, rest[1:]):
+        keys = np.add.outer(keys * q**width, values.astype(keys.dtype)).ravel()
+        budget = (budget[:, :, None] * products[:, None, :].astype(keys.dtype)).reshape(n, -1)
+        need = np.array([-(-f // r) for f, r in zip(floors, after)], dtype=keys.dtype)
+        keep = (budget >= need[:, None]).all(axis=0)
+        keys, budget = keys[keep], budget.compress(keep, axis=1)
+    return ExponentSet(q, l, keys)
+
+
+def hyp_set(q: int, l: int, f: int, limit: int = DEFAULT_ENUM_LIMIT) -> ExponentSet:
+    """All vectors of N_{<q}^l whose vanishing budget prod(q - a_i) is >= f."""
     if q**l > limit:
         raise CapacityError(f"q^l = {q**l} exceeds enumeration limit {limit}")
-    keys = np.zeros(1, dtype=radix(q, l).dtype)
-    budget = np.ones(1, dtype=np.int64)
-    left = l
-    for width in _widths(q, l):
-        left -= width
-        values = np.arange(q**width)
-        keys = np.add.outer(keys * q**width, values.astype(keys.dtype)).ravel()
-        budget = np.multiply.outer(budget, _budgets(q, width, values)).ravel()
-        keep = budget * q**left >= f
-        keys, budget = keys[keep], budget[keep]
-    return ExponentSet(q, l, keys)
+    return budget_set(q, _hyp_factors(q, l), [f])
 
 
 @lru_cache(maxsize=None)

@@ -68,6 +68,13 @@ def test_params_missing_flags_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("pick", ["--corner-d", "--best-d"])
+def test_params_matdot_half_without_variables_exits_2(capsys, pick):
+    code, _, err = run_cli(capsys, "params", "matdot-half", "--q", "5", "--l", "0", "--F", "1", pick)
+    assert code == 2
+    assert "l >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -255,6 +262,13 @@ def test_simulate_set_replaces_the_files_value(capsys, gf19_config):
     code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config), "--set", "N=300")
     assert (code, err) == (0, "")
     assert "workers: 300" in out
+
+
+def test_simulate_matdot_half_without_variables_exits_2(capsys, gf19_config):
+    code, _, err = run_cli(capsys, "simulate", "--config", str(gf19_config),
+                           "--set", "construction=matdot-half l=0 F=1 d=corner")
+    assert code == 2
+    assert "l >= 1" in err
 
 
 def test_simulate_config_with_a_repeated_key_exits_2(capsys, gf19_config):

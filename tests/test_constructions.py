@@ -72,6 +72,12 @@ def test_expand_db_hypothesis_violation():
     # expansion vector is (3,), so 2 + 3 * 1 = 5 >= q
     with pytest.raises(ParameterError, match="coordinate 1"):
         cons.expand_db(5, d_a, d_b_prime)
+    # one step further the expanded member 3 * 2 = 6 would itself leave [0, 5):
+    # the same hypothesis error, not a RangeError about a vector never passed
+    d_a = ex.ExponentSet.of(5, 1, [(0,), (1,), (2,)])
+    d_b_prime = ex.ExponentSet.of(5, 1, [(0,), (2,)])
+    with pytest.raises(ParameterError, match="coordinate 1 violates max"):
+        cons.expand_db(5, d_a, d_b_prime)
 
 
 def test_better_box_table_rows():
@@ -447,3 +453,119 @@ def test_translate_matches_tuple_shift(q, l, low, seed):
     shifted = cons._translate(s)
     assert shifted.vectors == want
     assert cons._translate(shifted) is shifted
+
+
+# ---------------------------------------------------------------------------
+# budget sets against the per-candidate loops they replaced, kept verbatim
+
+
+def ref_db_set(q, mvec, f):
+    mvec = tuple(mvec)
+    f = max(1, f)
+    l = len(mvec)
+    qs = [q - mi + 1 for mi in mvec]
+    ranges = [range(0, (qi - 1) // mi + 1) for qi, mi in zip(qs, mvec)]
+    out = [
+        tuple(mi * bi for mi, bi in zip(mvec, b))
+        for b in itertools.product(*ranges)
+        if math.prod(qi - mi * bi for qi, mi, bi in zip(qs, mvec, b)) >= f
+    ]
+    return ex.ExponentSet.of(q, l, out)
+
+
+def ref_half_hyp_set(q, f, g, degree_target):
+    d = tuple(degree_target)
+    f, g = max(1, f), max(1, g)
+    out = []
+    for a in itertools.product(*[range(x + 1) for x in d]):
+        if math.prod(q - 2 * x for x in a) >= f and math.prod(
+            q - 2 * (dx - x) for dx, x in zip(d, a)
+        ) >= g:
+            out.append(a)
+    return out
+
+
+def ref_box(q, l, upper):
+    return ex.ExponentSet.of(q, l, itertools.product(*[range(u) for u in upper]))
+
+
+REF_QS = [2, 3, 4, 5, 7, 8, 9, 16, 19, 23, 25, 32]
+
+
+def floors_around(values, most):
+    """Each distinct value with its neighbours -1 and +1; above `most` distinct
+    values, `most` of them evenly spaced, the least and the largest included."""
+    values = sorted(set(values))
+    if len(values) > most:
+        values = [values[round(i * (len(values) - 1) / (most - 1))] for i in range(most)]
+    return sorted({v + e for v in values for e in (-1, 0, 1)})
+
+
+def corners(q, l, low, high):
+    """Vectors over {low, q // 2, high} in [low, high]: every value for l = 1."""
+    if l == 1:
+        return [(x,) for x in range(low, high + 1)]
+    return list(itertools.product(sorted({low, q // 2, high} & set(range(low, high + 1))), repeat=l))
+
+
+@pytest.mark.parametrize("q", REF_QS)
+def test_db_set_matches_the_candidate_loop(q):
+    """Every m for l = 1, the corner vectors with at most 1024 candidates above."""
+    for l in (1, 2, 3):
+        for mvec in corners(q, l, 1, q - 1):
+            ranges = [range((q - mi) // mi + 1) for mi in mvec]
+            if math.prod(map(len, ranges)) > 1024:
+                continue
+            grid = [math.prod(q - mi + 1 - mi * bi for mi, bi in zip(mvec, b))
+                    for b in itertools.product(*ranges)]
+            for f in floors_around(grid, max(2, min(40, 1500 // len(grid)))):
+                got = cons.db_set(q, mvec, f)
+                assert got == ref_db_set(q, mvec, f), (q, mvec, f)
+
+
+@pytest.mark.parametrize("q", REF_QS)
+def test_half_hyp_set_matches_the_candidate_loop(q):
+    half = -(-q // 2)
+    for l in (1, 2, 3):
+        for d in corners(q, l, 0, half - 1):
+            box = list(itertools.product(*[range(x + 1) for x in d]))
+            most = max(2, min(30, 800 // len(box)))
+            fs = floors_around([math.prod(q - 2 * x for x in a) for a in box], most)
+            gs = floors_around([math.prod(q - 2 * (dx - x) for dx, x in zip(d, a)) for a in box], most)
+            pairs = [(f, g) for f in fs for g in (0, gs[len(gs) // 2])]
+            pairs += [(f, g) for g in gs for f in (0, fs[len(fs) // 2])]
+            for f, g in pairs:
+                got = cons.half_hyp_set(q, f, g, d)
+                assert got.vectors == tuple(ref_half_hyp_set(q, f, g, d)), (q, d, f, g)
+
+
+@pytest.mark.parametrize("q", REF_QS)
+def test_box_matches_the_product_loop(q):
+    for l in (1, 2, 3):
+        for upper in corners(q, l, 1, q):
+            assert cons._box(q, upper) == ref_box(q, l, upper), (q, upper)
+
+
+def test_l_below_one_is_a_parameter_error():
+    for call in (
+        lambda: cons.corner_degree(5, 0),
+        lambda: cons.corner_degree(5, -1),
+        lambda: cons.search_best_d(5, 0, 1),
+        lambda: cons.d_size(5, 1, 1, ()),
+        lambda: cons.half_hyp_set(5, 1, 1, ()),
+        lambda: cons.half_hyperbolic(5, 0, 1, ()),
+        lambda: cons.build("matdot-half", 5, {"l": "0", "F": "1", "d": "corner"}),
+        lambda: cons.build("matdot-half", 5, {"l": "0", "F": "1", "d": "best"}),
+    ):
+        with pytest.raises(ParameterError, match="l >= 1"):
+            call()
+    with pytest.raises(ParameterError, match="empty block-count vector"):
+        cons.box_poly(5, (), ())
+
+
+def test_half_hyp_set_checks_its_target():
+    # d_i = 3 >= q/2: the factors q - 2a_i go negative, and (-1)(-1) would pass
+    with pytest.raises(ParameterError, match="coordinate 1"):
+        cons.half_hyp_set(5, 1, 1, (3, 3))
+    with pytest.raises(ParameterError, match="coordinate 2"):
+        cons.half_hyp_set(5, 1, 1, (2, -1))

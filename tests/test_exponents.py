@@ -412,3 +412,16 @@ def test_minkowski_sum_merges_chunks(monkeypatch):
     monkeypatch.setattr(ex, "_SUM_CHUNK", 64)  # one A member per chunk
     chunked = ex.minkowski_sum_q(a, b)
     assert chunked == whole and chunked.vectors == brute_minkowski(a, b)
+
+
+@pytest.mark.parametrize("q, l", [(2, 11), (2, 12), (2, 13), (16, 4), (64, 3)])
+def test_hyp_set_across_run_edges(q, l):
+    """At l that fill one run of coordinates exactly, or leave a short last
+    run: sizes against the recurrence, members against a filter of the grid."""
+    grid = np.indices((q,) * l).reshape(l, -1).T
+    budgets = (q - grid).prod(axis=1)
+    values = np.unique(budgets).tolist()
+    for f in sorted({0, q**l + 1} | {v + e for v in values[:: max(1, len(values) // 30)] for e in (-1, 0, 1)}):
+        s = ex.hyp_set(q, l, f)
+        assert len(s) == ex.hyp_size(q, l, f), (q, l, f)
+        assert np.array_equal(s.index, np.flatnonzero(budgets >= f)), (q, l, f)

@@ -283,14 +283,15 @@ def cmd_selftest(args) -> int:
                 ok = False
     check("FieldSpec.matmul == scalar schoolbook on GF(4), GF(8), GF(9), GF(16), GF(64)", ok)
 
-    # Over GF(4093) one term (p-1)^2 fits a float32 word and two do not: the
-    # two-term sum is odd and above 2^24, so a float32 product would round it.
-    p = 4093
+    # Over GF(2039) one term (p-1)^2 fits a float32 word and two do not: the
+    # two-term sum 2034^2 + 1380^2 is above 2^22, where the float32 reciprocal
+    # reduction of the sum would be one off.
+    p = 2039
     spec = FieldSpec(p)
-    a = np.array([[p - 1, p - 2]], dtype=spec.dtype)
-    ok = (spec.matmul(a[:, :1], a.T[:1]).tolist() == [[spec.mul(p - 1, p - 1)]]
-          and spec.matmul(a, a.T).tolist() == [[((p - 1) ** 2 + (p - 2) ** 2) % p]])
-    check("FieldSpec.matmul exact on both sides of the float32 word boundary (GF(4093))", ok)
+    a = np.array([[2034, 1380]], dtype=spec.dtype)
+    ok = (spec.matmul(a[:, :1], a.T[:1]).tolist() == [[spec.mul(2034, 2034)]]
+          and spec.matmul(a, a.T).tolist() == [[(2034**2 + 1380**2) % p]])
+    check("FieldSpec.matmul exact on both sides of the float32 word boundary (GF(2039))", ok)
 
     ok = True
     for q in (2, 3, 4, 5):

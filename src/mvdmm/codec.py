@@ -183,13 +183,14 @@ class EncodedOperand:
 
 
 def encode(
-    blocks: BlockSplit, degrees: ExponentSet, order: Sequence[Vec] | None = None
+    blocks: BlockSplit, degrees: ExponentSet, order: Sequence[int] | np.ndarray | None = None
 ) -> EncodedOperand:
     """Attach block i to the i-th degree.
 
     By default degrees are taken in lexicographic order.  An explicit
-    `order` (a permutation of the set) overrides this; matdot schemes need
-    it so that B's i-th block carries the degree matched to A's i-th.
+    `order`, the grid indices of the degrees as a permutation of
+    `degrees.index`, overrides this; matdot schemes need it so that B's i-th
+    block carries the degree matched to A's i-th (`MatdotSolution.block_order`).
     """
     if blocks.count != len(degrees):
         raise ParameterError(
@@ -197,10 +198,10 @@ def encode(
         )
     stacked = blocks.blocks
     if order is not None:
-        # Block j goes to order[j]; in support order that is one permutation.
-        at = _grid_index(degrees.q, degrees.l, order)
-        if not np.array_equal(np.sort(at), degrees.index):
-            raise ParameterError("explicit degree order must permute the degree set")
+        # Block j goes to grid index order[j]; in support order that is one permutation.
+        at = np.asarray(order)
+        if at.ndim != 1 or at.dtype.kind not in "iuO" or not np.array_equal(np.sort(at), degrees.index):
+            raise ParameterError("explicit degree order must permute the degree set's grid indices")
         stacked = stacked[np.argsort(at)]
     return EncodedOperand(blocks.spec, degrees, stacked)
 

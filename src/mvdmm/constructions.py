@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -96,15 +96,18 @@ class PolySolution(_Solution):
 class MatdotSolution(_Solution):
     """A validated matdot splitting: A.B is the coefficient at x^d.
 
-    ``pairs`` are the m matched (a, d - a) couples; ``removable_coords`` are
+    ``block_order`` holds the m matched (a, d - a) couples as two read-only
+    arrays of grid indices, the a's and the b's in pair order (ascending
+    a): the order in which codec.encode places A's and B's blocks.
+    ``removable_coords`` are
     1-based coordinates where d is zero (droppable via project_zero_coords).
     The quoted threshold of the scheme is ``design_threshold``; the achieved
     footprint of the explicit sum set can be strictly better.
     """
 
     degree_target: Vec
-    pairs: tuple[tuple[Vec, Vec], ...]
     removable_coords: tuple[int, ...]
+    block_order: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +190,15 @@ def matdot_from_sets(
     if len(d_a) != len(d_b):
         raise ParameterError(f"|D_A| = {len(d_a)} != |D_B| = {len(d_b)}")
     m = len(d_a)
-    hits = []
+    hit_a = hit_b = np.empty(0, dtype=np.intp)  # positions in D_A and D_B of each pair
     if all(0 <= x < q for x in d):  # a reduced sum never leaves [0, q)
         target = sum(x * q ** (l - 1 - i) for i, x in enumerate(d))
-        va, vb = d_a.vectors, d_b.vectors
-        hits = [(va[i], vb[j]) for i, j in zip(*np.nonzero(exponents.pair_sums(d_a, d_b) == target))]
-    if len(hits) != m:
+        hit_a, hit_b = np.nonzero(exponents.pair_sums(d_a, d_b) == target)
+    if len(hit_a) != m:
         raise ParameterError(
-            f"{len(hits)} pairs sum to the target degree, need exactly {m}"
+            f"{len(hit_a)} pairs sum to the target degree, need exactly {m}"
         )
-    if len({a for a, _ in hits}) != m or len({b for _, b in hits}) != m:
+    if not all(np.array_equal(np.sort(hit), np.arange(m)) for hit in (hit_a, hit_b)):
         raise ParameterError("matched pairs must use every set member exactly once")
     summed = minkowski_sum_q(d_a, d_b)
     footprint = exponents.fb(summed)
@@ -212,9 +214,12 @@ def matdot_from_sets(
             "project_zero_coords() gives an equivalent lower-variable scheme",
             stacklevel=2,
         )
+    block_order = d_a.index[hit_a], d_b.index[hit_b]
+    for order in block_order:
+        order.setflags(write=False)
     return MatdotSolution(
         q=q, l=l, d_a=d_a, d_b=d_b, degree_target=d,
-        pairs=tuple(hits),
+        block_order=block_order,
         footprint=footprint,
         design_footprint=design_footprint if design_footprint is not None else footprint.value,
         xi=xi, sum_size=len(summed), removable_coords=removable,

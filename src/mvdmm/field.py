@@ -3,7 +3,8 @@
 Elements of GF(p^e) are represented by their index in [0, q): the base-p
 digits of the index are the coefficients of the element in the polynomial
 basis, least significant digit first.  Index 0 is the additive identity and
-index 1 the multiplicative identity.  Prime fields compute with ``% p``.
+index 1 the multiplicative identity.  Prime fields compute their scalar and
+elementwise operations with ``% p``.
 Extension fields carry log/antilog tables, built by walking the powers of a
 primitive element, and below ``TABLE_LIMIT`` full q x q add/mul tables;
 ``FieldSpec`` owns them.  Scalar methods take and return indices; hot paths
@@ -19,18 +20,24 @@ int64, so unsigned inputs never wrap.
 ``matmul`` is the one matrix-product kernel of the package: encoding, the
 workers' block products and the decoder's transforms all run through it.  It
 multiplies base-p digit matrices with BLAS on the narrowest floating-point
-word that holds every partial sum exactly, in the style of FFLAS-FFPACK:
-float32 over GF(p) while an entry's n terms in [0, (p-1)^2] sum below 2^24,
-float64 otherwise, with the inner dimension cut so that every partial sum
-stays below 2^53.  Any summation order BLAS picks is then exact.  The product is reduced mod p as int32 or int64 integers (an in-place
-``& 1`` over GF(2)).  Over GF(p^e) it packs as many output digits into one
+word that holds every partial sum exactly, in the style of FFLAS-FFPACK.
+Over GF(p) with p odd each product is reduced in that word, with no
+division: z mod p = z - p * floor(z * c), where c is 1/p rounded one float
+step up (``_reduce_mod_p``).  This is exact below 2^22 in float32 and
+below 2^50 in float64 (``RECIPROCAL_SINGLE_LIMIT``,
+``RECIPROCAL_DOUBLE_LIMIT``), so the word is float32 while an entry's n
+terms in [0, (p-1)^2] sum below 2^22, float64 otherwise, with the inner
+dimension cut so that every partial sum stays below 2^50.  Over GF(2) the
+limits are the mantissas' 2^24 and 2^53, and the product is reduced by an
+in-place ``& 1`` on its int32 or int64 cast.  Any summation order BLAS picks
+is exact.  Over GF(p^e) it packs as many output digits into one
 float64 as fit without carries (Kronecker substitution), so BLAS forms
 e * ceil(e/g) digit products per field product instead of e^2, and the left
 operand's packed x^i X words come from one gather through a fused table.
 Over GF(2^e) the bits of each output index are gathered off the packed
 words by one uint64 multiply per word.  The result is allocated once, in the
 index dtype, and filled in row tiles of at most ``MATMUL_TILE`` output
-digits, so each tile's product and integer reduction stay in cache.  Over
+digits, so each tile's product and reduction stay in cache.  Over
 GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
 """
 
@@ -63,6 +70,12 @@ DEFAULT_POINT_LIMIT = 1 << 20
 EXACT_FLOAT_BITS = 53
 EXACT_FLOAT_LIMIT = 1 << EXACT_FLOAT_BITS
 EXACT_SINGLE_LIMIT = 1 << 24
+
+# ``_reduce_mod_p`` gives z mod p exactly for every integer z below these
+# limits in a float32 and a float64 word, for every odd prime p below 2^16
+# (float32 words are only used for p < 2^11).  The proof is in ``matmul``.
+RECIPROCAL_SINGLE_LIMIT = 1 << 22
+RECIPROCAL_DOUBLE_LIMIT = 1 << 50
 
 # Orders with a built-in modulus (lexicographically least irreducible,
 # comparing integer encodings of the coefficient vector).
@@ -149,7 +162,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "e", "q", "dtype", "modulus", "_log", "_exp", "_mul_table", "_add_table",
-        "_planes", "_fused", "matmul_chunk", "__weakref__",
+        "_planes", "_fused", "_reciprocal", "matmul_chunk", "__weakref__",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | int | None = None):
@@ -225,12 +238,22 @@ class FieldSpec:
         p, e, q = self.p, self.e, self.q
         self.dtype = np.min_scalar_type(q - 1)
         # Longest inner dimension for which an entry of ``matmul``'s float64
-        # product (e * chunk terms of at most (p-1)^2) stays below 2^53.
-        self.matmul_chunk = (EXACT_FLOAT_LIMIT - 1) // (e * (p - 1) ** 2)
+        # product (e * chunk terms of at most (p-1)^2) stays below 2^53, or
+        # below 2^50 over GF(p), p odd, where it is reduced in the word.
+        limit = EXACT_FLOAT_LIMIT if p == 2 or e > 1 else RECIPROCAL_DOUBLE_LIMIT
+        self.matmul_chunk = (limit - 1) // (e * (p - 1) ** 2)
         self._log = self._exp = None
         self._add_table = self._mul_table = None
         self._planes = {}
-        self._fused = {}
+        self._fused = None
+        # Over GF(p), p odd, per word: (1/p rounded one step up, p) as scalars
+        # of that word, so that ``_reduce_mod_p`` computes in it under any
+        # numpy promotion rule.
+        self._reciprocal = {}
+        if e == 1 and p != 2:
+            self._reciprocal = {
+                w: (np.nextafter(w(1) / w(p), w(1)), w(p)) for w in (np.float32, np.float64)
+            }
         if e == 1:
             return
         # Row k holds base-p digit k of every index.
@@ -402,24 +425,45 @@ class FieldSpec:
         from e * ceil(e/g) digit products; over GF(p), e = g = 1 and the
         digits are the indices.
 
-        Words.  Over GF(p) the word is float32 when w * (p-1)^2 < 2^24, with
-        w = min(n, ``matmul_chunk``), and float64 otherwise (``_word``).  GF(p^e)
-        always takes float64.  The inner dimension is cut into chunks of at most
-        w indices.  A slot of a chunk's product sums at most w * e terms in
-        [0, (p-1)^2], and g is chosen so that w * e * (p-1)^2 < 2^(53 // g).
-        So every partial sum BLAS forms, in whatever order and with or without
-        fused multiply-adds, is a non-negative integer below the word's
-        mantissa limit (2^24, or 2^(g * (53 // g)) <= 2^53), hence exact, and no
-        slot carries into the next.  At g = 1 this is the bound
-        ``matmul_chunk`` keeps.  A chunk's product is cast to int32 (float32
-        words) or int64 and reduced before the next chunk is added.
+        Words.  Over GF(p) the word is float32 when w * (p-1)^2 is below
+        2^22 (p odd) or 2^24 (p = 2), with w = min(n, ``matmul_chunk``), and
+        float64 otherwise (``_word``).  GF(p^e) always takes float64.  The
+        inner dimension is cut into chunks of at most w indices.  A slot of a
+        chunk's product sums at most w * e terms in [0, (p-1)^2], and g is
+        chosen so that w * e * (p-1)^2 < 2^(53 // g).  So every partial sum
+        BLAS forms, in whatever order and with or without fused multiply-adds,
+        is a non-negative integer below the word's mantissa limit (2^24, or
+        2^(g * (53 // g)) <= 2^53), hence exact, and no slot carries into the
+        next.  ``matmul_chunk`` keeps the g = 1 bound: 2^53, or 2^50 over
+        GF(p) with p odd, where the product must stay below the reduction's
+        limits as well.
 
-        Reduction.  Over GF(p) the product is reduced mod p in place (``& 1``
-        over GF(2)).  Over GF(2^e) bit j of an output index is bit 0 of slot
-        j % g of word j // g, so one multiply per word gathers the index
-        bits (``_index_bits``), and chunks combine by XOR.  Over GF(p^e) with
-        p odd the slots are split off by shifts and a mask, reduced mod p,
-        and the digits recombined by Horner's rule.
+        Reduction.  Over GF(p), p odd, the product z of a chunk is reduced in
+        its word, in place, as z - p * floor(z * c) with c = nextafter(fl(1/p),
+        1) (``_reduce_mod_p``), and the residues are cast into the output's
+        index dtype.  Chunks add their residues, below 2p, and reduce again.
+        This is exact while 4z + p <= 2^f, f being the significand bits (24
+        or 53).  Write z = kp + r with 0 <= r < p, and u for the float step
+        at 1/p, u < 2^(1-f) / p.  1/p is not a float (p is odd) nor within a
+        step of a power of two (p < 2^16), so fl(1/p) is within u/2 of it
+        and 1/p < c < 1/p + 3u/2.  No undershoot: z * c >= z/p >= k, and
+        rounding is monotone, so fl(z * c) >= k.  No overshoot:
+        k + 1 - z * c > (p - r)/p - 3uz/2 >= (1 - 3z 2^-f) / p, while
+        fl(z * c) reaches k + 1 only from within half a step below it, at
+        most (k + 1) 2^-f <= (z + p) 2^-f / p.  So floor(fl(z * c)) = k, and
+        p * k and z - p * k are exact.  In float64 that covers every
+        z < 2^50 (``RECIPROCAL_DOUBLE_LIMIT``).  In float32 it covers
+        z <= 2^22 - p/4; float32 words only occur for p < 2^11, as one
+        (p-1)^2 must be below 2^22, and an exhaustive check over every odd
+        prime below 2^11 covers the rest of [0, 2^22)
+        (``RECIPROCAL_SINGLE_LIMIT``).  Past 2^22 the floor does overshoot,
+        first at z = 4926223 over GF(2039).
+        Over GF(2) the product is cast to int32 or int64 and reduced by ``& 1``.
+        Over GF(2^e) bit j of an output index is bit 0 of slot j % g of word
+        j // g, so one multiply per word gathers the index bits
+        (``_index_bits``), and chunks combine by XOR.  Over GF(p^e) with p
+        odd the int64 slots are split off by shifts and a mask, reduced mod
+        p, and the digits recombined by Horner's rule.
 
         Tiles.  The (r, t) result is allocated once, in the index dtype
         ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
@@ -428,7 +472,8 @@ class FieldSpec:
         (digit i, n, t) words are formed once per call and shared by every
         tile; only a tile's left rows are gathered with it.  Over GF(p), with
         one chunk and one tile, nothing is allocated besides the operand words,
-        the BLAS result, its integer cast and the output.
+        the BLAS result, one word-sized temporary (the quotient, or the
+        integer cast over GF(2)) and the output.
         """
         x = np.asarray(x)
         y = np.asarray(y)
@@ -437,6 +482,7 @@ class FieldSpec:
         p, e, step = self.p, self.e, self.matmul_chunk
         (r, n), t = x.shape, y.shape[1]
         word = self._word(n)
+        reciprocal = self._reciprocal.get(word)  # GF(p), p odd: reduce in the word
         whole = np.int32 if word is np.float32 else np.int64
         if e == 1:
             g, bits = 1, 0
@@ -461,19 +507,28 @@ class FieldSpec:
                 if e > 1:
                     k = e * b.shape[1]
                     a, b = a.reshape(len(a), len(tile), k), b.reshape(k, t)
-                part = (a @ b).astype(whole)  # ([word,] row, t)
+                part = a @ b  # ([word,] row, t)
+                if reciprocal is not None:  # reduced in the word after the last chunk
+                    if acc is not None:  # the two residues sum below 2p
+                        part = _reduce_mod_p(part, *reciprocal)
+                        part += _reduce_mod_p(acc, *reciprocal)
+                    acc = part
+                    continue
+                part = part.astype(whole)
                 if p == 2:  # index bits; chunks combine by XOR
                     if e == 1:
                         part &= 1
                     else:
                         part = _index_bits(part, e, g, bits)
                     acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
-                else:  # ([digit,] row, t) sums mod p
+                else:  # (digit, row, t) sums mod p
                     if g > 1:
                         part = _split_slots(part, e, g, bits)
                     acc = part if acc is None else np.add(acc, part, out=acc)
                     acc %= p
-            if p != 2 and e > 1:  # (digit, row, t) to indices, by Horner's rule
+            if reciprocal is not None:
+                acc = _reduce_mod_p(acc, *reciprocal)
+            elif p != 2 and e > 1:  # (digit, row, t) to indices, by Horner's rule
                 value = acc[-1]
                 for d in acc[-2::-1]:
                     value = value * p + d
@@ -483,8 +538,10 @@ class FieldSpec:
 
     def _word(self, n: int) -> type:
         """Floating-point word of ``matmul`` at inner dimension n: float32 over
-        GF(p) when min(n, matmul_chunk) * (p-1)^2 < 2^24, else float64."""
-        if self.e == 1 and min(n, self.matmul_chunk) * (self.p - 1) ** 2 < EXACT_SINGLE_LIMIT:
+        GF(p) when min(n, matmul_chunk) * (p-1)^2 is below 2^22 (p odd) or
+        2^24 (p = 2), else float64."""
+        limit = EXACT_SINGLE_LIMIT if self.p == 2 else RECIPROCAL_SINGLE_LIMIT
+        if self.e == 1 and min(n, self.matmul_chunk) * (self.p - 1) ** 2 < limit:
             return np.float32
         return np.float64
 
@@ -522,17 +579,30 @@ class FieldSpec:
         return planes
 
     def _left_planes(self, g: int) -> np.ndarray:
-        """(ceil(e/g), e, q) float64 table, built once per g: entry [b, i, v]
-        is packed word b (``_packed_planes(g)``) of x^i * v, x^i being the
-        index p^i.  One gather through it forms every packed x^i X.  It
-        holds ceil(e/g) * e * q float64s: 192 bytes over GF(8) at g = 3, 32 MB
-        over GF(2^16) at g = 4."""
-        planes = self._fused.get(g)
-        if planes is None:
+        """(ceil(e/g), e, q) float64 table: entry [b, i, v] is packed word b
+        (``_packed_planes(g)``) of x^i * v, x^i being the index p^i.  One
+        gather through it forms every packed x^i X.  It holds
+        ceil(e/g) * e * q float64s: 192 bytes over GF(8) at g = 3, 32 MB over
+        GF(2^16) at g = 4 and 128 MB at g = 1, so only the table of the last
+        g used is kept."""
+        if self._fused is None or self._fused[0] != g:
+            self._fused = None  # drop the old table before building the new one
             idx = np.arange(self.q)
             times_x = np.stack([idx] + [self.mul_arr(self.p**i, idx) for i in range(1, self.e)])
-            planes = self._fused[g] = np.take(self._packed_planes(g), times_x, axis=1)
-        return planes
+            self._fused = g, np.take(self._packed_planes(g), times_x, axis=1)
+        return self._fused[1]
+
+
+def _reduce_mod_p(z: np.ndarray, c, p) -> np.ndarray:
+    """z mod p in place, for a float array z of integers below the limit of
+    its word (``RECIPROCAL_SINGLE_LIMIT`` or ``RECIPROCAL_DOUBLE_LIMIT``):
+    z - p * floor(z * c), with c = 1/p rounded one float step up and c, p
+    scalars of z's word (``FieldSpec._reciprocal``)."""
+    quotient = z * c
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    z -= quotient
+    return z
 
 
 def _index_bits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:

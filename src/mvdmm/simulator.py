@@ -222,8 +222,9 @@ class Plan:
             sa, sb = codec.split(a, b, "matdot", sol.m)
             # Block i of A and block i of B must land on matched degrees, so
             # their products all contribute to the coefficient at the target.
-            enc_a = codec.encode(sa, sol.d_a, order=[p[0] for p in sol.pairs])
-            enc_b = codec.encode(sb, sol.d_b, order=[p[1] for p in sol.pairs])
+            order_a, order_b = sol.block_order
+            enc_a = codec.encode(sa, sol.d_a, order=order_a)
+            enc_b = codec.encode(sb, sol.d_b, order=order_b)
         return codec.make_payloads(enc_a, enc_b, self.points), sa, sb
 
 

@@ -221,8 +221,8 @@ def test_c06_end_to_end_matdot_gf8():
         a = codec.random_matrix(spec, 4, 112, rng)
         b = codec.random_matrix(spec, 112, 4, rng)
         sa, sb = codec.split(a, b, "matdot", sol.m)
-        enc_a = codec.encode(sa, sol.d_a, order=[p[0] for p in sol.pairs])
-        enc_b = codec.encode(sb, sol.d_b, order=[p[1] for p in sol.pairs])
+        enc_a = codec.encode(sa, sol.d_a, order=sol.block_order[0])
+        enc_b = codec.encode(sb, sol.d_b, order=sol.block_order[1])
         points = enumerate_points(spec, 3)
         system = codec.build_system(spec, sol.sum_set(), points)
         responses = [codec.worker_compute(p) for p in codec.make_payloads(enc_a, enc_b, points)]

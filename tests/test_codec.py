@@ -43,8 +43,8 @@ def run_pipeline(spec, sol, a, b, point_subset=None, n_points=None):
         enc_b = codec.encode(sb, sol.d_b)
     else:
         sa, sb = codec.split(a, b, "matdot", sol.m)
-        enc_a = codec.encode(sa, sol.d_a, order=[p[0] for p in sol.pairs])
-        enc_b = codec.encode(sb, sol.d_b, order=[p[1] for p in sol.pairs])
+        enc_a = codec.encode(sa, sol.d_a, order=sol.block_order[0])
+        enc_b = codec.encode(sb, sol.d_b, order=sol.block_order[1])
     points = enumerate_points(spec, sol.l)
     if n_points is not None:
         points = points[:n_points]
@@ -244,9 +244,9 @@ def test_encode_order_places_block_j_at_order_j():
     a = MatrixFq(GF5, [[1], [2], [3]])
     sa, _ = codec.split(a, MatrixFq(GF5, [[0]]), "poly", 3, 1)
     degrees = ex.ExponentSet.of(5, 1, [(0,), (1,), (4,)])
-    op = codec.encode(sa, degrees, order=[(4,), (0,), (1,)])
+    op = codec.encode(sa, degrees, order=[4, 0, 1])  # grid indices of (4,), (0,), (1,)
     assert op.blocks[:, 0, 0].tolist() == [2, 3, 1]  # degrees (0,), (1,), (4,)
-    for bad in ([(0,), (0,), (1,)], [(0,), (1,), (3,)], [(0,), (1,), (5,)], [(0,), (1,)]):
+    for bad in ([0, 0, 1], [0, 1, 3], [0, 1, 5], [0, 1], [4.0, 0.0, 1.0], [(4,), (0,), (1,)]):
         with pytest.raises(ParameterError):
             codec.encode(sa, degrees, order=bad)
 

@@ -30,8 +30,8 @@ def _setup(spec, sol, points, rng):
         a = codec.random_matrix(spec, 2, 3 * sol.m, rng)
         b = codec.random_matrix(spec, 3 * sol.m, 2, rng)
         sa, sb = codec.split(a, b, "matdot", sol.m)
-        enc_a = codec.encode(sa, sol.d_a, order=[p[0] for p in sol.pairs])
-        enc_b = codec.encode(sb, sol.d_b, order=[p[1] for p in sol.pairs])
+        enc_a = codec.encode(sa, sol.d_a, order=sol.block_order[0])
+        enc_b = codec.encode(sb, sol.d_b, order=sol.block_order[1])
     else:
         a = codec.random_matrix(spec, 2 * sol.m, 3, rng)
         b = codec.random_matrix(spec, 3, 2 * sol.n, rng)

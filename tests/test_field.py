@@ -9,7 +9,9 @@ import pytest
 
 from mvdmm import field
 from mvdmm.errors import CapacityError, ParameterError, ShapeError
-from mvdmm.field import EXACT_FLOAT_LIMIT, FieldSpec, enumerate_points
+from mvdmm.field import (
+    EXACT_FLOAT_LIMIT, RECIPROCAL_DOUBLE_LIMIT, RECIPROCAL_SINGLE_LIMIT, FieldSpec, enumerate_points,
+)
 
 
 def poly_mul_divmod_oracle(a_coeffs, b_coeffs, modulus, p):
@@ -292,8 +294,10 @@ def test_index_bits_gather_every_packing(e):
 
 
 # Largest inner dimension on a float32 word for each prime: the most terms of
-# (p-1)^2 whose sum stays below 2^24.  65521 takes float32 only at n = 0.
-LAST_SINGLE_WORD_N = {2: 2**24 - 1, 3: 2**22 - 1, 23: 34663, 4093: 1, 65521: 0}
+# (p-1)^2 whose sum stays below 2^24 over GF(2), and below 2^22, the limit of
+# the reciprocal reduction, for odd p.  4093 and 65521 take float32 only at
+# n = 0.
+LAST_SINGLE_WORD_N = {2: 2**24 - 1, 3: 2**20 - 1, 23: 8665, 251: 67, 2039: 1, 4093: 0, 65521: 0}
 
 
 @pytest.mark.parametrize("q", list(LAST_SINGLE_WORD_N) + PACKED_ORDERS)
@@ -303,9 +307,10 @@ def test_matmul_word_rule(q):
     for n in sorted({0, 1, 2, 7, 120, 10**9} | {last, last + 1} - {-1}):
         assert spec._word(n) is (np.float32 if n <= last else np.float64), n
     if spec.e == 1:
-        assert last * (spec.p - 1) ** 2 < 2**24 <= (last + 1) * (spec.p - 1) ** 2
+        limit = 2**24 if q == 2 else RECIPROCAL_SINGLE_LIMIT
+        assert last * (spec.p - 1) ** 2 < limit <= (last + 1) * (spec.p - 1) ** 2
         chunked = FieldSpec.of_order(q)
-        chunked.matmul_chunk = 1  # one term per chunk fits float32 unless p = 65521
+        chunked.matmul_chunk = 1  # one term per chunk fits float32 unless p >= 2^11
         assert chunked._word(10**9) is (np.float32 if last >= 1 else np.float64)
 
 
@@ -331,32 +336,76 @@ def test_matmul_inner_dimension_mismatch():
         FieldSpec(2, 3).matmul(np.zeros((1, 4), dtype=np.int64), np.zeros((3, 1), dtype=np.int64))
 
 
+def _one_word_residue(spec, word, z):
+    """z mod p as one unchunked product in ``word`` would reduce it."""
+    return int(field._reduce_mod_p(np.array([z], dtype=word), *spec._reciprocal[word])[0])
+
+
 def test_matmul_exact_one_past_the_chunk_at_largest_prime():
     p = 65521  # largest prime below 2^16
     spec = FieldSpec(p)
     k = spec.matmul_chunk
-    assert k * (p - 1) ** 2 < EXACT_FLOAT_LIMIT <= (k + 1) * (p - 1) ** 2
-    # Every entry is p-1 except one pair of p-2, so the k+1 products sum to
-    # an odd integer above 2^53: one float64 sum over all of them is inexact.
-    n = k + 1
-    a = np.full((1, n), p - 1, dtype=np.int64)
-    b = np.full((n, 1), p - 1, dtype=np.int64)
-    a[0, 0] = b[0, 0] = p - 2
-    total = (n - 1) * (p - 1) ** 2 + (p - 2) ** 2
-    assert total > EXACT_FLOAT_LIMIT and total % 2 == 1
-    assert spec.matmul(a, b).tolist() == [[total % p]]
+    assert k * (p - 1) ** 2 < RECIPROCAL_DOUBLE_LIMIT <= (k + 1) * (p - 1) ** 2
+    # 17p - 1 terms of (p-1)^2 sum to p - 1 mod p, above 2^52 and below 2^53:
+    # one float64 product holds the sum exactly, but its reciprocal floor is
+    # one too high, so only the chunks below 2^50 keep the result exact.
+    for n in (k + 1, 17 * p - 1):
+        a = np.full((1, n), p - 1, dtype=spec.dtype)
+        total = n * (p - 1) ** 2
+        assert spec.matmul(a, a.T).tolist() == [[total % p]], n
+    assert 2**52 < total < EXACT_FLOAT_LIMIT
+    assert _one_word_residue(spec, np.float64, total) != total % p
 
 
 def test_matmul_exact_at_the_float32_word_boundary():
-    p = 4093  # (p-1)^2 < 2^24, but two such terms are not
+    p = 2039  # (p-1)^2 < 2^22, but two such terms are not
     spec = FieldSpec(p)
-    a = np.array([[p - 1, p - 2]], dtype=spec.dtype)
-    # Two terms sum to an odd integer above 2^24, which float32 cannot hold.
-    total = (p - 1) ** 2 + (p - 2) ** 2
-    assert total > 2**24 and total % 2 == 1
+    a = np.array([[2034, 1380]], dtype=spec.dtype)
+    # Two terms sum to an integer above 2^22 that float32 holds, but whose
+    # float32 reciprocal floor is one too high.
+    total = 2034**2 + 1380**2
+    assert (p - 1) ** 2 < RECIPROCAL_SINGLE_LIMIT < total < 2**24
+    assert _one_word_residue(spec, np.float32, total) != total % p
     assert spec.matmul(a, a.T).tolist() == [[total % p]]
-    assert spec.matmul(a[:, :1], a.T[:1]).tolist() == [[(p - 1) ** 2 % p]]
+    assert spec.matmul(a[:, :1], a.T[:1]).tolist() == [[2034**2 % p]]
     assert spec._word(1) is np.float32 and spec._word(2) is np.float64
+
+
+@pytest.mark.parametrize("p", [3, 5, 23, 41, 251, 2039])
+def test_reciprocal_reduction_exhaustive_in_float32(p):
+    """z - p * floor(z * c) is z mod p on every integer of [0, 2^22) in
+    float32.  CI runs the same check over every odd prime below 2^11, all
+    the primes that ever take a float32 word.  Over GF(41) the floor of
+    z * fl(1/p) undershoots, so c must be the float step above fl(1/p)."""
+    z = np.arange(RECIPROCAL_SINGLE_LIMIT, dtype=np.float32)
+    got = field._reduce_mod_p(z, *FieldSpec(p)._reciprocal[np.float32])
+    assert np.array_equal(got, np.arange(RECIPROCAL_SINGLE_LIMIT) % p)
+
+
+@pytest.mark.parametrize("p", [2053, 32749, 65521])
+def test_reciprocal_reduction_at_the_float64_limit(p):
+    """k*p, k*p + 1 and k*p + p - 1 for the 10^5 largest k below 2^50, and
+    for k at every power of two below it."""
+    top = (RECIPROCAL_DOUBLE_LIMIT - 1) // p
+    ks = np.union1d(np.arange(top - 10**5, top + 1), 2 ** np.arange(top.bit_length()))
+    z = (ks[:, None] * p + np.array([0, 1, p - 1])).ravel()
+    z = z[z < RECIPROCAL_DOUBLE_LIMIT]
+    assert z.max() >= RECIPROCAL_DOUBLE_LIMIT - p
+    got = field._reduce_mod_p(z.astype(np.float64), *FieldSpec(p)._reciprocal[np.float64])
+    assert np.array_equal(got, z % p)
+
+
+@pytest.mark.parametrize("p", [3, 23, 251, 2039, 65521])
+def test_matmul_at_the_last_single_word_n(p):
+    """All entries p - 1 at the last inner dimension on float32, and one
+    past it, against the scalar schoolbook product."""
+    spec = FieldSpec(p)
+    last = LAST_SINGLE_WORD_N[p]
+    for n in (last, last + 1):
+        a = np.full((2, n), p - 1, dtype=spec.dtype)
+        b = np.full((n, 1), p - 1, dtype=spec.dtype)
+        assert spec._word(n) is (np.float32 if n == last else np.float64)
+        assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b)), n
 
 
 # (p, e, (r, n, t)) of the benchmark's worker block products: kernel-gf2,

@@ -23,7 +23,7 @@ from .constructions import (
     validate_poly,
 )
 from .exponents import ExponentSet, FootprintValue, hyp_set, hyp_size, hyp2_size, xi_bound
-from .field import FieldSpec, enumerate_points
+from .field import FieldSpec
 from .simulator import SimConfig, SimReport, StragglerModel
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "d_size", "db_size", "expand_db", "half_hyperbolic",
     "search_best_d", "sep_vars", "validate_poly",
     "ExponentSet", "FootprintValue", "hyp_set", "hyp_size", "hyp2_size", "xi_bound",
-    "FieldSpec", "enumerate_points",
+    "FieldSpec",
     "SimConfig", "SimReport", "StragglerModel",
     "codec", "constructions", "exponents", "field", "simulator", "tables",
 ]

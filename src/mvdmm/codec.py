@@ -17,10 +17,12 @@ the grid {0..q-1}^l, and a set of coefficient blocks is one stacked
 in lexicographic (so ascending-index) order.  Lookups are binary searches
 on those indices; extraction gathers rows of the stacked array.
 
-The worker plane is index arrays too.  Each operand's evaluations are one
-(N, r, c) array, and a payload holds row views of the two.  A response
-holds its product as a bare array; `interpolate` stacks the responses
-into one (grid indices, (R, r, c) products) pair and checks it once.
+The worker plane takes points in that numbering too, as 1-D integer
+arrays.  Each operand's evaluations are one (N, r, c) array, and a payload
+holds its point's grid index and row views of the two.  A response holds
+that index and its product as a bare array; `interpolate` stacks the
+responses into one (grid indices, (R, r, c) products) pair and checks it
+once.  Coordinates are decoded only to be printed (`format_response`).
 `MatrixFq` is kept for the caller's A and B and the product A.B.
 """
 
@@ -43,7 +45,7 @@ from .errors import (
     ShapeError,
 )
 from .exponents import ExponentSet, Vec
-from .field import DEFAULT_POINT_LIMIT, MATMUL_TILE, FieldSpec, Point
+from .field import DEFAULT_POINT_LIMIT, MATMUL_TILE, FieldSpec
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -206,9 +208,10 @@ def encode(
     return EncodedOperand(blocks.spec, degrees, stacked)
 
 
-def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> np.ndarray:
-    """Values of each support monomial (rows) at each point (columns), 0^0 = 1."""
-    pts = np.asarray(points, dtype=np.int64)
+def monomial_matrix(spec: FieldSpec, support: ExponentSet, points) -> np.ndarray:
+    """Values of each support monomial (rows) at each point (columns), 0^0 = 1;
+    the points are grid indices (see _grid_points)."""
+    pts = _grid_digits(spec.q, support.l, _grid_points(spec.q, support.l, points))
 
     def powers(c: int) -> np.ndarray:
         """x_c^e at every point, for the exponent e of every monomial."""
@@ -224,10 +227,10 @@ def monomial_matrix(spec: FieldSpec, support: ExponentSet, points: Sequence[Poin
     return out
 
 
-def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
+def evaluate_many(op: EncodedOperand, points) -> np.ndarray:
     """Evaluations at many points, shape (len(points), *block_shape), in the
-    field's index dtype.  The points are checked and turned into grid
-    indices once, on every field; a point off the grid raises ParameterError.
+    field's index dtype.  The points are grid indices, checked once on every
+    field (see _grid_points); a point off the grid raises ParameterError.
 
     Over GF(2) the value at point x is the XOR of the blocks at the degrees
     e with e & ~x = 0 (on grid indices), so evaluating on the grid is the
@@ -243,7 +246,7 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
     times the stacked blocks.
     """
     spec, l = op.spec, op.support.l
-    at = _grid_index(spec.q, l, points)
+    at = _grid_points(spec.q, l, points)
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
     if spec.q == 2:
         j = int(at.max(initial=0)).bit_length()
@@ -254,7 +257,7 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
             cube[inside[keep]] = np.packbits(flat[keep], axis=1)
             out = np.unpackbits(_butterfly(cube, j)[at], axis=1, count=flat.shape[1])
             return out.reshape(at.size, *op.block_shape)
-    vals = monomial_matrix(spec, op.support, _grid_digits(spec.q, l, at))  # (terms, points)
+    vals = monomial_matrix(spec, op.support, at)  # (terms, points)
     return spec.matmul(vals.T, flat).reshape(at.size, *op.block_shape)
 
 
@@ -262,29 +265,43 @@ def evaluate_many(op: EncodedOperand, points: Sequence[Point]) -> np.ndarray:
 # the grid GF(q)^l and its inverse Vandermonde transform
 #
 # Every point set is a subset of GF(q)^l and every reduced exponent vector a
-# member of {0..q-1}^l.  Both are numbered row-major, last coordinate fastest
-# (the order of field.enumerate_points).  On the whole grid the evaluation
+# member of {0..q-1}^l.  Both are numbered row-major, last coordinate fastest,
+# so index order is lexicographic order.  On the whole grid the evaluation
 # map is the Kronecker product of l univariate q x q Vandermonde maps, so its
 # inverse is the Kronecker product T of l copies of the closed-form T1.
 
 
-def _grid_index(q: int, l: int, vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Row-major index of each vector of {0..q-1}^l.  The coordinates must
-    have an integer dtype: a cast would truncate floats and take bools as 0/1."""
+def _degree_index(q: int, l: int, degree: Vec) -> np.ndarray:
+    """Row-major index of one exponent vector of {0..q-1}^l, as a 1-element
+    array.  The coordinates must have an integer dtype: a cast would truncate
+    floats and take bools as 0/1."""
     try:
-        arr = np.asarray(vectors)
+        arr = np.asarray(degree)
     except ValueError:  # ragged
-        arr = None
-    if arr is not None and arr.shape == (0,):  # no vectors at all
-        arr = np.empty((0, l), dtype=np.int64)
-    if (arr is None or arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != l
-            or arr.min(initial=0) < 0 or arr.max(initial=0) >= q):
-        raise ParameterError(f"vectors must have {l} coordinates in [0, {q}), as integers")
-    return arr.astype(np.int64, copy=False) @ exponents.radix(q, l)
+        arr = np.empty(0)
+    if arr.dtype.kind not in "iu" or arr.shape != (l,) or arr.min() < 0 or arr.max() >= q:
+        raise ParameterError(f"a degree must have {l} coordinates in [0, {q}), as integers")
+    return arr[None].astype(np.int64) @ exponents.radix(q, l)
+
+
+def _grid_points(q: int, l: int, points) -> np.ndarray:
+    """`points`, grid indices of GF(q)^l, as a 1-D int64 array checked to lie in
+    [0, q^l).  They must have an integer dtype: a cast would truncate floats
+    and take bools as 0/1."""
+    try:
+        arr = np.asarray(points)
+    except ValueError:  # ragged
+        arr = np.empty((0, 0))
+    if arr.shape == (0,):  # no points at all
+        arr = arr.astype(np.int64)
+    if (arr.dtype.kind not in "iu" or arr.ndim != 1
+            or arr.min(initial=0) < 0 or arr.max(initial=0) >= q**l):
+        raise ParameterError(f"points must be a 1-D integer array of grid indices in [0, {q}^{l})")
+    return arr.astype(np.int64, copy=False)
 
 
 def _grid_digits(q: int, l: int, index: np.ndarray) -> np.ndarray:
-    """Inverse of _grid_index: shape (len(index), l)."""
+    """The (len(index), l) coordinates of grid indices."""
     return index[:, None] // exponents.radix(q, l) % q
 
 
@@ -322,8 +339,7 @@ def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     V1^T . T1 = I is checked exactly, once per field.
     """
     q = spec.q
-    v1 = monomial_matrix(spec, ExponentSet(q, 1, np.arange(q, dtype=np.int64)),
-                         [(x,) for x in range(q)])
+    v1 = monomial_matrix(spec, ExponentSet(q, 1, np.arange(q, dtype=np.int64)), np.arange(q))
     t1 = spec.neg_arr(v1[::-1])
     t1[0] = 0
     t1[0, 0] = 1
@@ -462,16 +478,16 @@ class InterpolationSystem:
     point_grid: np.ndarray
 
     def index_of_degree(self, degree: Vec) -> int:
-        wanted = _grid_index(self.spec.q, self.support.l, [degree])
+        wanted = _degree_index(self.spec.q, self.support.l, degree)
         pos, hit = _positions(self.support.index, wanted)
         if not hit[0]:
             raise ParameterError(f"degree {tuple(degree)} is not in the support S")
         return int(pos[0])
 
 
-def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point]) -> InterpolationSystem:
-    """Verify that the points determine every function in the span of the
-    support.
+def build_system(spec: FieldSpec, support: ExponentSet, points) -> InterpolationSystem:
+    """Verify that the points, distinct grid indices, determine every
+    function in the span of the support.
 
     With e0 unused grid points the audit takes the side with fewer unknowns
     (see _dual_side): either the kappa x N monomial matrix, built for the
@@ -481,11 +497,12 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
     guarantee; on a full grid (e0 = 0) the dual side rests on the exact
     check of T1.
     """
-    threshold = exponents.delta(support) + 1
-    if len(points) < threshold:
-        raise InsufficientResponsesError(threshold, len(points))
     q, l = spec.q, support.l
-    point_grid = _grid_index(q, l, points)
+    point_grid = np.array(_grid_points(q, l, points))  # a copy the caller cannot change
+    point_grid.setflags(write=False)
+    threshold = exponents.delta(support) + 1
+    if point_grid.size < threshold:
+        raise InsufficientResponsesError(threshold, point_grid.size)
     ordered = np.sort(point_grid)
     if (ordered[1:] == ordered[:-1]).any():
         raise ParameterError("evaluation points must be distinct")
@@ -495,11 +512,11 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
         block = _dual_block(spec, l, _outside(q, l, support.index), unused)
         rank = kappa - unused.size + _linalg.matrix_rank(spec, block.T)
     else:
-        rank = _linalg.matrix_rank(spec, monomial_matrix(spec, support, points))
+        rank = _linalg.matrix_rank(spec, monomial_matrix(spec, support, point_grid))
     if rank != kappa:
         # Would contradict the footprint bound; surface loudly.
         raise InternalConsistencyError(
-            f"evaluation matrix rank {rank} < kappa {kappa} on {len(points)} points"
+            f"evaluation matrix rank {rank} < kappa {kappa} on {point_grid.size} points"
         )
     return InterpolationSystem(
         spec=spec,
@@ -516,41 +533,39 @@ def build_system(spec: FieldSpec, support: ExponentSet, points: Sequence[Point])
 
 @dataclass(frozen=True, eq=False)
 class WorkerPayload:
-    """Worker `index`'s operands at `point`, row views of `evaluate_many`'s arrays."""
+    """The operands at grid point `point`, row views of `evaluate_many`'s arrays."""
 
     spec: FieldSpec
-    index: int
-    point: Point
+    point: int
     a_part: np.ndarray
     b_part: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class WorkerResponse:
-    """Worker `index`'s product at `point`; `interpolate` checks it in its stack."""
+    """The product at grid point `point`; `interpolate` checks it in its stack."""
 
-    index: int
-    point: Point
+    point: int
     product: np.ndarray
 
 
-def make_payloads(
-    enc_a: EncodedOperand, enc_b: EncodedOperand, points: Sequence[Point]
-) -> list[WorkerPayload]:
+def make_payloads(enc_a: EncodedOperand, enc_b: EncodedOperand, points) -> list[WorkerPayload]:
+    """One payload per point, in the order given; the points are grid indices."""
     vals_a = evaluate_many(enc_a, points)
     vals_b = evaluate_many(enc_b, points)
-    return [WorkerPayload(enc_a.spec, i, tuple(p), a, b)
-            for i, (p, a, b) in enumerate(zip(np.asarray(points).tolist(), vals_a, vals_b))]
+    return [WorkerPayload(enc_a.spec, p, a, b)
+            for p, a, b in zip(np.asarray(points).tolist(), vals_a, vals_b)]
 
 
 def worker_compute(payload: WorkerPayload) -> WorkerResponse:
-    return WorkerResponse(payload.index, payload.point, payload.spec.matmul(payload.a_part, payload.b_part))
+    return WorkerResponse(payload.point, payload.spec.matmul(payload.a_part, payload.b_part))
 
 
-def format_response(resp: WorkerResponse) -> str:
-    coords = ",".join(str(c) for c in resp.point)
+def format_response(resp: WorkerResponse, q: int, l: int) -> str:
+    """The response's grid index, its coordinates on GF(q)^l and the product's entries."""
+    coords = ",".join(map(str, exponents.vector_at(q, l, resp.point)))
     flat = " ".join(map(str, np.ravel(resp.product).tolist()))
-    return f"{resp.index} {coords} {flat}"
+    return f"{resp.point} {coords} {flat}"
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +589,7 @@ class Interpolation:
     stats: _linalg.EliminationStats
 
     def __getitem__(self, degree: Vec) -> MatrixFq:
-        pos, hit = _positions(self.grid, _grid_index(self.spec.q, self.l, [degree]))
+        pos, hit = _positions(self.grid, _degree_index(self.spec.q, self.l, degree))
         if not hit[0]:
             raise IncompleteRecoveryError(f"missing coefficient at {tuple(degree)}")
         return MatrixFq(self.spec, self.blocks[pos[0]])
@@ -584,18 +599,21 @@ def _stack(
     sys: InterpolationSystem, responses: Sequence[WorkerResponse],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The responses' grid indices and stacked products, checked once; identical
-    duplicates collapse to their first arrival, a conflicting one raises."""
-    spec, l = sys.spec, sys.support.l
+    duplicates collapse to their first arrival, a conflicting one raises.  A
+    point must be an int (Python or numpy; no bool, float or tuple)."""
+    spec, points = sys.spec, [r.point for r in responses]
+    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, points))):
+        raise ParameterError("response points must be integer grid indices")
     try:
-        grid = _grid_index(spec.q, l, [r.point for r in responses])
+        grid = np.fromiter(points, np.int64, len(points))
         products = np.stack([r.product for r in responses])
-    except ParameterError as exc:
-        raise ParameterError(f"response at a point outside GF({spec.q})^{l}") from exc
+    except OverflowError:
+        raise ParameterError(f"response at a point outside GF({spec.q})^{sys.support.l}") from None
     except ValueError:
         raise ShapeError("responses carry products of different shapes") from None
     stray = ~np.isin(grid, sys.point_grid)
     if stray.any():
-        raise ParameterError(f"response at unknown point {tuple(map(int, responses[stray.argmax()].point))}")
+        raise ParameterError(f"response at unknown point {points[stray.argmax()]}")
     products = _indices(spec, products, ndim=3)
     order = np.argsort(grid, kind="stable")  # np.unique would import numpy.ma
     repeat = grid[order[1:]] == grid[order[:-1]]
@@ -603,7 +621,7 @@ def _stack(
         later, earlier = order[1:][repeat], order[:-1][repeat]
         clash = later[(products[later] != products[earlier]).reshape(later.size, -1).any(axis=1)]
         if clash.size:
-            raise ParameterError(f"conflicting responses at point {tuple(map(int, responses[clash[0]].point))}")
+            raise ParameterError(f"conflicting responses at point {points[clash[0]]}")
         keep = np.sort(order[np.r_[True, ~repeat]])
         grid, products = grid[keep], products[keep]
     return grid, products
@@ -612,52 +630,27 @@ def _stack(
 def _combine(
     spec: FieldSpec, weights: np.ndarray, products: np.ndarray, stats: _linalg.EliminationStats,
 ) -> np.ndarray:
-    """sum_i weights[i] * products[i] for flattened products, grouped by weight.
+    """sum_i weights[i] * products[i] for flattened products, in O(R w) work.
 
-    One stable argsort groups the R products by weight; each group is added
-    (``_group_sums``), and the d <= min(q, R) group sums meet their
-    distinct weights in one (1 x d) . (d x w) product.  That is O(R w) work on
-    the indices themselves.  The tallies count the R w multiplications and
-    additions of the weighted sum.
+    In characteristic 2 one stable argsort groups the R products by weight,
+    each group is XORed over its bytes as uint64 words (single bytes when a
+    row's length is not a multiple of 8), and the d <= min(q, R) group sums
+    meet their distinct weights in one (1 x d) . (d x w) product.  Otherwise
+    it is the one (1 x R) . (R x w) product.  The tallies count the R w
+    multiplications and additions of the weighted sum.
     """
-    order = np.argsort(weights, kind="stable")
-    ranked = weights[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    acc = spec.matmul(ranked[starts][None], _group_sums(spec, products[order], starts))[0]
+    if spec.p == 2:
+        order = np.argsort(weights, kind="stable")
+        ranked, rows = weights[order], products[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        word = np.uint64 if rows.shape[1] * rows.itemsize % 8 == 0 else np.uint8
+        sums = np.bitwise_xor.reduceat(rows.view(word), starts, axis=0).view(spec.dtype)
+        acc = spec.matmul(ranked[starts][None], sums)[0]
+    else:
+        acc = spec.matmul(weights[None], products)[0]
     stats.mult_ops += weights.size * acc.size
     stats.add_ops += weights.size * acc.size
     return acc
-
-
-def _group_sums(spec: FieldSpec, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """(len(starts), w) field sums of the row groups rows[starts[i]:starts[i+1]].
-
-    In characteristic 2 a sum is the XOR of the rows, taken over their bytes
-    as uint64 words (single bytes when a row's length is not a multiple of 8).
-    Otherwise the base-p digits of an index are spread into slots of
-    63 // e bits of an int64 (over GF(p) the slot is the index) and summed as
-    integers, at most `per_slot` rows at a time so that no slot carries into
-    the next; the slots are then reduced mod p and the pieces summed again
-    until each group is one row.
-    """
-    if spec.p == 2:
-        word = np.uint64 if rows.shape[1] * rows.itemsize % 8 == 0 else np.uint8
-        return np.bitwise_xor.reduceat(rows.view(word), starts, axis=0).view(spec.dtype)
-    p, e = spec.p, spec.e
-    bits = 63 // e
-    per_slot = ((1 << bits) - 1) // (p - 1)  # digit sums of this many rows fit a slot
-    shifts, mask = range(0, e * bits, bits), (1 << bits) - 1
-    idx = np.arange(spec.q, dtype=np.int64)
-    words = sum(idx // p**k % p << s for k, s in enumerate(shifts))[rows]
-    while True:
-        cuts = np.sort(np.r_[starts, np.arange(0, len(words), per_slot)])
-        cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]  # pieces of at most per_slot rows
-        words = np.add.reduceat(words, cuts, axis=0)
-        digits = [(words >> s & mask) % p for s in shifts]
-        if cuts.size == starts.size:
-            return sum(d * p**k for k, d in enumerate(digits)).astype(spec.dtype)
-        words = sum(d << s for d, s in zip(digits, shifts))
-        starts = np.searchsorted(cuts, starts)
 
 
 def _solve_erasures(
@@ -702,8 +695,8 @@ def interpolate(
     With `only`, just the requested coefficient is recovered, as one weight
     per response: on the dual side T's row at the target, corrected through
     the erasure solve (O(e R) after the solve), then applied to the products
-    grouped by weight (O(R w), `_combine`); on the primal side the eliminator
-    expresses that unknown as a combination of response equations.
+    (O(R w), `_combine`); on the primal side the eliminator expresses that
+    unknown as a combination of response equations.
     """
     responses = list(responses)
     if not responses:
@@ -759,7 +752,7 @@ def _interpolate_primal(
     """Eliminate the kappa coefficients from the responders' evaluation rows."""
     spec, l = sys.spec, sys.support.l
     shape, flat = products.shape[1:], products.reshape(grid.size, -1)
-    rows = monomial_matrix(spec, sys.support, _grid_digits(spec.q, l, grid)).T
+    rows = monomial_matrix(spec, sys.support, grid).T
     if only is not None:
         target = sys.index_of_degree(only)
         y, used, stats = _linalg.express_unit(spec, rows, target, sys.kappa)

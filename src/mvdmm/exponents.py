@@ -9,10 +9,10 @@ involved; q is any natural number >= 2.
 
 An ExponentSet keeps its members as one read-only numpy array of their
 row-major grid indices, sorted and distinct: a vector a has index
-sum_i a_i q^(l-1-i), the numbering of `field.enumerate_points` and of the
-codec's grid, so index order is lexicographic order.  The indices are int64
-when q^l < 2^63 and exact Python ints (an object array) above, where int64
-would wrap.  Reduced sums add indices and correct the coordinates that wrap,
+sum_i a_i q^(l-1-i), the codec's numbering of points and exponents alike,
+so index order is lexicographic order.  The indices are int64 when
+q^l < 2^63 and exact Python ints (an object array) above, where int64 would
+wrap.  Reduced sums add indices and correct the coordinates that wrap,
 deduplication is one sort of that key column, and footprints multiply
 per-group table lookups.  The (len, l) array of exponents and the tuples of
 Python ints are decoded only for callers that read them.

@@ -62,7 +62,7 @@ MAX_ORDER = 1 << 16
 # 1 MB of float64 product and of int64 reduction per tile.
 MATMUL_TILE = 1 << 17
 
-# Default cap on point enumerations (covers q^l up to 2^20 worker grids).
+# Cap on the grid GF(q)^l of worker points (q^l up to 2^20).
 DEFAULT_POINT_LIMIT = 1 << 20
 
 # float64 represents every integer up to 2^53 exactly, float32 every one up
@@ -679,16 +679,3 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         raise ParameterError(f"{q} is not a prime power")
     return p, e
 
-
-Point = tuple[int, ...]
-"""A point of GF(q)^l as a tuple of element indices."""
-
-
-def enumerate_points(spec: FieldSpec, l: int, limit: int = DEFAULT_POINT_LIMIT) -> list[Point]:
-    """All q^l points in lexicographic index order, last coordinate fastest."""
-    if l < 1:
-        raise ParameterError(f"need l >= 1, got {l}")
-    total = spec.q**l
-    if total > limit:
-        raise CapacityError(f"q^l = {total} exceeds point limit {limit}")
-    return list(itertools.product(range(spec.q), repeat=l))

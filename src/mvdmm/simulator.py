@@ -3,8 +3,10 @@
 Time is integer ticks; all randomness flows from one seeded NumPy PCG64
 generator, drawn in a fixed documented order (matrix A, matrix B, straggler
 model, subset probes), so a (config, seed) pair fully determines the run and
-its transcript.  Workers are simulated sequentially; completions are merged
-by (tick, worker index), and the master decodes from the first k+1 of them.
+its transcript.  Worker i evaluates at grid point i of GF(q)^l (row-major
+numbering), so one int names both.  Workers are simulated sequentially;
+completions are merged by (tick, worker index), and the master decodes from
+the first k+1 of them.
 """
 
 from __future__ import annotations
@@ -202,13 +204,12 @@ class Plan:
     spec: FieldSpec
     solution: PolySolution | MatdotSolution
     mode: str  # poly | matdot
-    points: np.ndarray  # (N, l) grid points, read-only: the first N in row-major order
-    system: codec.InterpolationSystem
+    system: codec.InterpolationSystem  # worker i evaluates at grid point i
     threshold: int  # the construction's quoted k+1 used by the master
 
     @property
     def n_workers(self) -> int:
-        return len(self.points)
+        return self.system.point_grid.size
 
     def make_payloads(
         self, a: MatrixFq, b: MatrixFq
@@ -225,11 +226,11 @@ class Plan:
             order_a, order_b = sol.block_order
             enc_a = codec.encode(sa, sol.d_a, order=order_a)
             enc_b = codec.encode(sb, sol.d_b, order=order_b)
-        return codec.make_payloads(enc_a, enc_b, self.points), sa, sb
+        return codec.make_payloads(enc_a, enc_b, self.system.point_grid), sa, sb
 
 
 def plan(cfg: SimConfig) -> Plan:
-    """Resolve the construction, pick the first N points, build the system."""
+    """Resolve the construction, take the grid points 0..N-1, build the system."""
     spec = FieldSpec.from_string(cfg.field)
     sol = parse_construction(cfg.construction, spec.q)
     mode = "matdot" if isinstance(sol, MatdotSolution) else "poly"
@@ -244,22 +245,20 @@ def plan(cfg: SimConfig) -> Plan:
         )
     if spec.q**sol.l > DEFAULT_POINT_LIMIT:
         raise CapacityError(f"q^l = {spec.q**sol.l} exceeds point limit {DEFAULT_POINT_LIMIT}")
-    points = codec._grid_digits(spec.q, sol.l, np.arange(cfg.n_workers))
-    points.setflags(write=False)
-    system = codec.build_system(spec, sol.sum_set(), points)
-    return Plan(
-        spec=spec, solution=sol, mode=mode, points=points,
-        system=system, threshold=threshold,
-    )
+    system = codec.build_system(spec, sol.sum_set(), np.arange(cfg.n_workers))
+    return Plan(spec=spec, solution=sol, mode=mode, system=system, threshold=threshold)
 
 
 @dataclass(eq=False)
 class SimReport:
     """Outcome of one simulated run; transcript excludes wall-clock times.
-    `ticks[i]` is worker i's completion tick (0: never responds), `used[i]`
-    whether the master read its response.  `==` is identity."""
+    The points lie on GF(q)^l; `ticks[i]` is the completion tick of worker i
+    (grid point i; 0: never responds), `used[i]` whether the master read its
+    response.  `==` is identity."""
 
     config: SimConfig
+    q: int
+    l: int
     success: bool
     responses_used: int
     threshold: int
@@ -275,7 +274,7 @@ class SimReport:
 
     def transcript(self) -> str:
         """One `format_response` line per response the master used, in arrival order."""
-        return "".join(codec.format_response(resp) + "\n" for resp in self.responses)
+        return "".join(codec.format_response(resp, self.q, self.l) + "\n" for resp in self.responses)
 
     def summary(self) -> str:
         lines = [
@@ -353,6 +352,8 @@ def run(cfg: SimConfig) -> SimReport:
 
     return SimReport(
         config=cfg,
+        q=spec.q,
+        l=pl.solution.l,
         success=bool(ok),
         responses_used=len(responses),
         threshold=pl.threshold,

@@ -14,7 +14,7 @@ from mvdmm.errors import (
     ParameterError,
     ShapeError,
 )
-from mvdmm.field import FieldSpec, enumerate_points
+from mvdmm.field import FieldSpec
 
 
 GF5 = FieldSpec(5)
@@ -45,9 +45,7 @@ def run_pipeline(spec, sol, a, b, point_subset=None, n_points=None):
         sa, sb = codec.split(a, b, "matdot", sol.m)
         enc_a = codec.encode(sa, sol.d_a, order=sol.block_order[0])
         enc_b = codec.encode(sb, sol.d_b, order=sol.block_order[1])
-    points = enumerate_points(spec, sol.l)
-    if n_points is not None:
-        points = points[:n_points]
+    points = np.arange(n_points or spec.q**sol.l)
     system = codec.build_system(spec, sol.sum_set(), points)
     payloads = codec.make_payloads(enc_a, enc_b, points)
     responses = [codec.worker_compute(p) for p in payloads]
@@ -223,8 +221,8 @@ def test_encode_constant_and_linear():
     b = MatrixFq(GF5, [[1], [2]])
     sa, sb = codec.split(a, b, "poly", 1, 1)
     const = codec.encode(sa, ex.ExponentSet.of(5, 1, [(0,)]))
-    for p in enumerate_points(GF5, 1):
-        assert evaluate(const, p) == a
+    for x in range(5):
+        assert evaluate(const, (x,)) == a
 
     a2 = MatrixFq(GF5, [[1, 2], [3, 4]])
     sa, _ = codec.split(a2, b, "poly", 2, 1)
@@ -278,11 +276,12 @@ def test_evaluate_binary_example():
 def test_monomial_matrix_matches_monomial_value(spec, l):
     q = spec.q
     support = ex.ExponentSet.of(q, l, np.random.default_rng(q).integers(0, q, size=(30, l)))
-    points = enumerate_points(spec, l)
+    points = np.arange(q**l)
     got = codec.monomial_matrix(spec, support, points)
     assert got.shape == (len(support), len(points))
     for i, degree in enumerate(support):
-        assert got[i].tolist() == [monomial_value(spec, p, degree) for p in points]
+        assert got[i].tolist() == [monomial_value(spec, ex.vector_at(q, l, p), degree)
+                                   for p in points.tolist()]
 
 
 def test_evaluate_many_matches_pointwise():
@@ -292,10 +291,9 @@ def test_evaluate_many_matches_pointwise():
     b = codec.random_matrix(GF5, 3, 4, rng)
     sa, sb = codec.split(a, b, "poly", 2, 2)
     enc = codec.encode(sa, sol.d_a)
-    points = enumerate_points(GF5, 1)
-    batch = codec.evaluate_many(enc, points)
-    for i, p in enumerate(points):
-        assert batch[i].tolist() == evaluate(enc, p).data.tolist()
+    batch = codec.evaluate_many(enc, np.arange(5))
+    for x in range(5):
+        assert batch[x].tolist() == evaluate(enc, (x,)).data.tolist()
 
 
 
@@ -310,16 +308,19 @@ def _encoded_pair(spec, rng):
 
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 @pytest.mark.parametrize("points", [
-    [(0, 0), (1, 9)], [(0, 0), (0, 2**70)], [(1, 0), (-1, 0)], [(0, 0), (0,)], [(0, 0, 0)],
-], ids=["beyond-q", "beyond-int64", "negative", "too-few-coords", "too-many-coords"])
+    [0, 4096], [0, 2**70], [1, -1], [(0, 0), (0,)], [(0, 0, 0)], [(0, 0), (1, 1)],
+], ids=["beyond-q", "beyond-int64", "negative", "too-few-coords", "too-many-coords",
+        "coordinate-tuples"])
 def test_evaluate_many_checks_points_on_every_field(spec, points):
+    """Points are grid indices below q^l = 4, 25 or 64; coordinate tuples
+    are not points, whatever their length."""
     enc, _ = _encoded_pair(spec, np.random.default_rng(41))
-    with pytest.raises(ParameterError, match=r"2 coordinates in \[0, "):
+    with pytest.raises(ParameterError, match=r"1-D integer array of grid indices in \[0, "):
         codec.evaluate_many(enc, points)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF5], ids=str)
-@pytest.mark.parametrize("l, points", [(1, [(1.7,)]), (2, np.array([[1.0, 2.9]])), (1, [(True,)])],
+@pytest.mark.parametrize("l, points", [(1, (1.7, 0.0)), (2, np.array([1.0, 2.9])), (1, [True, False])],
                          ids=["float-tuple", "float-array", "bool"])
 def test_non_integer_points_raise_instead_of_truncating(spec, l, points):
     sol = cons.box_poly(spec.q, (1,) * l, (1,) * l)
@@ -327,23 +328,47 @@ def test_non_integer_points_raise_instead_of_truncating(spec, l, points):
     a, b = codec.random_matrix(spec, 1, 2, rng), codec.random_matrix(spec, 2, 1, rng)
     sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
     enc_a, enc_b = codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b)
-    with pytest.raises(ParameterError, match="as integers"):
-        codec.evaluate_many(enc_a, points)
-    with pytest.raises(ParameterError, match="as integers"):
-        codec.build_system(spec, sol.sum_set(), points)
+    for call in (lambda: codec.evaluate_many(enc_a, points), lambda: codec.monomial_matrix(
+            spec, sol.d_a, points), lambda: codec.build_system(spec, sol.sum_set(), points)):
+        with pytest.raises(ParameterError, match="integer array"):
+            call()
 
-    grid = enumerate_points(spec, l)
+    grid = np.arange(spec.q**l)
     system = codec.build_system(spec, sol.sum_set(), grid)
     resp = codec.worker_compute(codec.make_payloads(enc_a, enc_b, grid)[0])
-    stray = codec.WorkerResponse(resp.index, points[0], resp.product)
-    with pytest.raises(ParameterError, match="outside GF"):
+    stray = codec.WorkerResponse(points[0], resp.product)
+    with pytest.raises(ParameterError, match="integer grid indices"):
         codec.interpolate(system, [stray])
+
+
+@pytest.mark.parametrize("point, message", [
+    (1.0, "integer grid indices"), (True, "integer grid indices"), (np.True_, "integer grid indices"),
+    ((1,), "integer grid indices"), ((0, 1), "integer grid indices"),
+    (np.int8(-1), "unknown point -1"), (25, "unknown point 25"), (2**70, "outside GF"),
+], ids=["float", "bool", "numpy-bool", "1-tuple", "2-tuple", "negative", "beyond-grid",
+        "beyond-int64"])
+def test_response_point_must_be_an_int_on_the_system(point, message):
+    """A response names its point by one int grid index; a float, a bool or
+    a tuple raises, among int responses too, as does an int off the system."""
+    sol = cons.box_poly(5, (1, 1), (1, 1))
+    rng = np.random.default_rng(45)
+    a, b = codec.random_matrix(GF5, 1, 2, rng), codec.random_matrix(GF5, 2, 1, rng)
+    sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
+    payloads = codec.make_payloads(codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b), range(3))
+    system = codec.build_system(GF5, sol.sum_set(), [2, 1, 0])
+    good = [codec.worker_compute(p) for p in payloads]
+    odd = codec.WorkerResponse(point, good[0].product)
+    with pytest.raises(ParameterError, match=message):
+        codec.interpolate(system, good + [odd], require_threshold=False)
+    assert [type(r.point) for r in good] == [int] * 3
+    numpy_int = codec.WorkerResponse(np.uint8(1), good[1].product)  # numpy ints are ints
+    assert codec.interpolate(system, [numpy_int], require_threshold=False).blocks.shape == (1, 1, 1)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 def test_evaluate_many_of_no_points(spec):
     enc, _ = _encoded_pair(spec, np.random.default_rng(42))
-    for points in ([], np.zeros((0, 2), dtype=np.int64)):
+    for points in ([], np.zeros(0, dtype=np.int64)):
         out = codec.evaluate_many(enc, points)
         assert out.shape == (0, *enc.block_shape) and out.dtype == spec.dtype
 
@@ -351,13 +376,12 @@ def test_evaluate_many_of_no_points(spec):
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 def test_payloads_are_views_of_the_evaluate_many_rows(spec):
     enc_a, enc_b = _encoded_pair(spec, np.random.default_rng(43))
-    points = enumerate_points(spec, 2)[::3]
+    points = np.arange(spec.q**2)[::-3]
     vals_a, vals_b = codec.evaluate_many(enc_a, points), codec.evaluate_many(enc_b, points)
-    payloads = codec.make_payloads(enc_a, enc_b, np.array(points))
+    payloads = codec.make_payloads(enc_a, enc_b, points.tolist())
     assert len(payloads) == len(points)
-    for i, (pay, p) in enumerate(zip(payloads, points)):
-        assert (pay.index, pay.point, pay.spec) == (i, p, spec)
-        assert all(type(c) is int for c in pay.point)
+    for i, (pay, p) in enumerate(zip(payloads, points.tolist())):
+        assert (pay.point, pay.spec) == (p, spec) and type(pay.point) is int
         assert pay.a_part.dtype == pay.b_part.dtype == spec.dtype
         assert np.array_equal(pay.a_part, vals_a[i]) and np.array_equal(pay.b_part, vals_b[i])
         assert pay.a_part.base is payloads[0].a_part.base is not None  # one array, no copies
@@ -387,13 +411,12 @@ def monomial_reference(op, points):
 def check_gf2_evaluation(op, index, packed):
     """evaluate_many at the grid points `index` equals the monomial product,
     and the cost rule picks the side the case is meant to exercise."""
-    points = codec._grid_digits(2, op.support.l, np.asarray(index))
     j = int(max(index)).bit_length()
     assert codec._packed_side(j, len(index), len(op.blocks)) is packed
-    got = codec.evaluate_many(op, [tuple(p) for p in points.tolist()])
+    got = codec.evaluate_many(op, index)
     assert got.dtype == GF2.dtype and got.flags.c_contiguous
     assert got.shape == (len(index), *op.block_shape)
-    assert np.array_equal(got, monomial_reference(op, points))
+    assert np.array_equal(got, monomial_reference(op, index))
 
 
 # Block shapes whose entry counts cover w = 1 and every residue mod 8.
@@ -460,26 +483,29 @@ def test_gf2_transform_on_packed_words_equals_the_dual_matrix(w):
 
 
 def test_build_system_tiny():
-    sys1 = codec.build_system(GF5, ex.ExponentSet.of(5, 1, [(0,)]), [(0,)])
-    assert codec.monomial_matrix(GF5, sys1.support, [(0,)]).tolist() == [[1]]
+    sys1 = codec.build_system(GF5, ex.ExponentSet.of(5, 1, [(0,)]), [0])
+    assert codec.monomial_matrix(GF5, sys1.support, [0]).tolist() == [[1]]
     assert sys1.kappa == 1
 
     support = ex.ExponentSet.of(5, 1, [(0,), (1,), (2,)])
-    sys3 = codec.build_system(GF5, support, [(0,), (1,), (2,)])
-    assert codec.monomial_matrix(GF5, sys3.support, [(0,), (1,), (2,)]).tolist() == [
+    points = np.array([2, 0, 1])
+    sys3 = codec.build_system(GF5, support, points)
+    assert codec.monomial_matrix(GF5, sys3.support, [0, 1, 2]).tolist() == [
         [1, 1, 1], [0, 1, 2], [0, 1, 4]]
-    assert sys3.point_grid.tolist() == [0, 1, 2]
+    assert sys3.point_grid.tolist() == [2, 0, 1]
     assert sys3.support.index.tolist() == [0, 1, 2]
+    points[0] = 3  # the system keeps a read-only copy of the points
+    assert sys3.point_grid.tolist() == [2, 0, 1] and not sys3.point_grid.flags.writeable
 
-    with pytest.raises(ParameterError):
-        codec.build_system(GF5, support, [(0,), (0,), (1,)])
+    with pytest.raises(ParameterError, match="distinct"):
+        codec.build_system(GF5, support, [0, 0, 1])
     with pytest.raises(InsufficientResponsesError):
-        codec.build_system(GF5, support, [(0,), (1,)])
+        codec.build_system(GF5, support, [0, 1])
 
 
 def test_build_system_rejects_repeated_points_anywhere():
     sol = cons.sep_vars(2, 5, 5, 8, 8)
-    points = enumerate_points(GF2, 10)
+    points = np.arange(2**10)
     points[700] = points[3]
     with pytest.raises(ParameterError, match="distinct"):
         codec.build_system(GF2, sol.sum_set(), points)
@@ -487,8 +513,7 @@ def test_build_system_rejects_repeated_points_anywhere():
 
 def test_build_system_binary_rank():
     sol = cons.sep_vars(2, 5, 5, 8, 8)
-    points = enumerate_points(GF2, 10)
-    system = codec.build_system(GF2, sol.sum_set(), points)
+    system = codec.build_system(GF2, sol.sum_set(), np.arange(2**10))
     assert system.kappa == 256
     assert system.recovery_threshold == 961
 
@@ -518,7 +543,7 @@ def test_interpolate_all_four_subsets_of_five_points():
     sa, sb = codec.split(a, b, "poly", 2, 2)
     enc_a = codec.encode(sa, sol.d_a)
     enc_b = codec.encode(sb, sol.d_b)
-    points = enumerate_points(GF5, 1)
+    points = np.arange(5)
     system = codec.build_system(GF5, sol.sum_set(), points)
     responses = [codec.worker_compute(p) for p in codec.make_payloads(enc_a, enc_b, points)]
 
@@ -568,7 +593,7 @@ def test_subset_independence():
     sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
     enc_a = codec.encode(sa, sol.d_a)
     enc_b = codec.encode(sb, sol.d_b)
-    points = enumerate_points(GF19, 2)
+    points = np.arange(19**2)
     system = codec.build_system(GF19, sol.sum_set(), points)
     responses = [codec.worker_compute(p) for p in codec.make_payloads(enc_a, enc_b, points)]
     sub1 = [responses[i] for i in range(298)]
@@ -586,7 +611,7 @@ def _only_interpolation(sol, degree):
     a = codec.random_matrix(GF5, 2 * sol.m, 2, rng)
     b = codec.random_matrix(GF5, 2, 2 * sol.n, rng)
     sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
-    points = enumerate_points(GF5, 1)
+    points = np.arange(5)
     system = codec.build_system(GF5, sol.sum_set(), points)
     payloads = codec.make_payloads(codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b), points)
     interp = codec.interpolate(system, [codec.worker_compute(p) for p in payloads], only=degree)
@@ -609,12 +634,23 @@ def test_interpolation_lacking_a_degree_raises():
         interp[(2,)]
 
 
+@pytest.mark.parametrize("degree", [(5,), (-1,), (1.0,), (True,), (1, 0), ((1,), 2)],
+                         ids=["beyond-q", "negative", "float", "bool", "too-long", "ragged"])
+def test_a_degree_off_the_exponent_grid_raises(degree):
+    sol = cons.box_poly(5, (2,), (2,))
+    interp, _, _ = _only_interpolation(sol, (1,))
+    system = codec.build_system(GF5, sol.sum_set(), np.arange(5))
+    for lookup in (lambda: interp[degree], lambda: system.index_of_degree(degree)):
+        with pytest.raises(ParameterError, match=r"a degree must have 1 coordinates in \[0, 5\)"):
+            lookup()
+
+
 def test_stacked_array_records_compare_by_identity():
     """`==` on records that hold numpy arrays is identity and never raises."""
     sol = cons.box_poly(5, (2,), (2,))
     interp, sa, _ = _only_interpolation(sol, (1,))
     enc = codec.encode(sa, sol.d_a)
-    system = codec.build_system(GF5, sol.sum_set(), enumerate_points(GF5, 1))
+    system = codec.build_system(GF5, sol.sum_set(), np.arange(5))
     for record in (sa, enc, interp, system):
         twin = dataclasses.replace(record)
         assert record == record
@@ -677,11 +713,12 @@ def _combine_weights(kind, q, rng):
     (8, "random", 13), (8, "random", 4096), (2, "random", 11),
     (512, "random", 16), (512, "random", 5),  # uint16 indices: 32 and 10 bytes a row
     (9, "random", 7), (25, "one", 9), (23, "random", 6), (23, "full", 6), (3**10, "random", 3),
-    (3**10, "full", 3),  # 40 rows of q - 1 in one group: a 6-bit slot sums 31 of them
+    (3**10, "full", 3),  # 40 rows of q - 1 under one weight
 ])
 def test_grouped_combine_matches_entrywise_reference(q, kind, width):
-    """The decoder's weighted sum of responses, grouped by weight, against a
-    per-entry mul_arr/add_arr sum; its tallies count R w of each."""
+    """The decoder's weighted sum of responses (grouped by weight in
+    characteristic 2) against a per-entry mul_arr/add_arr sum; its tallies
+    count R w of each."""
     spec = FieldSpec.of_order(q)
     rng = np.random.default_rng(q + width)
     weights = _combine_weights(kind, q, rng)
@@ -747,7 +784,7 @@ def test_interpolate_only_outside_support_is_typed(responders):
     a = codec.random_matrix(GF5, 2, 2, rng)
     b = codec.random_matrix(GF5, 2, 2, rng)
     sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
-    points = enumerate_points(GF5, 1)
+    points = np.arange(5)
     system = codec.build_system(GF5, sol.sum_set(), points)
     payloads = codec.make_payloads(codec.encode(sa, sol.d_a), codec.encode(sb, sol.d_b), points)
     responses = [codec.worker_compute(p) for p in payloads[:responders]]
@@ -757,8 +794,8 @@ def test_interpolate_only_outside_support_is_typed(responders):
 
 
 def test_response_transcript_line():
-    resp = codec.WorkerResponse(17, (0, 1, 1, 0), np.array([[1, 0, 1]], dtype=GF2.dtype))
-    assert codec.format_response(resp) == "17 0,1,1,0 1 0 1"
+    resp = codec.WorkerResponse(6, np.array([[1, 0, 1]], dtype=GF2.dtype))
+    assert codec.format_response(resp, 2, 4) == "6 0,1,1,0 1 0 1"
 
 
 def test_matrix_entry_beyond_int64_names_the_range():

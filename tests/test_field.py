@@ -10,7 +10,7 @@ import pytest
 from mvdmm import field
 from mvdmm.errors import CapacityError, ParameterError, ShapeError
 from mvdmm.field import (
-    EXACT_FLOAT_LIMIT, RECIPROCAL_DOUBLE_LIMIT, RECIPROCAL_SINGLE_LIMIT, FieldSpec, enumerate_points,
+    EXACT_FLOAT_LIMIT, RECIPROCAL_DOUBLE_LIMIT, RECIPROCAL_SINGLE_LIMIT, FieldSpec,
 )
 
 
@@ -139,17 +139,6 @@ def test_scalar_mismatch_and_range_errors():
         FieldSpec(4)  # characteristic must be prime; use of_order for powers
     with pytest.raises(CapacityError):
         FieldSpec(2, 17)
-
-
-def test_enumerate_points_order_and_sizes():
-    gf2 = FieldSpec(2)
-    assert enumerate_points(gf2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(enumerate_points(gf2, 10)) == 1024
-    assert len(enumerate_points(FieldSpec(19), 2)) == 361
-    with pytest.raises(CapacityError):
-        enumerate_points(gf2, 12, limit=1000)
-    with pytest.raises(ParameterError):
-        enumerate_points(gf2, 0)
 
 
 def test_vectorized_ops_match_scalar():

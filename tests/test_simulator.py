@@ -9,7 +9,6 @@ import pytest
 
 from mvdmm import codec, simulator
 from mvdmm.errors import InfeasibleError, ParameterError
-from mvdmm.field import enumerate_points
 from mvdmm.simulator import SimConfig, StragglerModel
 
 
@@ -22,7 +21,7 @@ def test_plan_resolves_construction():
     assert pl.threshold == 298
     assert pl.system.kappa == 144
     assert pl.n_workers == 361
-    assert pl.points[:2].tolist() == [[0, 0], [0, 1]]
+    assert pl.system.point_grid[:2].tolist() == [0, 1]
 
 
 def test_construction_descriptor_rejects_a_repeated_key():
@@ -265,14 +264,14 @@ def test_sharpness_probe_computes_each_responder_once(monkeypatch):
     calls = []
 
     def counting(payload):
-        calls.append(payload.index)
+        calls.append(payload.point)
         return real(payload)
 
     monkeypatch.setattr(codec, "worker_compute", counting)
     report = simulator.run(replace(BOX19, trials=3))
     assert report.probe_min_success is not None
     assert len(calls) == len(set(calls)) <= report.config.n_workers
-    assert calls[:report.threshold] == [r.index for r in report.responses]
+    assert calls[:report.threshold] == [r.point for r in report.responses]
 
 
 @pytest.mark.parametrize("key, attr, value, least", [
@@ -297,12 +296,14 @@ def test_none_straggler_model_takes_no_param():
 
 
 def test_plan_points_are_a_read_only_grid_prefix():
+    """Worker i evaluates at grid point i: the plan's points are 0..N-1."""
     pl = simulator.plan(BOX19)
-    assert pl.points.shape == (361, 2) and pl.points.dtype == np.int64
-    assert not pl.points.flags.writeable
-    assert [tuple(p) for p in pl.points.tolist()] == enumerate_points(pl.spec, 2)
+    grid = pl.system.point_grid
+    assert grid.shape == (361,) and grid.dtype == np.int64
+    assert not grid.flags.writeable
+    assert grid.tolist() == list(range(19**2))
     short = simulator.plan(replace(BOX19, n_workers=300))
-    assert short.points.tolist() == pl.points[:300].tolist()
+    assert short.n_workers == 300 and short.system.point_grid.tolist() == grid[:300].tolist()
     assert pl == pl and pl != simulator.plan(BOX19)  # identity, not an array comparison
 
 

@@ -265,8 +265,9 @@ def cmd_selftest(args) -> int:
                 ok = False
     check("field axioms / inverses (q <= 9)", ok)
 
-    # matmul packs g output digits per float64, g falling as n grows; test n
-    # on both sides of every drop below 50,000 (GF(4) and GF(9) have none).
+    # matmul packs g output digits per float64 word, g falling as n grows;
+    # test n on both sides of every float64 drop below 50,000 (GF(4) and
+    # GF(9) have none).
     mm_rng = np.random.default_rng(args.seed)
     ok = True
     for q in (4, 8, 9, 16, 64):
@@ -292,6 +293,24 @@ def cmd_selftest(args) -> int:
     ok = (spec.matmul(a[:, :1], a.T[:1]).tolist() == [[spec.mul(2034, 2034)]]
           and spec.matmul(a, a.T).tolist() == [[(2034**2 + 1380**2) % p]])
     check("FieldSpec.matmul exact on both sides of the float32 word boundary (GF(2039))", ok)
+
+    # Packed float32 words hold GF(8) sums up to n = 85 (85 * 3 < 2^8, three
+    # slots of 8 bits) and GF(25) sums up to n = 127 (127 * 2 * 16 < 2^12, two
+    # slots of 12 bits); one index further the product takes float64.  Every
+    # entry q - 1 gives the largest slot sums.
+    ok = True
+    for q, last in ((8, 85), (25, 127)):
+        spec = FieldSpec.of_order(q)
+        for n in (last, last + 1):
+            a = np.full((1, n), q - 1, dtype=spec.dtype)
+            want = 0
+            for _ in range(n):
+                want = spec.add(want, spec.mul(q - 1, q - 1))
+            word = spec._packing(n)[0]
+            ok = ok and word is (np.float32 if n == last else np.float64)
+            ok = ok and spec.matmul(a, a.T).tolist() == [[want]]
+    check("FieldSpec.matmul exact on both sides of the packed float32 word boundary "
+          "(GF(8), GF(25))", ok)
 
     ok = True
     for q in (2, 3, 4, 5):

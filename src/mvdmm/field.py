@@ -21,24 +21,27 @@ int64, so unsigned inputs never wrap.
 workers' block products and the decoder's transforms all run through it.  It
 multiplies base-p digit matrices with BLAS on the narrowest floating-point
 word that holds every partial sum exactly, in the style of FFLAS-FFPACK.
-Over GF(p) with p odd each product is reduced in that word, with no
-division: z mod p = z - p * floor(z * c), where c is 1/p rounded one float
-step up (``_reduce_mod_p``).  This is exact below 2^22 in float32 and
-below 2^50 in float64 (``RECIPROCAL_SINGLE_LIMIT``,
-``RECIPROCAL_DOUBLE_LIMIT``), so the word is float32 while an entry's n
-terms in [0, (p-1)^2] sum below 2^22, float64 otherwise, with the inner
-dimension cut so that every partial sum stays below 2^50.  Over GF(2) the
-limits are the mantissas' 2^24 and 2^53, and the product is reduced by an
-in-place ``& 1`` on its int32 or int64 cast.  Any summation order BLAS picks
-is exact.  Over GF(p^e) it packs as many output digits into one
-float64 as fit without carries (Kronecker substitution), so BLAS forms
-e * ceil(e/g) digit products per field product instead of e^2, and the left
-operand's packed x^i X words come from one gather through a fused table.
-Over GF(2^e) the bits of each output index are gathered off the packed
-words by one uint64 multiply per word.  The result is allocated once, in the
-index dtype, and filled in row tiles of at most ``MATMUL_TILE`` output
-digits, so each tile's product and reduction stay in cache.  Over
-GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
+For p odd each digit sum is reduced in that word, with no division:
+z mod p = z - p * floor(z * c), where c is 1/p rounded one float step up
+(``_reduce_mod_p``).  This is exact below 2^22 in float32 and below 2^50 in
+float64 (``RECIPROCAL_SINGLE_LIMIT``, ``RECIPROCAL_DOUBLE_LIMIT``), so over
+GF(p) the word is float32 while an entry's n terms in [0, (p-1)^2] sum below
+2^22, float64 otherwise, with the inner dimension cut so that every partial
+sum stays below 2^50.  Over GF(2) the limits are the mantissas' 2^24 and
+2^53, and the product is reduced by an in-place ``& 1`` on its int32 or
+int64 cast.  Any summation order BLAS picks is exact.  Over GF(p^e) it packs
+as many output digits into one word as fit without carries (Kronecker
+substitution), so BLAS forms e * ceil(e/g) digit products per field product
+instead of e^2, and the left operand's packed x^i X words come from one
+gather through a fused table.  The word is float32 when its slots of 24 // g
+bits need no more words than float64's slots of 53 // g bits (GF(8) up to
+n = 85; no field above q = 1849).  Over GF(2^e) the bits of each output
+index are gathered off the packed words by one uint32 or uint64 multiply per
+word; for p odd the digits are split off the words by power-of-two scaling
+and floor, reduced, and recombined by Horner's rule, all in the word.  The
+result is allocated once, in the index dtype, and filled in row tiles of at
+most ``MATMUL_TILE`` output digits, so each tile's product and reduction
+stay in cache.  Over GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ TABLE_LIMIT = 512
 # Largest supported field order (irreducibility checked exhaustively).
 MAX_ORDER = 1 << 16
 
-# Output digits (e per entry) of one row tile of ``FieldSpec.matmul``: about
-# 1 MB of float64 product and of int64 reduction per tile.
+# Output digits (e per entry) of one row tile of ``FieldSpec.matmul``: at
+# most 1 MB of float64 product and of its reduction per tile.
 MATMUL_TILE = 1 << 17
 
 # Cap on the grid GF(q)^l of worker points (q^l up to 2^20).
@@ -69,7 +72,8 @@ DEFAULT_POINT_LIMIT = 1 << 20
 # to 2^24.
 EXACT_FLOAT_BITS = 53
 EXACT_FLOAT_LIMIT = 1 << EXACT_FLOAT_BITS
-EXACT_SINGLE_LIMIT = 1 << 24
+EXACT_SINGLE_BITS = 24
+EXACT_SINGLE_LIMIT = 1 << EXACT_SINGLE_BITS
 
 # ``_reduce_mod_p`` gives z mod p exactly for every integer z below these
 # limits in a float32 and a float64 word, for every odd prime p below 2^16
@@ -239,18 +243,18 @@ class FieldSpec:
         self.dtype = np.min_scalar_type(q - 1)
         # Longest inner dimension for which an entry of ``matmul``'s float64
         # product (e * chunk terms of at most (p-1)^2) stays below 2^53, or
-        # below 2^50 over GF(p), p odd, where it is reduced in the word.
-        limit = EXACT_FLOAT_LIMIT if p == 2 or e > 1 else RECIPROCAL_DOUBLE_LIMIT
+        # below 2^50 for p odd, where it is reduced in the word.
+        limit = EXACT_FLOAT_LIMIT if p == 2 else RECIPROCAL_DOUBLE_LIMIT
         self.matmul_chunk = (limit - 1) // (e * (p - 1) ** 2)
         self._log = self._exp = None
         self._add_table = self._mul_table = None
         self._planes = {}
-        self._fused = None
-        # Over GF(p), p odd, per word: (1/p rounded one step up, p) as scalars
-        # of that word, so that ``_reduce_mod_p`` computes in it under any
-        # numpy promotion rule.
+        self._fused = {}
+        # For p odd, per word: (1/p rounded one step up, p) as scalars of
+        # that word, so that ``_reduce_mod_p`` computes in it under any numpy
+        # promotion rule.
         self._reciprocal = {}
-        if e == 1 and p != 2:
+        if p != 2:
             self._reciprocal = {
                 w: (np.nextafter(w(1) / w(p), w(1)), w(p)) for w in (np.float32, np.float64)
             }
@@ -417,58 +421,76 @@ class FieldSpec:
         words.  Over GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where
         Y_i is digit i of Y and (x^i X)_j is digit j of the elementwise field
         product x^i * X, which carries the reduction by the modulus.  The left
-        operand packs g consecutive output digits j into one float64, digit j
-        in slot j % g of 53 // g bits (``_packing``), and one gather through
-        the fused (words, power i, q) table of ``_left_planes`` forms every
-        packed x^i X at once.  So one product of the packed left, (words * r)
-        x (e * n), by the (e * n) x t right digits gives all e output digits
-        from e * ceil(e/g) digit products; over GF(p), e = g = 1 and the
-        digits are the indices.
+        operand packs g consecutive output digits j into one word, digit j in
+        slot j % g of f // g bits, f being the word's significand bits (24 in
+        float32, 53 in float64), and one gather through the fused (words,
+        power i, q) table of ``_left_planes`` forms every packed x^i X at
+        once.  So one product of the packed left, (words * r) x (e * n), by
+        the (e * n) x t right digits gives all e output digits from
+        e * ceil(e/g) digit products; over GF(p), e = g = 1 and the digits
+        are the indices.
 
-        Words.  Over GF(p) the word is float32 when w * (p-1)^2 is below
-        2^22 (p odd) or 2^24 (p = 2), with w = min(n, ``matmul_chunk``), and
-        float64 otherwise (``_word``).  GF(p^e) always takes float64.  The
-        inner dimension is cut into chunks of at most w indices.  A slot of a
-        chunk's product sums at most w * e terms in [0, (p-1)^2], and g is
-        chosen so that w * e * (p-1)^2 < 2^(53 // g).  So every partial sum
-        BLAS forms, in whatever order and with or without fused multiply-adds,
-        is a non-negative integer below the word's mantissa limit (2^24, or
-        2^(g * (53 // g)) <= 2^53), hence exact, and no slot carries into the
-        next.  ``matmul_chunk`` keeps the g = 1 bound: 2^53, or 2^50 over
-        GF(p) with p odd, where the product must stay below the reduction's
-        limits as well.
+        Words.  The inner dimension is cut into chunks of at most
+        w = min(n, ``matmul_chunk``) indices, so a slot of a chunk's product
+        sums at most w * e terms in [0, (p-1)^2], at most
+        bound = w * e * (p-1)^2.  Each word takes the largest g in 1..e with
+        bound < 2^(f // g), in float32 also below 2^22 for p odd (the
+        reduction's limit, below), and the word is float32 when its g needs
+        no more words than float64's, ceil(e/g) <= ceil(e/g64), else float64
+        (``_packing``).  Over GF(p) that is float32 while w * (p-1)^2 is
+        below 2^24 (p = 2) or 2^22 (p odd).  Over GF(p^e) float32 slots of
+        24 // g bits only pay for small fields: GF(8) up to n = 85, GF(25) up
+        to n = 127, and no field above q = 1849 (GF(43^2), at n = 1) for
+        any n >= 1.  Every partial sum BLAS forms, in whatever order and
+        with or without fused multiply-adds, is a non-negative integer below
+        2^(g * (f // g)) <= 2^f, hence exact, and no slot carries into the
+        next.  ``matmul_chunk`` keeps the g = 1 bound in float64: 2^53 for
+        p = 2, and 2^50 for p odd, where a g = 1 slot is a whole digit sum
+        and must stay reducible in the word.  At g >= 2 a slot is below
+        2^26 in float64 and 2^12 in float32, inside both reduction limits.
+        An empty product (n = 0) is all zeros and takes no word.
 
-        Reduction.  Over GF(p), p odd, the product z of a chunk is reduced in
-        its word, in place, as z - p * floor(z * c) with c = nextafter(fl(1/p),
-        1) (``_reduce_mod_p``), and the residues are cast into the output's
-        index dtype.  Chunks add their residues, below 2p, and reduce again.
-        This is exact while 4z + p <= 2^f, f being the significand bits (24
-        or 53).  Write z = kp + r with 0 <= r < p, and u for the float step
-        at 1/p, u < 2^(1-f) / p.  1/p is not a float (p is odd) nor within a
-        step of a power of two (p < 2^16), so fl(1/p) is within u/2 of it
-        and 1/p < c < 1/p + 3u/2.  No undershoot: z * c >= z/p >= k, and
-        rounding is monotone, so fl(z * c) >= k.  No overshoot:
-        k + 1 - z * c > (p - r)/p - 3uz/2 >= (1 - 3z 2^-f) / p, while
-        fl(z * c) reaches k + 1 only from within half a step below it, at
-        most (k + 1) 2^-f <= (z + p) 2^-f / p.  So floor(fl(z * c)) = k, and
-        p * k and z - p * k are exact.  In float64 that covers every
-        z < 2^50 (``RECIPROCAL_DOUBLE_LIMIT``).  In float32 it covers
-        z <= 2^22 - p/4; float32 words only occur for p < 2^11, as one
-        (p-1)^2 must be below 2^22, and an exhaustive check over every odd
-        prime below 2^11 covers the rest of [0, 2^22)
+        Slots.  For p odd the e digit sums are split off the product's words
+        in the word itself (``_slot_digits``).  A word is
+        W = sum_s d_s 2^(s * b), with b = f // g and 0 <= d_s < 2^b.
+        W * 2^(-s * b) is exact, being a scaling by a power of two, so its
+        floor is F_s = sum_{s' >= s} d_s' 2^((s' - s) * b), an integer below
+        2^f; 2^b * F_(s+1) is exact likewise, and d_s = F_s - 2^b * F_(s+1)
+        is an integer in [0, 2^b), a float, so the subtraction that forms it
+        is exact as well.
+
+        Reduction.  For p odd each digit sum z of a chunk (the product itself
+        over GF(p), a slot over GF(p^e)) is reduced in its word, in place, as
+        z - p * floor(z * c) with c = nextafter(fl(1/p), 1)
+        (``_reduce_mod_p``).  Chunks add their residues, below 2p, and
+        reduce again.  This is exact while 4z + p <= 2^f.  Write z = kp + r
+        with 0 <= r < p, and u for the float step at 1/p, u < 2^(1-f) / p.
+        1/p is not a float (p is odd) nor within a step of a power of two
+        (p < 2^16), so fl(1/p) is within u/2 of it and 1/p < c < 1/p + 3u/2.
+        No undershoot: z * c >= z/p >= k, and rounding is monotone, so
+        fl(z * c) >= k.  No overshoot: k + 1 - z * c > (p - r)/p - 3uz/2 >=
+        (1 - 3z 2^-f) / p, while fl(z * c) reaches k + 1 only from within
+        half a step below it, at most (k + 1) 2^-f <= (z + p) 2^-f / p.  So
+        floor(fl(z * c)) = k, and p * k and z - p * k are exact.  In float64
+        that covers every z < 2^50 (``RECIPROCAL_DOUBLE_LIMIT``).  In float32
+        it covers z <= 2^22 - p/4; float32 words only occur for p < 2^11, as
+        one (p-1)^2 must be below 2^22, and an exhaustive check over every
+        odd prime below 2^11 covers the rest of [0, 2^22)
         (``RECIPROCAL_SINGLE_LIMIT``).  Past 2^22 the floor does overshoot,
-        first at z = 4926223 over GF(2039).
+        first at z = 4926223 over GF(2039).  Over GF(p^e) the digit residues
+        are then recombined by Horner's rule in the word; every value it
+        forms is an integer below q <= 2^16, exact in float32 too.  The
+        residues, or the indices, are cast once into the index dtype.
         Over GF(2) the product is cast to int32 or int64 and reduced by ``& 1``.
         Over GF(2^e) bit j of an output index is bit 0 of slot j % g of word
-        j // g, so one multiply per word gathers the index bits
-        (``_index_bits``), and chunks combine by XOR.  Over GF(p^e) with p
-        odd the int64 slots are split off by shifts and a mask, reduced mod
-        p, and the digits recombined by Horner's rule.
+        j // g, so one multiply per word of the product's uint32 or uint64
+        cast gathers the index bits (``_index_bits``), and chunks combine by
+        XOR.
 
         Tiles.  The (r, t) result is allocated once, in the index dtype
         ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
         max(1, MATMUL_TILE // (e * t)) rows (``_tile_rows``), so a tile's
-        product and its integer digits stay near 1 MB.  The right operand's
+        product and its digits stay near 1 MB.  The right operand's
         (digit i, n, t) words are formed once per call and shared by every
         tile; only a tile's left rows are gathered with it.  Over GF(p), with
         one chunk and one tile, nothing is allocated besides the operand words,
@@ -481,16 +503,15 @@ class FieldSpec:
             raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
         p, e, step = self.p, self.e, self.matmul_chunk
         (r, n), t = x.shape, y.shape[1]
-        word = self._word(n)
-        reciprocal = self._reciprocal.get(word)  # GF(p), p odd: reduce in the word
-        whole = np.int32 if word is np.float32 else np.int64
+        if n == 0:
+            return np.zeros((r, t), dtype=self.dtype)
+        word, g, bits = self._packing(n)
+        reciprocal = self._reciprocal.get(word)  # p odd: reduce in the word
         if e == 1:
-            g, bits = 1, 0
             right = y.astype(word)  # (n, t)
         else:
-            g, bits = self._packing(n)
-            planes = self._left_planes(g)
-            right = np.take(self._packed_planes(1), y, axis=1)  # (digit i, n, t)
+            planes = self._left_planes(g, word)
+            right = np.take(self._packed_planes(1, word), y, axis=1)  # (digit i, n, t)
         out = np.empty((r, t), dtype=self.dtype)
         rows = self._tile_rows(t)
         for lo in range(0, r, rows):
@@ -500,7 +521,7 @@ class FieldSpec:
             else:  # (word, row, power i, n), a view of the gathered (word, i, n, row)
                 left = np.take(planes, tile.T, axis=2).transpose(0, 3, 1, 2)
             acc = None
-            for start in range(0, max(n, 1), step):
+            for start in range(0, n, step):
                 a, b = left, right
                 if n > step:
                     a, b = a[..., start:start + step], b[..., start:start + step, :]
@@ -508,89 +529,95 @@ class FieldSpec:
                     k = e * b.shape[1]
                     a, b = a.reshape(len(a), len(tile), k), b.reshape(k, t)
                 part = a @ b  # ([word,] row, t)
-                if reciprocal is not None:  # reduced in the word after the last chunk
-                    if acc is not None:  # the two residues sum below 2p
-                        part = _reduce_mod_p(part, *reciprocal)
-                        part += _reduce_mod_p(acc, *reciprocal)
-                    acc = part
-                    continue
-                part = part.astype(whole)
                 if p == 2:  # index bits; chunks combine by XOR
+                    part = part.astype(np.int32 if word is np.float32 else np.int64)
                     if e == 1:
                         part &= 1
                     else:
                         part = _index_bits(part, e, g, bits)
                     acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
-                else:  # (digit, row, t) sums mod p
-                    if g > 1:
-                        part = _split_slots(part, e, g, bits)
-                    acc = part if acc is None else np.add(acc, part, out=acc)
-                    acc %= p
-            if reciprocal is not None:
+                    continue
+                if g > 1:  # (digit, row, t) sums
+                    part = _slot_digits(part, e, g, bits)
+                if acc is not None:  # the two residues sum below 2p
+                    part = _reduce_mod_p(part, *reciprocal)
+                    part += _reduce_mod_p(acc, *reciprocal)
+                acc = part
+            if p != 2:
                 acc = _reduce_mod_p(acc, *reciprocal)
-            elif p != 2 and e > 1:  # (digit, row, t) to indices, by Horner's rule
-                value = acc[-1]
-                for d in acc[-2::-1]:
-                    value = value * p + d
-                acc = value
+                if e > 1:  # (digit, row, t) to indices, by Horner's rule
+                    value = acc[-1]
+                    for d in acc[-2::-1]:
+                        value *= reciprocal[1]  # p, in the word
+                        value += d
+                    acc = value
             out[lo:lo + rows] = acc
         return out
-
-    def _word(self, n: int) -> type:
-        """Floating-point word of ``matmul`` at inner dimension n: float32 over
-        GF(p) when min(n, matmul_chunk) * (p-1)^2 is below 2^22 (p odd) or
-        2^24 (p = 2), else float64."""
-        limit = EXACT_SINGLE_LIMIT if self.p == 2 else RECIPROCAL_SINGLE_LIMIT
-        if self.e == 1 and min(n, self.matmul_chunk) * (self.p - 1) ** 2 < limit:
-            return np.float32
-        return np.float64
 
     def _tile_rows(self, t: int) -> int:
         """Rows of one ``matmul`` row tile for t output columns: at most
         ``MATMUL_TILE`` output digits (e per entry), and at least one row."""
         return max(1, MATMUL_TILE // (self.e * max(t, 1)))
 
-    def _packing(self, n: int) -> tuple[int, int]:
-        """(g, slot bits) of ``matmul`` at inner dimension n.
+    def _packing(self, n: int) -> tuple[type, int, int]:
+        """(word, g, slot bits) of ``matmul`` at inner dimension n
+        (``_word_packing`` of its chunk length min(n, matmul_chunk))."""
+        return _word_packing(self.p, self.e, min(n, self.matmul_chunk))
 
-        g is the largest value in 1..e with w * e * (p-1)^2 < 2^(53 // g),
-        w = min(n, matmul_chunk): the most output digits one float64 holds
-        without a carry between their slots of 53 // g bits.
-        """
-        bound = min(n, self.matmul_chunk) * self.e * (self.p - 1) ** 2
-        g = next(g for g in range(self.e, 0, -1) if bound < 1 << (EXACT_FLOAT_BITS // g))
-        return g, EXACT_FLOAT_BITS // g
-
-    def _packed_planes(self, g: int) -> np.ndarray:
-        """(ceil(e/g), q) float64 table, built once per g.
+    def _packed_planes(self, g: int, word: type) -> np.ndarray:
+        """(ceil(e/g), q) table in ``word``, built once per (g, word).
 
         Column v, row b holds digits b*g .. b*g+g-1 of index v, digit b*g+s
-        shifted into slot s (bits s * (53 // g) upward).  At g = 1 row k is
-        digit k.
+        shifted into slot s (bits s * (f // g) upward, f being the word's
+        24 or 53 significand bits).  At g = 1 row k is digit k.
         """
-        planes = self._planes.get(g)
+        planes = self._planes.get((g, word))
         if planes is None:
-            p, bits = self.p, EXACT_FLOAT_BITS // g
+            p, bits = self.p, (np.finfo(word).nmant + 1) // g
             idx = np.arange(self.q, dtype=np.int64)
             words = np.zeros((-(-self.e // g), self.q), dtype=np.int64)
             for j in range(self.e):
                 words[j // g] += idx // p**j % p << (j % g * bits)
-            planes = self._planes[g] = words.astype(np.float64)
+            planes = self._planes[g, word] = words.astype(word)
         return planes
 
-    def _left_planes(self, g: int) -> np.ndarray:
-        """(ceil(e/g), e, q) float64 table: entry [b, i, v] is packed word b
-        (``_packed_planes(g)``) of x^i * v, x^i being the index p^i.  One
-        gather through it forms every packed x^i X.  It holds
-        ceil(e/g) * e * q float64s: 192 bytes over GF(8) at g = 3, 32 MB over
-        GF(2^16) at g = 4 and 128 MB at g = 1, so only the table of the last
-        g used is kept."""
-        if self._fused is None or self._fused[0] != g:
-            self._fused = None  # drop the old table before building the new one
+    def _left_planes(self, g: int, word: type) -> np.ndarray:
+        """(ceil(e/g), e, q) table in ``word``: entry [b, i, v] is packed word
+        b (``_packed_planes(g, word)``) of x^i * v, x^i being the index p^i.
+        One gather through it forms every packed x^i X.  It holds
+        ceil(e/g) * e * q words.  In float64 that is 192 bytes over GF(8) at
+        g = 3, 32 MB over GF(2^16) at g = 4 and 128 MB at g = 1, so only the
+        table of the last g used is kept.  Float32 tables occur only for
+        q <= 1849 (see ``matmul``), and hold at most 2 * 1849 float32s
+        (15 KB, GF(43^2) at g = 2); the last one is kept beside the float64
+        one, so that products alternating between the words rebuild neither.
+        """
+        if self._fused.get(word, (None,))[0] != g:
+            self._fused.pop(word, None)  # drop the old table before building the new one
             idx = np.arange(self.q)
             times_x = np.stack([idx] + [self.mul_arr(self.p**i, idx) for i in range(1, self.e)])
-            self._fused = g, np.take(self._packed_planes(g), times_x, axis=1)
-        return self._fused[1]
+            self._fused[word] = g, np.take(self._packed_planes(g, word), times_x, axis=1)
+        return self._fused[word][1]
+
+
+@lru_cache(maxsize=1024)
+def _word_packing(p: int, e: int, w: int) -> tuple[type, int, int]:
+    """(word, g, slot bits) of ``FieldSpec.matmul`` over GF(p^e) for chunks of
+    w inner indices.
+
+    A slot sums at most bound = w * e * (p-1)^2, so it needs
+    b = bound.bit_length() bits.  A word of f significand bits then holds
+    g = min(e, f // b) output digits without a carry between their slots of
+    f // g bits; in float32 the bound must also stay below 2^22 for p odd,
+    where slots are reduced in the word.  The word is float32 when its g needs
+    no more words than float64's.
+    """
+    bound = w * e * (p - 1) ** 2
+    b = bound.bit_length() or 1
+    g32, g64 = min(e, EXACT_SINGLE_BITS // b), min(e, EXACT_FLOAT_BITS // b)
+    if g32 and -(-e // g32) <= -(-e // g64) and (p == 2 or bound < RECIPROCAL_SINGLE_LIMIT):
+        return np.float32, g32, EXACT_SINGLE_BITS // g32
+    return np.float64, g64, EXACT_FLOAT_BITS // g64
 
 
 def _reduce_mod_p(z: np.ndarray, c, p) -> np.ndarray:
@@ -606,13 +633,14 @@ def _reduce_mod_p(z: np.ndarray, c, p) -> np.ndarray:
 
 
 def _index_bits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
-    """GF(2^e) indices, as uint64, from ``matmul``'s (ceil(e/g), r, t) integer
-    product words: bit j is bit 0 of slot j % g of word j // g, the parity of
-    output digit j.  Each group of ``_gather_steps`` costs four passes over
-    its word (mask, multiply, shift, mask) and one OR."""
-    words = words.view(np.uint64)
+    """GF(2^e) indices, as uint32 or uint64, from ``matmul``'s (ceil(e/g), r,
+    t) int32 or int64 product words: bit j is bit 0 of slot j % g of word
+    j // g, the parity of output digit j.  Each group of ``_gather_steps``
+    costs four passes over its word (mask, multiply, shift, mask) and one OR."""
+    unsigned = np.uint32 if words.itemsize == 4 else np.uint64
+    words = words.view(unsigned)
     value = None
-    for b, mask, gather, shift, keep in _gather_steps(e, g, bits):
+    for b, mask, gather, shift, keep in _gather_steps(e, g, bits, unsigned):
         part = np.bitwise_and(words[b], mask)
         part *= gather
         if shift:
@@ -623,10 +651,11 @@ def _index_bits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gather_steps(e: int, g: int, bits: int) -> tuple[tuple, ...]:
+def _gather_steps(e: int, g: int, bits: int, unsigned: type) -> tuple[tuple, ...]:
     """Per group of slots, ``_index_bits``'s (word, mask, multiplier, right
-    shift, output mask), the constants as explicit uint64 scalars so that no
-    operand is promoted to float.
+    shift, output mask), the constants as explicit ``unsigned`` (uint32 or
+    uint64) scalars, so that numpy 1.x and 2.x both keep every operation in
+    the word's unsigned type and none is promoted.
 
     One multiply gathers k slots s0 .. s0+k-1 of a word into output bits
     j .. j+k-1.  With their bit 0s masked, the word times
@@ -634,10 +663,13 @@ def _gather_steps(e: int, g: int, bits: int) -> tuple[tuple, ...]:
     (bits-1)) keeps every exponent >= 0, puts the parity of slot s0+s at bit
     T + s; a right shift by T - j moves it to bit j + s.  The k^2 partial
     products are single bits at T + s' * bits - s * (bits-1) for slot s0+s'
-    and term s (bits past 2^64 drop off and carry nowhere); as bits and
-    bits - 1 are coprime these differ whenever k <= bits, so nothing carries,
-    and the cross terms land outside T .. T+k-1.  bits = 53 // g, so k = g for
-    g <= 7; larger g take sub-groups of at most bits slots.
+    and term s (bits past 2^32 or 2^64 drop off and carry nowhere); as bits
+    and bits - 1 are coprime these differ whenever k <= bits, so nothing
+    carries, and the cross terms land outside T .. T+k-1.  T + k - 1 is
+    below 16 or below (g-1) * bits < 24 in float32 words (53 in float64), so
+    the gathered bits fit either unsigned word.  bits is 24 // g or 53 // g,
+    so k = g for g <= 4 in float32 and g <= 7 in float64; larger g take
+    sub-groups of at most bits slots.
     """
     steps, j = [], 0
     while j < e:
@@ -646,23 +678,31 @@ def _gather_steps(e: int, g: int, bits: int) -> tuple[tuple, ...]:
         top = max(j, s0 * bits + (k - 1) * (bits - 1))
         steps.append((
             b,
-            np.uint64(sum(1 << (s0 + s) * bits for s in range(k))),
-            np.uint64(sum(1 << top + s - (s0 + s) * bits for s in range(k))),
-            np.uint64(top - j),
-            np.uint64(((1 << k) - 1) << j),
+            unsigned(sum(1 << (s0 + s) * bits for s in range(k))),
+            unsigned(sum(1 << top + s - (s0 + s) * bits for s in range(k))),
+            unsigned(top - j),
+            unsigned(((1 << k) - 1) << j),
         ))
         j += k
     return tuple(steps)
 
 
-def _split_slots(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
-    """(e, r, t) base-p digit sums from ``matmul``'s (ceil(e/g), r, t) integer
-    product words: digit j is slot j % g of word j // g."""
+def _slot_digits(words: np.ndarray, e: int, g: int, bits: int) -> np.ndarray:
+    """(e, r, t) base-p digit sums, in the word, from ``matmul``'s
+    (ceil(e/g), r, t) float product words: digit j is slot j % g of word
+    j // g.  Row s::g first takes floor(word * 2^(-s * bits)), the slots s
+    and up; less 2^bits times the next row's, it keeps slot s alone.  Every
+    step is exact (proof in ``matmul``)."""
+    word = words.dtype.type
     digits = np.empty((e,) + words.shape[1:], dtype=words.dtype)
-    for s in range(g):
-        slot = digits[s::g]  # digits s, s + g, ...: slot s of each word
-        np.right_shift(words[:len(slot)], s * bits, out=slot)
-        slot &= (1 << bits) - 1
+    digits[::g] = words
+    for s in range(1, g):
+        high = digits[s::g]
+        np.multiply(words[:len(high)], word(2.0 ** (-s * bits)), out=high)
+        np.floor(high, out=high)
+    for s in range(g - 1):
+        high = digits[s + 1::g]
+        digits[s::g][:len(high)] -= high * word(2.0**bits)
     return digits
 
 

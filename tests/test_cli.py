@@ -313,8 +313,9 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "PASS FieldSpec.matmul == scalar schoolbook" in out
+    assert "PASS FieldSpec.matmul exact on both sides of the packed float32 word boundary" in out
 
 
 def test_console_entry_point():

@@ -175,14 +175,47 @@ def test_matmul_planes_match_schoolbook():
         assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b))
 
 
-def packing_transitions(spec, limit):
-    """Inner dimensions n <= limit at which matmul's g drops: the least w with
-    w * e * (p-1)^2 >= 2^(53 // g), for each g in 2..e."""
+# Significand bits of matmul's two words.
+WORD_BITS = {np.float32: 24, np.float64: 53}
+
+
+def slot_bound(spec, n):
+    """Largest sum a slot of one chunk of matmul's product can reach."""
+    return min(n, spec.matmul_chunk) * spec.e * (spec.p - 1) ** 2
+
+
+def carry_free(spec, n, word, g):
+    """Whether g slots of WORD_BITS[word] // g bits hold a chunk's sums, in
+    float32 below the reduction's 2^22 as well for p odd."""
+    bound = slot_bound(spec, n)
+    if word is np.float32 and spec.p != 2 and bound >= RECIPROCAL_SINGLE_LIMIT:
+        return False
+    return bound < 2 ** (WORD_BITS[word] // g)
+
+
+def forced_packings(spec, n):
+    """Every (word, g, bits) that keeps slots carry-free at inner dimension n,
+    chosen by matmul or not, on each word that the field takes for some
+    n >= 1 (no float32 table is built for a larger field)."""
+    words = [np.float64]
+    if spec.e == 1 or spec.q in LAST_PACKED_SINGLE_WORD_N:
+        words.append(np.float32)
+    return [(word, g, WORD_BITS[word] // g) for word in words
+            for g in range(1, spec.e + 1) if carry_free(spec, n, word, g)]
+
+
+def packing_edges(spec, limit):
+    """Inner dimensions n <= limit at which some slot width of either word
+    stops holding the bound: the least n with n * e * (p-1)^2 >= 2^(f // g)
+    for f in {24, 53} and g in 1..e, or >= 2^22.  ``_packing`` can only
+    change there."""
     unit = spec.e * (spec.p - 1) ** 2
-    return sorted({-(-(1 << 53 // g) // unit) for g in range(2, spec.e + 1)} & set(range(1, limit + 1)))
+    caps = {2 ** (f // g) for f in WORD_BITS.values() for g in range(1, spec.e + 1)}
+    caps.add(RECIPROCAL_SINGLE_LIMIT)
+    return sorted(n for n in {-(-c // unit) for c in caps} if 2 <= n <= limit)
 
 
-# Every transition of g up to this n is tested on both sides; larger ones
+# Every edge of the packing up to this n is tested on both sides; larger ones
 # (g = 2 -> 1 on every field, at n >= 2^21) are reached by forcing g.
 TRANSITION_LIMIT = 50_000
 PACKED_ORDERS = [4, 8, 9, 16, 25, 27, 64, 256, 243]
@@ -190,9 +223,9 @@ PACKED_ORDERS = [4, 8, 9, 16, 25, 27, 64, 256, 243]
 
 def _matmul_cases(spec):
     """(r, n, t) shapes: small ones, plus 1 x n x 1 on both sides of each
-    packing transition."""
+    packing edge."""
     shapes = [(3, 0, 2), (3, 1, 2), (4, 7, 3), (2, 20, 5)]
-    for n in packing_transitions(spec, TRANSITION_LIMIT):
+    for n in packing_edges(spec, TRANSITION_LIMIT):
         shapes += [(1, n - 1, 1), (1, n, 1)] if n > 64 else [(3, n - 1, 2), (3, n, 2)]
     return shapes
 
@@ -203,13 +236,19 @@ def test_matmul_matches_schoolbook_across_packings(q):
     rng = np.random.default_rng(q)
     seen = set()
     for r, n, t in _matmul_cases(spec):
-        seen.add(spec._packing(n)[0])
+        if n:
+            seen.add(spec._packing(n))
         for a, b in (
             (rng.integers(0, q, size=(r, n)), rng.integers(0, q, size=(n, t))),
             (np.full((r, n), q - 1), np.full((n, t), q - 1)),
         ):
             assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b)), (r, n, t)
-    assert len(seen) == len(packing_transitions(spec, TRANSITION_LIMIT)) + 1
+    # the packing is constant between edges, so this is every packing of
+    # 1 <= n <= TRANSITION_LIMIT, each on both sides of its ends
+    assert seen == {spec._packing(n) for n in [1] + packing_edges(spec, TRANSITION_LIMIT)}
+    assert len(seen) > 1
+    assert {word for word, _, _ in seen} == (
+        {np.float64} if q in (243, 256) else {np.float32, np.float64})
     chunked = FieldSpec.of_order(q)
     chunked.matmul_chunk = 4
     a = rng.integers(0, q, size=(3, 23))
@@ -221,53 +260,120 @@ def test_matmul_matches_schoolbook_across_packings(q):
 @pytest.mark.parametrize("q", [4, 8, 9, 27, 64, 243])
 def test_matmul_exact_at_every_smaller_packing(q, monkeypatch):
     """Any g below the chosen one also keeps slots carry-free, down to g = 1
-    (the unpacked digit product), which real inputs reach only at n >= 2^21."""
+    (the unpacked digit product), which real inputs reach only at n >= 2^21;
+    so does every carry-free g of the word not chosen."""
     spec = FieldSpec.of_order(q)
     rng = np.random.default_rng(q + 1)
     a = rng.integers(0, q, size=(4, 9))
     b = rng.integers(0, q, size=(9, 3))
     want = schoolbook_matmul(spec, a, b)
-    top, _ = spec._packing(9)
-    for g in range(1, top + 1):
-        monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, g=g: (g, 53 // g))
-        assert np.array_equal(spec.matmul(a, b), want), g
-        assert spec._packed_planes(g).shape == (-(-spec.e // g), q)
+    word, top, _ = spec._packing(9)
+    packings = forced_packings(spec, 9)
+    assert {g for w, g, _ in packings if w is word} == set(range(1, top + 1))
+    assert {w for w, _, _ in packings} == ({np.float64} if q == 243 else set(WORD_BITS))
+    for packing in packings:
+        monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, packing=packing: packing)
+        assert np.array_equal(spec.matmul(a, b), want), packing
+        word, g, _ = packing
+        planes = spec._packed_planes(g, word)
+        assert planes.shape == (-(-spec.e // g), q) and planes.dtype == word
 
 
-@pytest.mark.parametrize("q", [2, 19, 65521] + PACKED_ORDERS + [65536])
+@pytest.mark.parametrize("q", [2, 19, 65521] + PACKED_ORDERS + [1849, 65536])
 def test_matmul_packing_rule(q):
     spec = FieldSpec.of_order(q)
-    unit = spec.e * (spec.p - 1) ** 2
-    for n in [0, 1, 2, 7, 43, 1000, 43690, 43691, 10**6, 10**9, 10**12, 10**16, 10**18]:
-        g, bits = spec._packing(n)
-        bound = min(n, spec.matmul_chunk) * unit
-        assert 1 <= g <= spec.e and bits == 53 // g
-        assert bound < 2**bits
-        assert g == spec.e or bound >= 2 ** (53 // (g + 1))
-    assert spec._packing(spec.matmul_chunk)[0] == 1
+    e = spec.e
+    ns = {0, 1, 2, 7, 43, 1000, 43690, 43691, 10**6, 10**9, 10**12, 10**16, 10**18}
+    ns |= {m + d for m in packing_edges(spec, 10**9) for d in (-1, 0)}
+    for n in sorted(ns):
+        word, g, bits = spec._packing(n)
+        assert 1 <= g <= e and bits == WORD_BITS[word] // g
+        assert carry_free(spec, n, word, g)
+        assert g == e or not carry_free(spec, n, word, g + 1)  # the most slots of the word
+        other = np.float64 if word is np.float32 else np.float32
+        fits = [h for h in range(1, e + 1) if carry_free(spec, n, other, h)]
+        words = -(-e // g)
+        if word is np.float32:  # no more words than float64 takes
+            assert words <= -(-e // max(fits))
+        else:  # float32 would take more words, or cannot hold the bound at all
+            assert not fits or -(-e // max(fits)) > words
+    assert spec._packing(spec.matmul_chunk)[:2] == (np.float64, 1)
 
 
-def _reachable_packings(spec):
-    """Every (g, bits) that ``_packing`` returns for some inner dimension n:
-    it is non-increasing in n and changes only where min(n, chunk) * e *
-    (p-1)^2 reaches 2^(53 // g)."""
-    unit = spec.e * (spec.p - 1) ** 2
-    edges = {0, 1, spec.matmul_chunk}
-    for g in range(1, spec.e + 1):
-        last = (2 ** (53 // g) - 1) // unit  # largest n that g's slots hold
-        edges |= {last, last + 1}
-    return sorted({spec._packing(n) for n in edges})
+def test_matmul_float32_fields():
+    """The extension fields that take a float32 word for some n >= 1 are
+    exactly these, with their last such n (the rule's switch back to
+    float64): q <= 1849, so float32 tables stay within 15 KB."""
+    got = {}
+    orders = [(p, e) for p in range(2, 257) if field.is_prime(p)
+              for e in range(2, 17) if p**e <= field.MAX_ORDER]
+    for p, e in orders:  # the rule alone, without building each field's tables
+        packing = lambda n: field._word_packing(p, e, n)
+        n = 0
+        while packing(n + 1)[0] is np.float32:
+            n += 1
+        if n:
+            got[p**e] = n
+            assert all(packing(m)[0] is np.float64 for m in range(n + 1, 4 * n + 64))
+    assert got == LAST_PACKED_SINGLE_WORD_N
+
+
+# Largest inner dimension on a float32 word for each extension field that
+# takes one: its slots of 24 // g bits hold n * e * (p-1)^2 with no more words
+# than float64's slots of 53 // g bits.  Every other extension field takes
+# float32 only at n = 0, an empty product that builds no table.
+LAST_PACKED_SINGLE_WORD_N = {
+    4: 2047, 8: 85, 9: 511, 16: 15, 25: 127, 27: 21, 32: 3, 49: 56, 64: 2, 81: 3,
+    121: 20, 125: 5, 128: 1, 169: 14, 289: 7, 343: 2, 361: 6, 529: 4, 841: 2, 961: 2,
+    1369: 1, 1681: 1, 1849: 1,
+}
+
+
+@pytest.mark.parametrize("q", list(LAST_PACKED_SINGLE_WORD_N))
+def test_matmul_at_the_last_packed_single_word_n(q):
+    """All entries q - 1 at the last inner dimension on float32, and one past
+    it, against the scalar schoolbook product."""
+    spec = FieldSpec.of_order(q)
+    last = LAST_PACKED_SINGLE_WORD_N[q]
+    for n in (last, last + 1):
+        a = np.full((2, n), q - 1, dtype=spec.dtype)
+        b = np.full((n, 1), q - 1, dtype=spec.dtype)
+        assert spec._packing(n)[0] is (np.float32 if n == last else np.float64)
+        assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b)), n
+
+
+def test_matmul_keeps_one_table_per_word():
+    """Products alternating between a float32 and a float64 inner dimension
+    reuse both cached tables; a new g replaces only its word's table."""
+    spec = FieldSpec(2, 3)
+    rng = np.random.default_rng(8)
+    sizes = (20, 100)  # float32 at g = 3, float64 at g = 3
+    assert [spec._packing(n)[:2] for n in sizes] == [(np.float32, 3), (np.float64, 3)]
+    tables = None
+    for _ in range(3):
+        for n in sizes:
+            a = rng.integers(0, 8, size=(3, n))
+            b = rng.integers(0, 8, size=(n, 2))
+            assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b))
+        now = {word: table for word, (_, table) in spec._fused.items()}
+        assert set(now) == {np.float32, np.float64}
+        if tables is not None:
+            assert all(now[word] is tables[word] for word in now)
+        tables = now
+    assert set(spec._planes) == {(1, np.float32), (3, np.float32), (1, np.float64), (3, np.float64)}
+    spec._left_planes(2, np.float64)
+    assert spec._fused[np.float64][0] == 2 and spec._fused[np.float32][1] is tables[np.float32]
 
 
 @pytest.mark.parametrize("e", range(2, 17))
 def test_index_bits_gather_every_packing(e):
     """The multiply-gather of GF(2^e) index bits against reading each bit off
-    its slot, for slots at 0, at 2^bits - 1 and random, at every packing."""
+    its slot, for slots at 0, at 2^bits - 1 and random, at every g of both
+    words (on int32 words to uint32, on int64 words to uint64)."""
     rng = np.random.default_rng(e)
-    spec = FieldSpec(2, e)
-    packings = _reachable_packings(spec)
-    assert (1, 53) in packings and (e, 53 // e) in packings
-    for g, bits in packings:
+    packings = [(word, g, WORD_BITS[word] // g) for word in WORD_BITS for g in range(1, e + 1)]
+    for word, g, bits in packings:
+        signed, unsigned = (np.int32, np.uint32) if word is np.float32 else (np.int64, np.uint64)
         full = 2**bits - 1
         slots = np.zeros((e, 3, 64), dtype=np.int64)  # output digit j's sums
         slots[:, 1] = full
@@ -277,9 +383,30 @@ def test_index_bits_gather_every_packing(e):
         for j in range(e):
             words[j // g] += slots[j] << (j % g * bits)
         want = sum((slots[j] & 1) << j for j in range(e))
-        got = field._index_bits(words, e, g, bits)
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, want), (g, bits)
+        got = field._index_bits(words.astype(signed), e, g, bits)
+        assert got.dtype == unsigned
+        assert np.array_equal(got, want), (word, g, bits)
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 8])
+def test_slot_digits_split_every_packing(e):
+    """Digits split off float words by power-of-two scaling and floor, for
+    slots at 0, at 2^bits - 1 and random, at every g of both words."""
+    rng = np.random.default_rng(e)
+    for word in WORD_BITS:
+        for g in range(2, e + 1):
+            bits = WORD_BITS[word] // g
+            full = 2**bits - 1
+            slots = np.zeros((e, 3, 16), dtype=np.int64)
+            slots[:, 1] = full
+            slots[:, 2] = rng.integers(0, 2**bits, size=(e, 16))
+            slots[:, 2, :2] = [0, full]
+            words = np.zeros((-(-e // g), 3, 16), dtype=np.int64)
+            for j in range(e):
+                words[j // g] += slots[j] << (j % g * bits)
+            got = field._slot_digits(words.astype(word), e, g, bits)
+            assert got.dtype == word
+            assert np.array_equal(got, slots), (word, g)
 
 
 # Largest inner dimension on a float32 word for each prime: the most terms of
@@ -292,21 +419,23 @@ LAST_SINGLE_WORD_N = {2: 2**24 - 1, 3: 2**20 - 1, 23: 8665, 251: 67, 2039: 1, 40
 @pytest.mark.parametrize("q", list(LAST_SINGLE_WORD_N) + PACKED_ORDERS)
 def test_matmul_word_rule(q):
     spec = FieldSpec.of_order(q)
-    last = LAST_SINGLE_WORD_N.get(q, -1)  # extension fields: always float64
-    for n in sorted({0, 1, 2, 7, 120, 10**9} | {last, last + 1} - {-1}):
-        assert spec._word(n) is (np.float32 if n <= last else np.float64), n
+    # extension fields: float32 up to their LAST_PACKED_SINGLE_WORD_N, and
+    # GF(243) and GF(256) only at n = 0
+    last = LAST_SINGLE_WORD_N.get(q, LAST_PACKED_SINGLE_WORD_N.get(q, 0))
+    for n in sorted({0, 1, 2, 7, 120, 10**9, last, last + 1}):
+        assert spec._packing(n)[0] is (np.float32 if n <= last else np.float64), n
     if spec.e == 1:
         limit = 2**24 if q == 2 else RECIPROCAL_SINGLE_LIMIT
         assert last * (spec.p - 1) ** 2 < limit <= (last + 1) * (spec.p - 1) ** 2
         chunked = FieldSpec.of_order(q)
         chunked.matmul_chunk = 1  # one term per chunk fits float32 unless p >= 2^11
-        assert chunked._word(10**9) is (np.float32 if last >= 1 else np.float64)
+        assert chunked._packing(10**9)[0] is (np.float32 if last >= 1 else np.float64)
 
 
 def test_matmul_gf2_16_packed_matches_polynomial_oracle():
     spec = FieldSpec(2, 16)
     n = 100
-    assert spec._packing(n) == (4, 13)
+    assert spec._packing(n) == (np.float64, 4, 13)
     rng = np.random.default_rng(216)
     a = rng.integers(0, spec.q, size=(2, n))
     b = rng.integers(0, spec.q, size=(n, 3))
@@ -357,7 +486,7 @@ def test_matmul_exact_at_the_float32_word_boundary():
     assert _one_word_residue(spec, np.float32, total) != total % p
     assert spec.matmul(a, a.T).tolist() == [[total % p]]
     assert spec.matmul(a[:, :1], a.T[:1]).tolist() == [[2034**2 % p]]
-    assert spec._word(1) is np.float32 and spec._word(2) is np.float64
+    assert spec._packing(1)[0] is np.float32 and spec._packing(2)[0] is np.float64
 
 
 @pytest.mark.parametrize("p", [3, 5, 23, 41, 251, 2039])
@@ -393,7 +522,7 @@ def test_matmul_at_the_last_single_word_n(p):
     for n in (last, last + 1):
         a = np.full((2, n), p - 1, dtype=spec.dtype)
         b = np.full((n, 1), p - 1, dtype=spec.dtype)
-        assert spec._word(n) is (np.float32 if n == last else np.float64)
+        assert spec._packing(n)[0] is (np.float32 if n == last else np.float64)
         assert np.array_equal(spec.matmul(a, b), schoolbook_matmul(spec, a, b)), n
 
 
@@ -478,7 +607,8 @@ def test_matmul_at_tile_boundaries(p, e):
 @pytest.mark.parametrize("p, e", TILED_FIELDS)
 def test_matmul_across_small_tiles_at_every_packing(p, e, monkeypatch):
     """A tiny tile constant makes small shapes cross many tiles; every packing
-    g (forced) and a short inner chunk must still give the schoolbook product."""
+    (forced, on both words) and a short inner chunk must still give the
+    schoolbook product."""
     spec = FieldSpec(p, e)
     q, (r, n, t) = spec.q, (11, 9, 5)
     rng = np.random.default_rng(q + 2)
@@ -487,16 +617,18 @@ def test_matmul_across_small_tiles_at_every_packing(p, e, monkeypatch):
     wants = [schoolbook_matmul(spec, a, b) for a, b in operands]
     chunked = FieldSpec(p, e)
     chunked.matmul_chunk = 4
-    top, _ = spec._packing(n)
+    packings = forced_packings(spec, n)
+    word, top, _ = spec._packing(n)
+    assert {g for w, g, _ in packings if w is word} == set(range(1, top + 1))
     for tile in (1, spec.e * t, 3 * spec.e * t + 1):  # 1, 1 and 3 rows per tile
         monkeypatch.setattr(field, "MATMUL_TILE", tile)
-        for g in range(1, top + 1):
-            monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, g=g: (g, 53 // g))
+        for packing in packings:
+            monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, packing=packing: packing)
             for s in (spec, chunked):
                 for (a, b), want in zip(operands, wants):
                     got = s.matmul(a, b)
                     assert got.dtype == spec.dtype and got.flags.c_contiguous
-                    assert np.array_equal(got, want), (tile, g, s.matmul_chunk)
+                    assert np.array_equal(got, want), (tile, packing, s.matmul_chunk)
 
 
 # SHA-256 of _exp.tobytes() + _log.tobytes() (int64), computed with the

@@ -29,7 +29,9 @@ row that completes the basis.  This is the blocked style of FFLAS-FFPACK
   half, and clear the second half's pivots from the first half's pivot rows
   (one product);
 * a leaf of at most LEAF rows goes row by row, and clears each new pivot
-  from its other rows by one outer product (FieldSpec.mul_arr);
+  from all its other rows by one outer product (FieldSpec.sub_outer); over
+  GF(p), p odd, with delayed reduction: the updates leave the rows
+  unreduced, and only what is read is reduced (see _Eliminator._leaf);
 * the old basis is cleared of the panel's pivots by one product.
 
 Operation counters tally the work of eliminating one row at a time: per
@@ -57,9 +59,11 @@ import numpy as np
 from .errors import InsufficientResponsesError
 from .field import FieldSpec
 
-# Rows a leaf eliminates one at a time.  On the benchmark's decode systems 8
-# and 16 time best, and 4 or 32 about a fifth slower.
-LEAF = 8
+# Rows a leaf eliminates one at a time.  One erasure solve of each product
+# workload of the benchmark (1 BLAS thread) at LEAF 8 / 16 / 24 / 32 takes
+# decode-gf23 1.82 / 1.44 / 1.27 / 1.28 ms, kernel-gf2 1.18 / 1.14 / 1.13 /
+# 1.23 ms and matdot-gf8 0.44 / 0.39 / 0.39 / 0.39 ms.
+LEAF = 24
 
 
 @dataclass
@@ -185,33 +189,43 @@ class _Eliminator:
         return np.concatenate([pos, pos2 + h]), np.concatenate([cols, cols2]), whole
 
     def _leaf(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_absorb one row at a time, each pivot cleared by one outer product.
+        """_absorb one row at a time, each pivot cleared from the whole leaf by
+        one outer product (FieldSpec.sub_outer).
 
-        The leaf's earlier pivot rows are fully reduced among themselves, so
-        their entries at a new pivot's column are minus its column of U^-1.
+        Over GF(p), p odd, the updates leave the rows unreduced, so they are
+        reduced only where they are read: row i just before its pivot search,
+        the pivot column that the multipliers come from, and every row once
+        at the end.  An entry gains at most p * (p - 1) per pivot between
+        reductions, so it stays at most (p - 1) + LEAF * p * (p - 1): below
+        2^37 at p = 65521 and LEAF = 32, far inside int64.
+
+        Row d of `found` is pivot d's column of the leaf as it was found, zero
+        at the pivot's own row.  The leaf's earlier pivot rows are fully
+        reduced among themselves, so their entries there are minus its column
+        of U^-1.
         """
         spec, n = self.spec, self.ncols
         pos, cols = [], []
-        upper = np.zeros((len(rows), len(rows)), dtype=np.int64)
+        found = np.zeros((len(rows), len(rows)), dtype=np.int64)
         for i, row in enumerate(rows):
-            nz = np.flatnonzero(row[:n])
-            if nz.size == 0:
+            spec.reduce_arr(row, out=row)
+            nz = row[:n] != 0
+            col = int(nz.argmax())
+            if not nz[col]:
                 continue
-            col = int(nz[0])
             if row[col] != 1:
                 self.stats.mult_ops += self.width
                 row[:] = spec.mul_arr(np.int64(spec.inv(int(row[col]))), row)
-            g = rows[:, col].copy()
+            g = spec.reduce_arr(rows[:, col], out=found[len(pos)])
             g[i] = 0
-            upper[:len(pos), len(pos)] = g[pos]
-            hit = np.flatnonzero(g)
-            if hit.size:
-                rows[hit] = spec.sub_arr(rows[hit], spec.mul_arr(g[hit, None], row[None]))
+            spec.sub_outer(rows, g, row)
             pos.append(i)
             cols.append(col)
+        spec.reduce_arr(rows, out=rows)
         d = len(pos)
+        upper = np.triu(found[:d, pos].T, 1)
         self._count(int(np.count_nonzero(upper)))
-        inv = spec.neg_arr(upper[:d, :d])
+        inv = spec.neg_arr(upper)
         inv[np.diag_indices(d)] = 1
         return np.array(pos, dtype=np.int64), np.array(cols, dtype=np.int64), inv
 

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import replace
 
-from . import constructions, exponents, simulator, tables
+from . import _linalg, constructions, exponents, simulator, tables
 from .constructions import MatdotSolution
 from .errors import CapacityError, InfeasibleError, MvdmmError, ParameterError
 from .field import FieldSpec
@@ -223,7 +223,7 @@ def cmd_simulate(args) -> int:
     for tok in args.set:
         if "=" not in tok or tok.lstrip().startswith("#"):  # a config comment is not an override
             raise ParameterError(f"bad --set {tok!r}, expected KEY=VALUE")
-    # Each --set replaces its key's value from the file; the last --set of a key wins.
+    # Each --set replaces its key's value from the file; a key may be set once.
     cfg = simulator.SimConfig.from_file(args.config, args.set)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -311,6 +311,20 @@ def cmd_selftest(args) -> int:
             ok = ok and spec.matmul(a, a.T).tolist() == [[want]]
     check("FieldSpec.matmul exact on both sides of the packed float32 word boundary "
           "(GF(8), GF(25))", ok)
+
+    # The eliminator's leaves leave their rows unreduced between pivots.  Over
+    # GF(65521), the largest prime, rows of p - 1 entries with a zero on the
+    # diagonal grow every entry by up to p * (p - 1) a pivot, earlier pivot
+    # rows included; 2 * LEAF + 1 of them span more than one leaf.
+    p, n = 65521, 2 * _linalg.LEAF + 1
+    rows = np.full((n, n), p - 1, dtype=np.int64)
+    rows[np.diag_indices(n)] = 0
+    x = mm_rng.integers(0, p, size=(n, 2))
+    rhs = np.array([[(p - 1) * (sum(x[:, c].tolist()) - int(x[i, c])) % p for c in range(2)]
+                    for i in range(n)])
+    got, used, _ = _linalg.solve_exact(FieldSpec(p), rows, rhs, n)
+    check("exact solve over GF(65521) from rows of p - 1 entries across eliminator leaves",
+          got.tolist() == x.tolist() and used == list(range(n)))
 
     ok = True
     for q in (2, 3, 4, 5):

@@ -42,6 +42,8 @@ and floor, reduced, and recombined by Horner's rule, all in the word.  The
 result is allocated once, in the index dtype, and filled in row tiles of at
 most ``MATMUL_TILE`` output digits, so each tile's product and reduction
 stay in cache.  Over GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
+``sub_outer`` is the eliminator's rank-1 update; over GF(p), p odd, it
+leaves entries unreduced until ``reduce_arr``.
 """
 
 from __future__ import annotations
@@ -413,6 +415,38 @@ class FieldSpec:
         if self.e == 1:
             return self._mod_p(np.subtract, x, y)
         return self.add_arr(x, self.neg_arr(np.asarray(y)))
+
+    def sub_outer(self, rows: np.ndarray, g: np.ndarray, row: np.ndarray) -> None:
+        """rows - g ⊗ row, in place in the int64 rows, for index vectors g and row.
+
+        Over GF(p), p odd, the entries are left unreduced, in the style of
+        FFLAS-FFPACK: rows += g ⊗ (p - row) keeps them non-negative and
+        congruent, each call adding at most p * (p - 1) to an entry, and
+        ``reduce_arr`` turns them back into indices.  Other fields keep rows
+        reduced.
+        """
+        if self.e == 1 and self.p != 2:
+            rows += np.multiply.outer(g, self.p - row)
+            return
+        if self.p != 2:
+            g = self.neg_arr(g)  # rows - g ⊗ row = rows + (-g) ⊗ row
+        if self._mul_table is not None:  # the table's g rows, then their row columns
+            prod = self._mul_table[g][:, row]
+        else:
+            prod = self.mul_arr(g[:, None], row[None])
+        if self.p == 2:
+            rows ^= prod
+        else:
+            rows[...] = self.add_arr(rows, prod)
+
+    def reduce_arr(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The indices of entries that ``sub_outer`` may have left unreduced,
+        written into and returned as `out`, which may be x."""
+        if self.e == 1 and self.p != 2:
+            return np.remainder(x, self.p, out=out)
+        if out is not x:
+            out[...] = x
+        return out
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Exact product of two 2-D matrices of indices in [0, q), on BLAS.

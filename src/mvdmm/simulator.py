@@ -144,11 +144,10 @@ class SimConfig:
     @classmethod
     def from_text(cls, text: str, overrides: Sequence[str] = ()) -> "SimConfig":
         """The config of `text`, each KEY=VALUE of `overrides` replacing that
-        key's value (the last of one key's overrides wins)."""
+        key's value; like the text, the overrides give a key at most once."""
         kv = {"straggler.kind": "none", "straggler.param": "", "seed": "0", "trials": "0"}
         kv.update(cls._config_lines(text))
-        for token in overrides:
-            kv.update(cls._config_lines(token))
+        kv.update(cls._config_lines("\n".join(overrides)))
 
         def integer(key: str) -> int:
             try:

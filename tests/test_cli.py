@@ -246,16 +246,12 @@ def test_simulate_set_straggler_kind_and_param_in_either_order(capsys, gf19_conf
     assert len(used) == 106 and used != list(range(106))  # some of the first 106 dropped
 
 
-def test_simulate_set_last_value_wins(capsys, gf19_config, tmp_path):
-    def transcript(*sets):
-        out = tmp_path / "t.txt"
-        argv = ["simulate", "--config", str(gf19_config), "--out", str(out)]
-        for tok in sets:
-            argv += ["--set", tok]
-        assert run_cli(capsys, *argv)[0] == 0
-        return out.read_text()
-
-    assert transcript("seed=9", "seed=4") == transcript("seed=4") != transcript("seed=9")
+def test_simulate_repeated_set_exits_2(capsys, gf19_config):
+    """A key given twice by --set raises and is named, as in a config file."""
+    code, out, err = run_cli(capsys, "simulate", "--config", str(gf19_config),
+                             "--set", "seed=9", "--set", "N=300", "--set", "seed=4")
+    assert code == 2 and out == ""
+    assert "config key 'seed' given twice" in err
 
 
 def test_simulate_set_replaces_the_files_value(capsys, gf19_config):
@@ -313,8 +309,9 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "PASS FieldSpec.matmul == scalar schoolbook" in out
+    assert "PASS exact solve over GF(65521)" in out
     assert "PASS FieldSpec.matmul exact on both sides of the packed float32 word boundary" in out
 
 

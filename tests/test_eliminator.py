@@ -5,7 +5,8 @@ offered row is reduced against the whole basis with one product, and each new
 pivot is cleared from the basis by one outer product.  The blocked eliminator
 must use the same rows, give the same solutions and ranks, and count the same
 work, on systems whose zero, repeated and dependent rows fall inside and on
-the edges of its panels and leaves.
+the edges of its panels and leaves, whatever its leaf size, and its leaves'
+unreduced entries must stay within their documented bound.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def matrix_rank(spec: FieldSpec, matrix: np.ndarray) -> int:
 # the blocked eliminator against it
 
 
-FIELDS = [2, 3, 4, 5, 8, 23, 64]
+FIELDS = [2, 3, 4, 5, 8, 9, 23, 25, 64, 65521]
 
 
 def _edges(lo, size):
@@ -255,3 +256,69 @@ def test_rows_are_read_only_as_far_as_they_are_offered(kind):
     x, used, stats = _linalg.solve_exact(spec, counted, counted_rhs, 30)
     assert counted.read == counted_rhs.read == stats.rows_offered == used[-1] + 1
     assert _outcome(lambda: (x, used, stats)) == _outcome(lambda: solve_exact(spec, list(m), list(rhs), 30))
+
+
+# ---------------------------------------------------------------------------
+# leaf size and delayed reduction
+
+
+LEAVES = sorted({1, 2, 3, 8, _linalg.LEAF, 64})
+
+
+@pytest.mark.parametrize("q", [2, 8, 9, 23, 729, 65521])
+def test_outcome_does_not_depend_on_the_leaf_size(q, monkeypatch):
+    """Solutions, used rows and all five tallies, or the rank a deficit
+    reached, are the same for every LEAF, on full-rank and rank-deficient
+    systems, for solve_exact and express_unit."""
+    spec = FieldSpec.of_order(q)
+    rng = np.random.default_rng(800 + q)
+    deficient = set()
+    for ncols in (1, 4, 9, 17, 33, 70):
+        for rank in (ncols, ncols // 2):
+            nrows = ncols + int(rng.integers(0, 12))
+            m = _system(spec, rng, ncols, nrows, rank)
+            rhs = rng.integers(0, q, (nrows, 3))
+            unit = int(rng.integers(ncols))
+            outcomes = []
+            for leaf in LEAVES:
+                monkeypatch.setattr(_linalg, "LEAF", leaf)
+                outcomes.append((_outcome(lambda: _linalg.solve_exact(spec, m, rhs, ncols)),
+                                 _outcome(lambda: _linalg.express_unit(spec, m, unit, ncols))))
+            assert all(o == outcomes[0] for o in outcomes), (q, ncols, rank)
+            deficient.add(outcomes[0][0][0] == "deficient")
+    assert deficient == {True, False}
+
+
+@pytest.mark.parametrize("leaf", [8, _linalg.LEAF])
+def test_leaf_entries_stay_within_the_delayed_reduction_bound(leaf, monkeypatch):
+    """Over GF(65521), the largest prime, a leaf's unreduced entries stay at
+    most (p - 1) + LEAF * p * (p - 1).  Lower-triangular rows of p - 1
+    entries come within p * (p - 1) of it: each pivot adds that much to every
+    entry of a later row right of its column.  Rows of p - 1 with a zero on
+    the diagonal also grow the earlier pivot rows.  The systems span more
+    than one leaf; one starts with a leaf of LEAF rows whose entries are all
+    p - 1."""
+    p = 65521
+    spec, n = FieldSpec(p), 2 * leaf
+    bound = (p - 1) + leaf * p * (p - 1)
+    peaks = []
+    update = FieldSpec.sub_outer
+
+    def watched(self, rows, g, row):
+        update(self, rows, g, row)
+        peaks.append(int(rows.max()))
+
+    monkeypatch.setattr(_linalg, "LEAF", leaf)
+    monkeypatch.setattr(FieldSpec, "sub_outer", watched)
+    tril = np.tril(np.full((n, n), p - 1, dtype=np.int64))
+    off_diagonal = np.full((n + 1, n + 1), p - 1, dtype=np.int64)
+    off_diagonal[np.diag_indices(n + 1)] = 0
+    rng = np.random.default_rng(leaf)
+    for m in (tril, np.concatenate([np.full((leaf, n), p - 1), tril]), off_diagonal):
+        k, rhs = m.shape[1], rng.integers(0, p, (len(m), 2))
+        assert _outcome(lambda: _linalg.solve_exact(spec, m, rhs, k)) == \
+            _outcome(lambda: solve_exact(spec, list(m), list(rhs), k))
+        assert _outcome(lambda: _linalg.express_unit(spec, m, 0, k)) == \
+            _outcome(lambda: express_unit(spec, list(m), 0, k))
+    assert max(peaks) <= bound
+    assert max(peaks) >= bound - p * (p - 1)

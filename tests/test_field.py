@@ -608,27 +608,31 @@ def test_matmul_at_tile_boundaries(p, e):
 def test_matmul_across_small_tiles_at_every_packing(p, e, monkeypatch):
     """A tiny tile constant makes small shapes cross many tiles; every packing
     (forced, on both words) and a short inner chunk must still give the
-    schoolbook product."""
+    schoolbook product.
+
+    A FieldSpec keeps the fused table of the last packing it used, 128 MB
+    over GF(2^16) at g = 1, so the full and the short chunk run on one spec
+    after the other, and each spec builds each packing's table once."""
     spec = FieldSpec(p, e)
     q, (r, n, t) = spec.q, (11, 9, 5)
     rng = np.random.default_rng(q + 2)
     operands = [(rng.integers(0, q, size=(r, n)), rng.integers(0, q, size=(n, t))),
                 (np.full((r, n), q - 1), np.full((n, t), q - 1))]
     wants = [schoolbook_matmul(spec, a, b) for a, b in operands]
-    chunked = FieldSpec(p, e)
-    chunked.matmul_chunk = 4
     packings = forced_packings(spec, n)
     word, top, _ = spec._packing(n)
     assert {g for w, g, _ in packings if w is word} == set(range(1, top + 1))
-    for tile in (1, spec.e * t, 3 * spec.e * t + 1):  # 1, 1 and 3 rows per tile
-        monkeypatch.setattr(field, "MATMUL_TILE", tile)
+    for chunk in (spec.matmul_chunk, 4):
+        s = FieldSpec(p, e)  # the last spec, and its fused table, go when s is rebound
+        s.matmul_chunk = chunk
         for packing in packings:
             monkeypatch.setattr(FieldSpec, "_packing", lambda self, n, packing=packing: packing)
-            for s in (spec, chunked):
+            for tile in (1, spec.e * t, 3 * spec.e * t + 1):  # 1, 1 and 3 rows per tile
+                monkeypatch.setattr(field, "MATMUL_TILE", tile)
                 for (a, b), want in zip(operands, wants):
                     got = s.matmul(a, b)
                     assert got.dtype == spec.dtype and got.flags.c_contiguous
-                    assert np.array_equal(got, want), (tile, packing, s.matmul_chunk)
+                    assert np.array_equal(got, want), (tile, packing, chunk)
 
 
 # SHA-256 of _exp.tobytes() + _log.tobytes() (int64), computed with the

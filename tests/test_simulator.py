@@ -233,8 +233,10 @@ def test_config_repeated_key_is_named(line):
 
 
 def test_config_overrides_replace_the_texts_value():
-    cfg = SimConfig.from_text(BOX19.to_text(), ["N=300", "seed = 5", "seed=6"])
-    assert cfg == replace(BOX19, n_workers=300, seed=6)
+    cfg = SimConfig.from_text(BOX19.to_text(), ["N=300", "seed = 5"])
+    assert cfg == replace(BOX19, n_workers=300, seed=5)
+    with pytest.raises(ParameterError, match="config key 'seed' given twice"):
+        SimConfig.from_text(BOX19.to_text(), ["seed = 5", "N=300", "seed=6"])
 
 
 def test_config_non_integer_value_names_its_line():

@@ -18,12 +18,16 @@ in lexicographic (so ascending-index) order.  Lookups are binary searches
 on those indices; extraction gathers rows of the stacked array.
 
 The worker plane takes points in that numbering too, as 1-D integer
-arrays.  Each operand's evaluations are one (N, r, c) array, and a payload
-holds its point's grid index and row views of the two.  A response holds
-that index and its product as a bare array; `interpolate` stacks the
-responses into one (grid indices, (R, r, c) products) pair and checks it
-once.  Coordinates are decoded only to be printed (`format_response`).
-`MatrixFq` is kept for the caller's A and B and the product A.B.
+arrays, and is held as data (`WorkerPlane`): the points' grid indices and
+each operand's evaluations as one (N, r, c) array.  A payload, its point's
+grid index and row views of the two, is built only when a worker is looked
+up, and `WorkerPlane.products` runs any set of workers in one batched
+product.  A response holds a grid index and its product as a bare array;
+`interpolate` stacks the responses into one (grid indices, (R, r, c)
+products) pair, checks it once and decodes it with `interpolate_stack`,
+which takes such a stack directly.  Coordinates are decoded only to be
+printed (`format_response`).  `MatrixFq` is kept for the caller's A and B
+and the product A.B.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import (
     InsufficientResponsesError,
     InternalConsistencyError,
     ParameterError,
+    RangeError,
     ShapeError,
 )
 from .exponents import ExponentSet, Vec
@@ -531,9 +536,11 @@ def build_system(spec: FieldSpec, support: ExponentSet, points) -> Interpolation
 # worker payloads and responses
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class WorkerPayload:
-    """The operands at grid point `point`, row views of `evaluate_many`'s arrays."""
+    """The operands at grid point `point`, row views of a `WorkerPlane`'s
+    evaluation arrays.  Slotted and not frozen, so one costs about what a
+    tuple does: the plane builds one each time a worker is looked up."""
 
     spec: FieldSpec
     point: int
@@ -541,7 +548,7 @@ class WorkerPayload:
     b_part: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class WorkerResponse:
     """The product at grid point `point`; `interpolate` checks it in its stack."""
 
@@ -549,12 +556,55 @@ class WorkerResponse:
     product: np.ndarray
 
 
-def make_payloads(enc_a: EncodedOperand, enc_b: EncodedOperand, points) -> list[WorkerPayload]:
-    """One payload per point, in the order given; the points are grid indices."""
-    vals_a = evaluate_many(enc_a, points)
-    vals_b = evaluate_many(enc_b, points)
-    return [WorkerPayload(enc_a.spec, p, a, b)
-            for p, a, b in zip(np.asarray(points).tolist(), vals_a, vals_b)]
+@dataclass(frozen=True, eq=False)
+class WorkerPlane:
+    """Every worker's operands as data: the points' grid indices and the two
+    evaluation stacks of `evaluate_many`, (N, r, s) and (N, s, t), row i
+    belonging to worker i.  No per-worker object exists until one is asked
+    for: `plane[i]` builds worker i's `WorkerPayload` from row views, a
+    slice is the plane of those workers, and `len` and iteration work as
+    on a list.  `products` runs any workers in one batched product.  `==`
+    is identity."""
+
+    spec: FieldSpec
+    points: np.ndarray
+    a_vals: np.ndarray
+    b_vals: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.size
+
+    def __getitem__(self, i):
+        if type(i) is not int and not isinstance(i, np.integer):  # a bool is neither
+            if isinstance(i, slice):
+                return WorkerPlane(self.spec, self.points[i], self.a_vals[i], self.b_vals[i])
+            raise ParameterError(f"a worker is named by an integer or a slice, not {type(i).__name__}")
+        try:
+            point = self.points.item(i)
+        except (IndexError, OverflowError):
+            raise RangeError(f"worker {i} outside a plane of {self.points.size}") from None
+        return WorkerPayload(self.spec, point, self.a_vals[i], self.b_vals[i])
+
+    def __iter__(self):
+        for point, a, b in zip(self.points.tolist(), self.a_vals, self.b_vals):
+            yield WorkerPayload(self.spec, point, a, b)
+
+    def products(self, workers) -> np.ndarray:
+        """The products of `workers`, a 1-D integer array of positions in the
+        plane, in that order: one (len(workers), r, t) stack from one
+        batched `FieldSpec.matmul`."""
+        at = np.asarray(workers)
+        if at.dtype.kind not in "iu" or at.ndim != 1:
+            raise ParameterError("workers must be a 1-D integer array of positions in the plane")
+        if at.size and (at.min() < -self.points.size or at.max() >= self.points.size):
+            raise RangeError(f"workers outside a plane of {self.points.size}")
+        return self.spec.matmul(self.a_vals[at], self.b_vals[at])
+
+
+def make_payloads(enc_a: EncodedOperand, enc_b: EncodedOperand, points) -> WorkerPlane:
+    """The worker plane at `points`, grid indices, in the order given."""
+    at = _grid_points(enc_a.spec.q, enc_a.support.l, points)
+    return WorkerPlane(enc_a.spec, at, evaluate_many(enc_a, at), evaluate_many(enc_b, at))
 
 
 def worker_compute(payload: WorkerPayload) -> WorkerResponse:
@@ -632,20 +682,23 @@ def _combine(
 ) -> np.ndarray:
     """sum_i weights[i] * products[i] for flattened products, in O(R w) work.
 
-    In characteristic 2 one stable argsort groups the R products by weight,
-    each group is XORed over its bytes as uint64 words (single bytes when a
-    row's length is not a multiple of 8), and the d <= min(q, R) group sums
-    meet their distinct weights in one (1 x d) . (d x w) product.  Otherwise
-    it is the one (1 x R) . (R x w) product.  The tallies count the R w
-    multiplications and additions of the weighted sum.
+    In characteristic 2 the products are summed by weight: each distinct
+    nonzero weight's rows are XORed over their bytes as uint64 words (single
+    bytes when a row's length is not a multiple of 8), one reduce per
+    weight, and the d <= min(q - 1, R) group sums meet their weights in one
+    (1 x d) . (d x w) product.  Otherwise it is the one (1 x R) . (R x w)
+    product.  The tallies count the R w multiplications and additions of
+    the weighted sum.
     """
     if spec.p == 2:
-        order = np.argsort(weights, kind="stable")
-        ranked, rows = weights[order], products[order]
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        word = np.uint64 if rows.shape[1] * rows.itemsize % 8 == 0 else np.uint8
-        sums = np.bitwise_xor.reduceat(rows.view(word), starts, axis=0).view(spec.dtype)
-        acc = spec.matmul(ranked[starts][None], sums)[0]
+        word = np.uint64 if products.shape[1] * products.itemsize % 8 == 0 else np.uint8
+        rows = products.view(word)
+        ranked = np.sort(weights[weights != 0])
+        distinct = ranked[np.r_[True, ranked[1:] != ranked[:-1]]] if ranked.size else ranked
+        sums = np.empty((distinct.size, rows.shape[1]), dtype=word)
+        for k, w in enumerate(distinct.tolist()):
+            np.bitwise_xor.reduce(rows[weights == w], axis=0, out=sums[k])
+        acc = spec.matmul(distinct[None], sums.view(spec.dtype))[0]
     else:
         acc = spec.matmul(weights[None], products)[0]
     stats.mult_ops += weights.size * acc.size
@@ -702,6 +755,20 @@ def interpolate(
     if not responses:
         raise InsufficientResponsesError(sys.recovery_threshold if require_threshold else sys.kappa, 0)
     grid, products = _stack(sys, responses)
+    return interpolate_stack(sys, grid, products, only, require_threshold)
+
+
+def interpolate_stack(
+    sys: InterpolationSystem,
+    grid: np.ndarray,
+    products: np.ndarray,
+    only: Vec | None = None,
+    require_threshold: bool = True,
+) -> Interpolation:
+    """`interpolate` on responses already stacked as `_stack` leaves them:
+    `grid`, distinct grid indices of the system's points as int64, and
+    `products`, their (R, r, c) products in the field's index dtype.  They
+    are not checked again; `WorkerPlane.products` makes such a stack."""
     if require_threshold and grid.size < sys.recovery_threshold:
         raise InsufficientResponsesError(sys.recovery_threshold, grid.size)
     missing = _complement(sys.spec.q**sys.support.l, grid)

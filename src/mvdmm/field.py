@@ -38,10 +38,12 @@ bits need no more words than float64's slots of 53 // g bits (GF(8) up to
 n = 85; no field above q = 1849).  Over GF(2^e) the bits of each output
 index are gathered off the packed words by one uint32 or uint64 multiply per
 word; for p odd the digits are split off the words by power-of-two scaling
-and floor, reduced, and recombined by Horner's rule, all in the word.  The
-result is allocated once, in the index dtype, and filled in row tiles of at
-most ``MATMUL_TILE`` output digits, so each tile's product and reduction
-stay in cache.  Over GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
+and floor, reduced, and recombined by Horner's rule, all in the word.  A
+stack of B products, (B, r, n) . (B, n, t), runs the same rules in one
+call.  The result is allocated once, in the index dtype, and filled in
+tiles of at most ``MATMUL_TILE`` output digits (row tiles, or whole items
+of a stack), so each tile's product and reduction stay in cache.  Over
+GF(2) ``add_arr`` and ``mul_arr`` are XOR and AND.
 ``sub_outer`` is the eliminator's rank-1 update; over GF(p), p odd, it
 leaves entries unreduced until ``reduce_arr``.
 """
@@ -449,7 +451,8 @@ class FieldSpec:
         return out
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Exact product of two 2-D matrices of indices in [0, q), on BLAS.
+        """Exact product of two matrices of indices in [0, q), or of two
+        stacks of B matrices item by item, (B, r, n) . (B, n, t), on BLAS.
 
         The operands enter as base-p digits in [0, p), held as floating-point
         words.  Over GF(p^e), digit j of X.Y is  sum_i (x^i X)_j . Y_i,  where
@@ -462,7 +465,9 @@ class FieldSpec:
         once.  So one product of the packed left, (words * r) x (e * n), by
         the (e * n) x t right digits gives all e output digits from
         e * ceil(e/g) digit products; over GF(p), e = g = 1 and the digits
-        are the indices.
+        are the indices.  A stack runs the same words, packing, chunks and
+        reduction: one BLAS product per item, all items of a tile in one
+        ``@``.
 
         Words.  The inner dimension is cut into chunks of at most
         w = min(n, ``matmul_chunk``) indices, so a slot of a chunk's product
@@ -521,48 +526,71 @@ class FieldSpec:
         cast gathers the index bits (``_index_bits``), and chunks combine by
         XOR.
 
-        Tiles.  The (r, t) result is allocated once, in the index dtype
-        ``self.dtype``, and is C-contiguous.  It is filled in row tiles of
-        max(1, MATMUL_TILE // (e * t)) rows (``_tile_rows``), so a tile's
-        product and its digits stay near 1 MB.  The right operand's
-        (digit i, n, t) words are formed once per call and shared by every
-        tile; only a tile's left rows are gathered with it.  Over GF(p), with
-        one chunk and one tile, nothing is allocated besides the operand words,
-        the BLAS result, one word-sized temporary (the quotient, or the
-        integer cast over GF(2)) and the output.
+        Tiles.  The (r, t) result, or the (B, r, t) stack, is allocated once,
+        in the index dtype ``self.dtype``, and is C-contiguous.  It is filled
+        in tiles of max(1, MATMUL_TILE // (e * t)) rows (``_tile_rows``), so
+        a tile's product and its digits stay near 1 MB.  A stack's tile holds
+        as many whole items as keep each of its operands and its product
+        within ``MATMUL_TILE`` digits, at least one; items with more rows
+        than a row tile are multiplied one at a time, each in its own row
+        tiles.  (Timed with one BLAS thread on a 2-core x86 VM, tiles of
+        about 16 items of (16 x 512) . (512 x 16) over GF(2) took half the
+        time of tiles of 512, which spill the operands' words out of
+        cache.)  The right
+        operand's (digit i, n, t) words are formed once per call and shared
+        by every tile (a stack's, a tile's items at a time); only a tile's
+        left rows are gathered with it.  Over
+        GF(p), with one chunk and one tile, nothing is allocated besides the
+        operand words, the BLAS result, one word-sized temporary (the
+        quotient, or the integer cast over GF(2)) and the output.
         """
         x = np.asarray(x)
         y = np.asarray(y)
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-            raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
+            if not (x.ndim == y.ndim == 3 and len(x) == len(y) and x.shape[2] == y.shape[1]):
+                raise ShapeError(f"cannot multiply index arrays of shapes {x.shape} and {y.shape}")
         p, e, step = self.p, self.e, self.matmul_chunk
-        (r, n), t = x.shape, y.shape[1]
+        n, t = y.shape[-2:]
+        shape = x.shape[:-1] + (t,)
         if n == 0:
-            return np.zeros((r, t), dtype=self.dtype)
+            return np.zeros(shape, dtype=self.dtype)
+        rows, stack = self._tile_rows(t), x.ndim == 3
+        if stack:
+            r = x.shape[1]
+            if r > rows:  # an item fills tiles of its own
+                out = np.empty(shape, dtype=self.dtype)
+                for i in range(len(x)):
+                    out[i] = self.matmul(x[i], y[i])
+                return out
+            rows = MATMUL_TILE // (e * max(r * n, n * t, r * t, 1)) or 1  # whole items per tile
         word, g, bits = self._packing(n)
         reciprocal = self._reciprocal.get(word)  # p odd: reduce in the word
-        if e == 1:
-            right = y.astype(word)  # (n, t)
-        else:
-            planes = self._left_planes(g, word)
-            right = np.take(self._packed_planes(1, word), y, axis=1)  # (digit i, n, t)
-        out = np.empty((r, t), dtype=self.dtype)
-        rows = self._tile_rows(t)
-        for lo in range(0, r, rows):
-            tile = x[lo:lo + rows]
+        if e > 1:
+            planes, digits = self._left_planes(g, word), self._packed_planes(1, word)
+        if not stack:  # (n, t), or (digit i, n, t), shared by every tile
+            right = y.astype(word) if e == 1 else np.take(digits, y, axis=1)
+        out = np.empty(shape, dtype=self.dtype)
+        for lo in range(0, len(x), rows):
+            block, b = x[lo:lo + rows], right if not stack else y[lo:lo + rows]
+            if stack:  # this tile's items: (item, n, t), or (item, digit i, n, t)
+                b = b.astype(word) if e == 1 else np.take(digits, b, axis=1).transpose(1, 0, 2, 3)
             if e == 1:
-                left = tile.astype(word)  # (row, n)
-            else:  # (word, row, power i, n), a view of the gathered (word, i, n, row)
-                left = np.take(planes, tile.T, axis=2).transpose(0, 3, 1, 2)
+                left = block.astype(word)  # ([item,] row, n)
+            else:  # (word, [item,] row, power i, n), a view of the gathered (word, i, n, [item,] row)
+                left = np.take(planes, block.transpose(2, 0, 1) if stack else block.T, axis=2)
+                left = left.transpose(0, 3, 4, 1, 2) if stack else left.transpose(0, 3, 1, 2)
             acc = None
             for start in range(0, n, step):
-                a, b = left, right
+                a, c = left, b
                 if n > step:
-                    a, b = a[..., start:start + step], b[..., start:start + step, :]
+                    a, c = a[..., start:start + step], c[..., start:start + step, :]
                 if e > 1:
-                    k = e * b.shape[1]
-                    a, b = a.reshape(len(a), len(tile), k), b.reshape(k, t)
-                part = a @ b  # ([word,] row, t)
+                    k = e * c.shape[-2]
+                    if stack:
+                        a, c = a.reshape(len(a), *block.shape[:2], k), c.reshape(len(c), k, t)
+                    else:
+                        a, c = a.reshape(len(a), len(block), k), c.reshape(k, t)
+                part = a @ c  # ([word,] [item,] row, t)
                 if p == 2:  # index bits; chunks combine by XOR
                     part = part.astype(np.int32 if word is np.float32 else np.int64)
                     if e == 1:
@@ -571,7 +599,7 @@ class FieldSpec:
                         part = _index_bits(part, e, g, bits)
                     acc = part if acc is None else np.bitwise_xor(acc, part, out=acc)
                     continue
-                if g > 1:  # (digit, row, t) sums
+                if g > 1:  # (digit, [item,] row, t) sums
                     part = _slot_digits(part, e, g, bits)
                 if acc is not None:  # the two residues sum below 2p
                     part = _reduce_mod_p(part, *reciprocal)
@@ -579,7 +607,7 @@ class FieldSpec:
                 acc = part
             if p != 2:
                 acc = _reduce_mod_p(acc, *reciprocal)
-                if e > 1:  # (digit, row, t) to indices, by Horner's rule
+                if e > 1:  # (digit, [item,] row, t) to indices, by Horner's rule
                     value = acc[-1]
                     for d in acc[-2::-1]:
                         value *= reciprocal[1]  # p, in the word
@@ -591,7 +619,7 @@ class FieldSpec:
     def _tile_rows(self, t: int) -> int:
         """Rows of one ``matmul`` row tile for t output columns: at most
         ``MATMUL_TILE`` output digits (e per entry), and at least one row."""
-        return max(1, MATMUL_TILE // (self.e * max(t, 1)))
+        return (MATMUL_TILE // (self.e * t) or 1) if t else MATMUL_TILE
 
     def _packing(self, n: int) -> tuple[type, int, int]:
         """(word, g, slot bits) of ``matmul`` at inner dimension n

@@ -4,9 +4,9 @@ Time is integer ticks; all randomness flows from one seeded NumPy PCG64
 generator, drawn in a fixed documented order (matrix A, matrix B, straggler
 model, subset probes), so a (config, seed) pair fully determines the run and
 its transcript.  Worker i evaluates at grid point i of GF(q)^l (row-major
-numbering), so one int names both.  Workers are simulated sequentially;
-completions are merged by (tick, worker index), and the master decodes from
-the first k+1 of them.
+numbering), so one int names both.  Completions are merged by (tick, worker
+index); the first k+1 responders' products are computed in one batched
+product, in that order, and the master decodes from that stack.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec, constructions
-from .codec import MatrixFq, WorkerResponse
+from .codec import MatrixFq
 from .constructions import MatdotSolution, PolySolution
 from .errors import CapacityError, InfeasibleError, InsufficientResponsesError, ParameterError
 from .field import DEFAULT_POINT_LIMIT, FieldSpec
@@ -212,7 +212,7 @@ class Plan:
 
     def make_payloads(
         self, a: MatrixFq, b: MatrixFq
-    ) -> tuple[list[codec.WorkerPayload], codec.BlockSplit, codec.BlockSplit]:
+    ) -> tuple[codec.WorkerPlane, codec.BlockSplit, codec.BlockSplit]:
         sol = self.solution
         if self.mode == "poly":
             sa, sb = codec.split(a, b, "poly", sol.m, sol.n)
@@ -253,7 +253,9 @@ class SimReport:
     """Outcome of one simulated run; transcript excludes wall-clock times.
     The points lie on GF(q)^l; `ticks[i]` is the completion tick of worker i
     (grid point i; 0: never responds), `used[i]` whether the master read its
-    response.  `==` is identity."""
+    response.  `points` are the grid indices of the responses the master
+    read, in arrival order, and `products` their (R, r, t) stack.  `==` is
+    identity."""
 
     config: SimConfig
     q: int
@@ -266,14 +268,16 @@ class SimReport:
     decoded_equals_oracle: bool | None
     ticks: np.ndarray
     used: np.ndarray
-    responses: list[WorkerResponse]
+    points: np.ndarray
+    products: np.ndarray
     decode_ops: int | None
     probe_min_success: int | None
     wall_times: dict[str, float] = field(default_factory=dict)
 
     def transcript(self) -> str:
         """One `format_response` line per response the master used, in arrival order."""
-        return "".join(codec.format_response(resp, self.q, self.l) + "\n" for resp in self.responses)
+        return "".join(codec.format_response(codec.WorkerResponse(point, product), self.q, self.l)
+                       + "\n" for point, product in zip(self.points.tolist(), self.products))
 
     def summary(self) -> str:
         lines = [
@@ -323,9 +327,8 @@ def run(cfg: SimConfig) -> SimReport:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     a = codec.random_matrix(spec, cfg.r, cfg.s, rng)
     b = codec.random_matrix(spec, cfg.s, cfg.t, rng)
-    oracle = codec.matmul(a, b)
     t1 = time.perf_counter()
-    payloads, split_a, split_b = pl.make_payloads(a, b)
+    plane, split_a, split_b = pl.make_payloads(a, b)
     t2 = time.perf_counter()
 
     ticks = _completion_ticks(cfg, pl.n_workers, rng)
@@ -334,19 +337,19 @@ def run(cfg: SimConfig) -> SimReport:
     first = order[: pl.threshold]
     used = np.zeros(pl.n_workers, dtype=bool)
     used[first] = True
-    responses = [codec.worker_compute(payloads[i]) for i in first.tolist()]
+    points, products = plane.points[first], plane.products(first)
     t3 = time.perf_counter()
     wall_times = {"plan+matrices": t1 - t0, "encode": t2 - t1, "workers": t3 - t2}
 
-    deficit = pl.threshold - len(responses)
+    deficit = pl.threshold - first.size
     ok = ops = probe_min = None
     if not deficit:
-        decoded, ops = _decode(pl, responses, split_a, split_b)
-        ok = decoded == oracle
+        decoded, ops = _decode(pl, points, products, split_a, split_b)
         wall_times["decode"] = time.perf_counter() - t3
+        oracle = codec.matmul(a, b)
+        ok = decoded == oracle
         if cfg.trials > 0:
-            computed = dict(zip(first.tolist(), responses))
-            probe_min = _sharpness_probe(pl, payloads, computed, order, oracle,
+            probe_min = _sharpness_probe(pl, plane, first, products, order, oracle,
                                          split_a, split_b, cfg.trials, rng)
 
     return SimReport(
@@ -354,50 +357,55 @@ def run(cfg: SimConfig) -> SimReport:
         q=spec.q,
         l=pl.solution.l,
         success=bool(ok),
-        responses_used=len(responses),
+        responses_used=first.size,
         threshold=pl.threshold,
         kappa=pl.system.kappa,
         deficit=deficit,
         decoded_equals_oracle=ok,
         ticks=ticks,
         used=used,
-        responses=responses,
+        points=points,
+        products=products,
         decode_ops=ops,
         probe_min_success=probe_min,
         wall_times=wall_times,
     )
 
 
-def _decode(pl: Plan, responses: list[WorkerResponse], split_a, split_b) -> tuple[MatrixFq, int]:
+def _decode(pl: Plan, grid: np.ndarray, products: np.ndarray, split_a, split_b) -> tuple[MatrixFq, int]:
+    """Decode A.B from the products at the distinct grid points `grid`."""
     sol, matdot = pl.solution, pl.mode == "matdot"
     only = sol.degree_target if matdot else None
-    interp = codec.interpolate(pl.system, responses, only=only, require_threshold=False)
+    interp = codec.interpolate_stack(pl.system, grid, products, only=only, require_threshold=False)
     extract = codec.extract_matdot if matdot else codec.extract_poly
     return extract(interp, sol, split_a, split_b), interp.stats.total_ops
 
 
 def _sharpness_probe(
-    pl: Plan, payloads, computed: dict[int, WorkerResponse], order: np.ndarray, oracle,
-    split_a, split_b, trials: int, rng: np.random.Generator,
+    pl: Plan, plane: codec.WorkerPlane, first: np.ndarray, products: np.ndarray,
+    order: np.ndarray, oracle, split_a, split_b, trials: int, rng: np.random.Generator,
 ) -> int | None:
     """Try random responder subsets of shrinking size; report the smallest
     size that still decoded correctly.  Diagnostic only (never below kappa).
 
-    `computed` maps worker indices to responses already computed in this
-    run; each other responder's product is computed once, when first drawn.
+    `products` are the products of the workers `first`, already computed in
+    this run; each other responder's product is computed once, in one
+    batched product per subset that first draws it.
     """
     floor = pl.system.kappa
     best: int | None = None
     sizes = sorted({pl.threshold, max(floor, (floor + pl.threshold) // 2), floor})
+    computed = np.empty((pl.n_workers,) + products.shape[1:], dtype=products.dtype)
+    have = np.zeros(pl.n_workers, dtype=bool)
+    computed[first], have[first] = products, True
     for _ in range(trials):
         for size in sizes:
-            subset = order[rng.choice(len(order), size=size, replace=False)].tolist()
-            for i in subset:
-                if i not in computed:
-                    computed[i] = codec.worker_compute(payloads[i])
-            resp = [computed[i] for i in subset]
+            subset = order[rng.choice(len(order), size=size, replace=False)]
+            todo = subset[~have[subset]]
+            if todo.size:
+                computed[todo], have[todo] = plane.products(todo), True
             try:
-                decoded, _ = _decode(pl, resp, split_a, split_b)
+                decoded, _ = _decode(pl, plane.points[subset], computed[subset], split_a, split_b)
             except InsufficientResponsesError:  # includes a rank-deficient subset
                 continue
             if decoded == oracle:

@@ -12,6 +12,7 @@ from mvdmm.errors import (
     InsufficientResponsesError,
     IncompleteRecoveryError,
     ParameterError,
+    RangeError,
     ShapeError,
 )
 from mvdmm.field import FieldSpec
@@ -389,6 +390,62 @@ def test_payloads_are_views_of_the_evaluate_many_rows(spec):
         product = codec.worker_compute(pay).product
         assert product.dtype == spec.dtype
         assert np.array_equal(product, scalar_matmul(spec, pay.a_part, pay.b_part))
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+def test_worker_plane_looks_up_like_a_list(spec):
+    """Negative and numpy indices, slices (a plane of those workers), len and
+    iteration; every lookup builds a payload of row views, equal to the row."""
+    enc_a, enc_b = _encoded_pair(spec, np.random.default_rng(44))
+    points = np.arange(spec.q**2)[::-3]
+    plane, n = codec.make_payloads(enc_a, enc_b, points), len(points)
+    assert isinstance(plane, codec.WorkerPlane) and len(plane) == n
+    assert [p.point for p in plane] == points.tolist()
+    for i in (0, 1, n - 1, -1, -n, np.int64(1), np.uint8(n - 1), np.int32(-2)):
+        pay = plane[i]
+        assert pay.point == points[i] and type(pay.point) is int
+        assert np.array_equal(pay.a_part, plane.a_vals[int(i)]) and pay.a_part.base is not None
+        assert np.array_equal(pay.b_part, plane.b_vals[int(i)]) and pay.b_part.base is not None
+    for part in (slice(1, 5, 2), slice(None, None, -1), slice(-3, None), slice(n, None)):
+        sub = plane[part]
+        assert isinstance(sub, codec.WorkerPlane) and len(sub) == len(points[part])
+        assert [p.point for p in sub] == points[part].tolist()
+        assert [p.point for p in plane[part][::2]] == points[part][::2].tolist()
+    assert list(plane[n:]) == [] and len(plane[:0]) == 0
+
+
+@pytest.mark.parametrize("index, error", [
+    (10**3, RangeError), (-10**3, RangeError), (2**70, RangeError), (np.int64(10**3), RangeError),
+    (1.0, ParameterError), (True, ParameterError), (np.bool_(False), ParameterError),
+    ("1", ParameterError), ((1,), ParameterError), ([1], ParameterError),
+    (np.array([1]), ParameterError), (np.array(1), ParameterError), (None, ParameterError),
+], ids=repr)
+def test_worker_plane_lookup_errors_are_typed(index, error):
+    """A bad worker index raises RangeError or ParameterError, never IndexError."""
+    plane = codec.make_payloads(*_encoded_pair(GF5, np.random.default_rng(45)), np.arange(25))
+    assert len(plane) == 25
+    with pytest.raises(error):
+        plane[index]
+    with pytest.raises(RangeError):
+        plane[25]
+    with pytest.raises(RangeError):
+        plane[-26]
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+def test_worker_plane_products_are_the_workers_products(spec):
+    """One batched product equals each worker's own, in the order asked for."""
+    plane = codec.make_payloads(*_encoded_pair(spec, np.random.default_rng(46)), np.arange(spec.q**2))
+    workers = np.array([3, 0, -1, 2, 3])
+    stack = plane.products(workers)
+    assert stack.dtype == spec.dtype and stack.shape == (5, 1, 1)
+    for row, i in zip(stack, workers.tolist()):
+        assert np.array_equal(row, codec.worker_compute(plane[i]).product)
+    assert plane.products(np.zeros(0, dtype=np.int64)).shape == (0, 1, 1)
+    for bad, error in (([1.0], ParameterError), ([[1]], ParameterError),
+                       ([spec.q**2], RangeError), ([-spec.q**2 - 1], RangeError)):
+        with pytest.raises(error):
+            plane.products(np.array(bad))
+
 
 # ---------------------------------------------------------------------------
 # GF(2): the packed XOR butterfly

@@ -635,6 +635,62 @@ def test_matmul_across_small_tiles_at_every_packing(p, e, monkeypatch):
                     assert np.array_equal(got, want), (tile, packing, chunk)
 
 
+# GF(2), GF(4), GF(8), GF(9), GF(23), GF(25), GF(2^16), GF(65521)
+BATCH_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (23, 1), (5, 2), (2, 16), (65521, 1)]
+
+
+@pytest.mark.parametrize("p, e", BATCH_FIELDS)
+def test_batched_matmul_is_the_per_item_product(p, e):
+    """A (B, r, n) . (B, n, t) stack is each item's 2-D product: B = 0 and 1,
+    one-row and one-column items, no inner dimension and no rows."""
+    spec = FieldSpec(p, e)
+    q = spec.q
+    rng = np.random.default_rng(q + 7)
+    for b, r, n, t in [(0, 3, 4, 2), (1, 3, 4, 2), (5, 3, 7, 4), (4, 1, 9, 1), (3, 2, 0, 3),
+                       (2, 0, 3, 2)]:
+        for x, y in ((rng.integers(0, q, size=(b, r, n)), rng.integers(0, q, size=(b, n, t))),
+                     (np.full((b, r, n), q - 1), np.full((b, n, t), q - 1))):
+            got = spec.matmul(x, y)
+            assert got.shape == (b, r, t) and got.dtype == spec.dtype and got.flags.c_contiguous
+            for i in range(b):
+                assert np.array_equal(got[i], spec.matmul(x[i], y[i])), (b, r, n, t, i)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (23, 1), (2, 3), (5, 2), (2, 16)])
+def test_batched_matmul_across_tiles_and_chunks(p, e, monkeypatch):
+    """A tiny tile constant puts one or two rows of an item, one item, three
+    items or all seven in a tile; a short inner chunk splits every item's
+    product.  Each must give the per-item products."""
+    spec = FieldSpec(p, e)
+    q, (b, r, n, t) = spec.q, (7, 3, 9, 5)
+    rng = np.random.default_rng(q + 8)
+    operands = [(rng.integers(0, q, size=(b, r, n)), rng.integers(0, q, size=(b, n, t))),
+                (np.full((b, r, n), q - 1), np.full((b, n, t), q - 1))]
+    wants = [np.stack([schoolbook_matmul(spec, x[i], y[i]) for i in range(b)]) for x, y in operands]
+    chunked = FieldSpec(p, e)
+    chunked.matmul_chunk = 4
+    item = spec.e * max(r * n, n * t, r * t)  # the digits of an item's largest operand
+    for tile in (1, 2 * spec.e * t, item, 3 * item, b * item):
+        monkeypatch.setattr(field, "MATMUL_TILE", tile)
+        for s in (spec, chunked):
+            for (x, y), want in zip(operands, wants):
+                got = s.matmul(x, y)
+                assert got.dtype == spec.dtype and got.flags.c_contiguous
+                assert np.array_equal(got, want), (tile, s.matmul_chunk)
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 5, 2)), ((2, 3, 4), (4, 2)), ((3, 4), (2, 4, 2)),
+    ((1, 2, 3, 4), (1, 2, 4, 2)), ((4,), (4,)), ((0, 3, 4), (1, 4, 2)),
+], ids=str)
+def test_batched_matmul_shape_errors(x_shape, y_shape):
+    """Mismatched items or inner dimensions, a stack against a matrix, and
+    more than one batch axis raise ShapeError."""
+    for spec in (FieldSpec(5), FieldSpec(2, 3)):
+        with pytest.raises(ShapeError):
+            spec.matmul(np.zeros(x_shape, dtype=np.int64), np.zeros(y_shape, dtype=np.int64))
+
+
 # SHA-256 of _exp.tobytes() + _log.tobytes() (int64), computed with the
 # earlier generator search that multiplied one scalar polynomial at a time.
 PINNED_LOG_TABLES = {

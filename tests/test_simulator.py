@@ -262,18 +262,23 @@ def test_sharpness_probe_lets_unexpected_errors_through(monkeypatch):
 
 
 def test_sharpness_probe_computes_each_responder_once(monkeypatch):
-    real = codec.worker_compute
+    """The first k+1 responders' products come from one batched product, in
+    arrival order; the probe computes each other responder once, in at most
+    one batched product per subset."""
+    real = codec.WorkerPlane.products
     calls = []
 
-    def counting(payload):
-        calls.append(payload.point)
-        return real(payload)
+    def counting(plane, workers):
+        calls.append(np.asarray(workers).tolist())
+        return real(plane, workers)
 
-    monkeypatch.setattr(codec, "worker_compute", counting)
+    monkeypatch.setattr(codec.WorkerPlane, "products", counting)
     report = simulator.run(replace(BOX19, trials=3))
     assert report.probe_min_success is not None
-    assert len(calls) == len(set(calls)) <= report.config.n_workers
-    assert calls[:report.threshold] == [r.point for r in report.responses]
+    rows = [worker for call in calls for worker in call]
+    assert len(rows) == len(set(rows)) <= report.config.n_workers
+    assert calls[0] == report.points.tolist() and len(calls[0]) == report.threshold
+    assert 1 < len(calls) <= 1 + 3 * 3  # three trials of three subset sizes
 
 
 @pytest.mark.parametrize("key, attr, value, least", [
@@ -387,3 +392,7 @@ def test_paper_scale_gf2_l14(n_workers):
     payloads, sa, sb = pl.make_payloads(a, b)
     interp = codec.interpolate(pl.system, [codec.worker_compute(payloads[i]) for i in responders])
     assert codec.extract_poly(interp, pl.solution, sa, sb) == codec.matmul(a, b)
+    # the simulator's batched worker plane, every spare worker a random straggler
+    report = simulator.run(replace(cfg, straggler=StragglerModel("adversarial", tuple(
+        rng.choice(n_workers, size=n_workers - pl.threshold, replace=False).tolist()))))
+    assert report.decoded_equals_oracle is True and len(report.products) == pl.threshold

@@ -12,9 +12,9 @@ Exit codes: 0 ok, 2 usage or invalid parameters, 3 golden-table mismatch,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import replace
 
 from . import _linalg, constructions, exponents, simulator, tables
 from .constructions import MatdotSolution
@@ -28,8 +28,19 @@ EXIT_CAPACITY = 4
 EXIT_RECOVERY_FAILURE = 5
 
 
-def _vec(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _construction_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand taking a construction descriptor as KIND --q Q --param KEY=VALUE ..."""
+    p = sub.add_parser(name, help=summary, epilog=inspect.getdoc(constructions.build),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("kind", choices=constructions.POLY_KINDS + constructions.MATDOT_KINDS)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                   help="one descriptor key, e.g. --param m=2,2; repeat for each key")
+    return p
+
+
+def _solution(args):
+    return constructions.build(" ".join([args.kind, *args.param]), args.q)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,22 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_params = sub.add_parser("params", help="compute construction parameters")
-    p_params.add_argument("kind", choices=constructions.POLY_KINDS + constructions.MATDOT_KINDS)
-    p_params.add_argument("--q", type=int, required=True)
-    p_params.add_argument("--l", type=int)
-    p_params.add_argument("--m", type=_vec, help="per-coordinate block counts, e.g. 2,2")
-    p_params.add_argument("--n", type=_vec, help="per-coordinate block counts for B")
-    p_params.add_argument("--F", type=int, help="design footprint")
-    p_params.add_argument("--FA", type=int)
-    p_params.add_argument("--FB", type=int)
-    p_params.add_argument("--mprime", type=int)
-    p_params.add_argument("--nprime", type=int)
-    p_params.add_argument("--d", type=_vec, help="matdot target degree, e.g. 3,3,3")
-    p_params.add_argument("--best-d", action="store_true",
-                          help="exhaustive search for the size-maximizing target degree")
-    p_params.add_argument("--corner-d", action="store_true",
-                          help="use the corner target degree (the bundled tables' choice)")
+    p_params = _construction_parser(sub, "params", "compute construction parameters")
     p_params.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="emit a bundled table and diff against golden")
@@ -71,20 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     e_hyp.add_argument("--stats", action="store_true")
     e_hyp.add_argument("--limit", type=int, default=exponents.DEFAULT_ENUM_LIMIT)
     e_hyp.add_argument("--out")
-    e_sol = enum_sub.add_parser("solution", help="a construction's degree sets")
-    e_sol.add_argument("kind", choices=constructions.POLY_KINDS + constructions.MATDOT_KINDS)
-    e_sol.add_argument("--q", type=int, required=True)
-    e_sol.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+    e_sol = _construction_parser(enum_sub, "solution", "a construction's degree sets")
     e_sol.add_argument("--set", choices=("da", "db", "sum"), default="da")
     e_sol.add_argument("--stats", action="store_true")
     e_sol.add_argument("--out")
 
     p_sim = sub.add_parser("simulate", help="run a straggler simulation")
     p_sim.add_argument("--config", required=True, help="flat key=value config file")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
     p_sim.add_argument("--out", help="write the response transcript here")
     p_sim.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key, e.g. --set N=512")
+                       help="override a config key, e.g. --set N=512 or --set seed=7")
 
     p_self = sub.add_parser("selftest", help="run quick oracle-equivalence checks")
     p_self.add_argument("--seed", type=int, default=0)
@@ -96,42 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # params
 
 
-def _resolve_params_args(args) -> tuple[str, dict]:
-    kind = args.kind
-    p: dict[str, object] = {}
-    if kind == "poly-box":
-        p["m"], p["n"] = args.m, args.n
-    elif kind == "better-box":
-        p["m"], p["F"] = args.m, args.F
-    elif kind == "sep-vars":
-        p["mprime"], p["nprime"] = args.mprime, args.nprime
-        if args.F is not None:
-            p["F"] = args.F
-        else:
-            p["FA"], p["FB"] = args.FA, args.FB
-    elif kind == "matdot-box":
-        p["m"] = args.m
-    elif kind == "matdot-half":
-        p["l"], p["F"] = args.l, args.F
-        if args.best_d:
-            p["d"] = "best"
-        elif args.corner_d:
-            p["d"] = "corner"
-        else:
-            p["d"] = args.d
-    missing = [k for k, v in p.items() if v is None]
-    if missing:
-        raise ParameterError(f"{kind} requires {', '.join('--' + k for k in missing)}")
-    if args.l is not None and "m" in p and len(p["m"]) != args.l:
-        raise ParameterError(f"--l {args.l} disagrees with --m of length {len(p['m'])}")
-    return kind, p
-
-
 def cmd_params(args) -> int:
-    kind, p = _resolve_params_args(args)
-    sol = constructions.build(kind, args.q, p)
+    sol = _solution(args)
     info: dict[str, object] = {
-        "kind": kind,
+        "kind": args.kind,
         "q": sol.q,
         "l": sol.l,
         "m": sol.m,
@@ -209,7 +169,7 @@ def cmd_enum(args) -> int:
         s = exponents.hyp_set(args.q, args.l, args.F, limit=args.limit)
         _emit_set(s, args.stats, args.out)
         return EXIT_OK
-    sol = simulator.parse_construction(" ".join([args.kind, *args.param]), args.q)
+    sol = _solution(args)
     chosen = {"da": sol.d_a, "db": sol.d_b, "sum": sol.sum_set()}[args.set]
     _emit_set(chosen, args.stats, args.out)
     return EXIT_OK
@@ -224,10 +184,7 @@ def cmd_simulate(args) -> int:
         if "=" not in tok or tok.lstrip().startswith("#"):  # a config comment is not an override
             raise ParameterError(f"bad --set {tok!r}, expected KEY=VALUE")
     # Each --set replaces its key's value from the file; a key may be set once.
-    cfg = simulator.SimConfig.from_file(args.config, args.set)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    report = simulator.run(cfg)
+    report = simulator.run(simulator.SimConfig.from_file(args.config, args.set))
     sys.stdout.write(report.summary())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -362,7 +319,7 @@ def cmd_selftest(args) -> int:
         ("matdot-box m=2,2", "8", (3, 4, 3)),
     ):
         spec = FieldSpec.from_string(field_text)
-        sol = simulator.parse_construction(descriptor, spec.q)
+        sol = constructions.build(descriptor, spec.q)
         cfg = simulator.SimConfig(
             field=field_text, construction=descriptor,
             r=dims[0], s=dims[1], t=dims[2],

@@ -472,7 +472,9 @@ class InterpolationSystem:
     is the evaluation count that guarantees solvability for any point
     subset.  point_grid holds the points' grid indices in the caller's
     order; S's own, ascending, are `support.index`.  No evaluation
-    matrix is kept: the primal side builds the rows it needs on demand.
+    matrix is kept: each primal decode builds the responders' rows, all of
+    them in one monomial_matrix call (building them in panels is ROADMAP
+    item 11).
     `==` is identity; to compare contents, compare the grids.
     """
 
@@ -740,8 +742,11 @@ def interpolate(
       built a slice at a time: O(kappa e w).
 
     Otherwise it eliminates the kappa unknown coefficients directly from the
-    monomial rows at the responding points, built on demand (primal side),
-    in panels of kappa - rank rows: O(kappa (kappa + w)) per row offered.
+    monomial rows at the responding points (primal side).  All R rows, each
+    kappa wide, are built in one monomial_matrix call, R kappa entries of
+    memory (building them in panels is ROADMAP item 11); the eliminator
+    offers them in panels of kappa - rank rows: O(kappa (kappa + w)) per
+    row offered.
     Both sides raise RankDeficiencyError, in kappa terms, exactly when the
     responding points do not determine every function in the span of S.
 

@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -586,33 +586,44 @@ POLY_KINDS = ("poly-box", "better-box", "sep-vars")
 MATDOT_KINDS = ("matdot-box", "matdot-half")
 
 
-def build(kind: str, q: int, params: Mapping[str, object]) -> PolySolution | MatdotSolution:
-    """Resolve a construction descriptor to a validated solution.
+def build(descriptor: str, q: int) -> PolySolution | MatdotSolution:
+    """Resolve a construction descriptor, "KIND KEY=VALUE ...", to a
+    validated solution over GF(q).
 
-    Descriptor kinds and parameters:
+    Kinds and their keys (<vec> is comma-separated, e.g. m=2,2):
       poly-box    m=<vec> n=<vec>
       better-box  m=<vec> F=<int>
-      sep-vars    mprime=<int> nprime=<int> F=<int> (or FA=, FB=)
+      sep-vars    mprime=<int> nprime=<int> and F=<int>, or FA=<int> FB=<int>
       matdot-box  m=<vec>
       matdot-half l=<int> F=<int> and one of d=<vec> | d=corner | d=best
+    Each key is given once; a missing key, or one the kind does not use,
+    is an error.
     """
-    p = dict(params)
+    parts = descriptor.split()
+    if not parts:
+        raise ParameterError("empty construction descriptor")
+    kind = parts[0]
+    p: dict[str, str] = {}
+    for tok in parts[1:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ParameterError(f"bad construction parameter {tok!r}")
+        if key in p:
+            raise ParameterError(f"construction parameter {key!r} given twice")
+        p[key] = value
 
-    def take(key: str):
+    def take(key: str) -> str:
         if key not in p:
             raise ParameterError(f"{kind} needs parameter {key!r}")
         return p.pop(key)
 
     def take_vec(key: str) -> Vec:
-        v = take(key)
-        if isinstance(v, str):
-            return exponents.parse_vec(v)
-        return tuple(int(x) for x in v)  # type: ignore[arg-type]
+        return exponents.parse_vec(take(key))
 
     def take_int(key: str) -> int:
         v = take(key)
         try:
-            return int(v)  # type: ignore[arg-type]
+            return int(v)
         except ValueError:
             raise ParameterError(f"{kind} parameter {key}={v!r} is not an integer") from None
 
@@ -638,7 +649,7 @@ def build(kind: str, q: int, params: Mapping[str, object]) -> PolySolution | Mat
         elif draw == "best":
             d, _ = search_best_d(q, l, f)
         else:
-            d = exponents.parse_vec(draw) if isinstance(draw, str) else tuple(draw)  # type: ignore[arg-type]
+            d = exponents.parse_vec(draw)
         sol = half_hyperbolic(q, l, f, d)
     else:
         raise ParameterError(f"unknown construction kind {kind!r}")

@@ -179,22 +179,6 @@ class SimConfig:
             return cls.from_text(fh.read(), overrides)
 
 
-def parse_construction(descriptor: str, q: int) -> PolySolution | MatdotSolution:
-    parts = descriptor.split()
-    if not parts:
-        raise ParameterError("empty construction descriptor")
-    kind = parts[0]
-    params: dict[str, str] = {}
-    for tok in parts[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ParameterError(f"bad construction parameter {tok!r}")
-        if key in params:
-            raise ParameterError(f"construction parameter {key!r} given twice")
-        params[key] = value
-    return constructions.build(kind, q, params)
-
-
 @dataclass(frozen=True, eq=False)
 class Plan:
     """Everything about a run that does not depend on the input matrices.
@@ -231,7 +215,7 @@ class Plan:
 def plan(cfg: SimConfig) -> Plan:
     """Resolve the construction, take the grid points 0..N-1, build the system."""
     spec = FieldSpec.from_string(cfg.field)
-    sol = parse_construction(cfg.construction, spec.q)
+    sol = constructions.build(cfg.construction, spec.q)
     mode = "matdot" if isinstance(sol, MatdotSolution) else "poly"
     threshold = sol.design_threshold
     if cfg.n_workers > spec.q**sol.l:

@@ -1,13 +1,14 @@
 """CLI surface: subcommands, exit codes, golden diffs, determinism."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from mvdmm import cli, tables
+from mvdmm import cli, simulator, tables
 
 
 def run_cli(capsys, *argv):
@@ -21,36 +22,36 @@ def run_cli(capsys, *argv):
 
 
 def test_params_poly_box(capsys):
-    code, out, _ = run_cli(capsys, "params", "poly-box", "--q", "19", "--l", "2",
-                           "--m", "2,2", "--n", "6,6")
+    code, out, _ = run_cli(capsys, "params", "poly-box", "--q", "19",
+                           "--param", "m=2,2", "--param", "n=6,6")
     assert code == 0
     assert "FB=64" in out and "k+1=298" in out and "xi=102" in out and "N=361" in out
 
 
 def test_params_sep_vars(capsys):
     code, out, _ = run_cli(capsys, "params", "sep-vars", "--q", "2",
-                           "--mprime", "5", "--nprime", "5", "--F", "8")
+                           "--param", "mprime=5", "--param", "nprime=5", "--param", "F=8")
     assert code == 0
     assert "m=16" in out and "k+1=961" in out
 
 
 def test_params_matdot_half_corner(capsys):
-    code, out, _ = run_cli(capsys, "params", "matdot-half", "--q", "8", "--l", "3",
-                           "--F", "57", "--corner-d")
+    code, out, _ = run_cli(capsys, "params", "matdot-half", "--q", "8", "--param", "l=3",
+                           "--param", "F=57", "--param", "d=corner")
     assert code == 0
     assert "m=26" in out and "k+1=456" in out
 
 
 def test_params_matdot_half_best(capsys):
-    code, out, _ = run_cli(capsys, "params", "matdot-half", "--q", "8", "--l", "3",
-                           "--F", "9", "--best-d")
+    code, out, _ = run_cli(capsys, "params", "matdot-half", "--q", "8", "--param", "l=3",
+                           "--param", "F=9", "--param", "d=best")
     assert code == 0
     assert "m=62" in out
 
 
 def test_params_json(capsys):
     code, out, _ = run_cli(capsys, "params", "poly-box", "--q", "19",
-                           "--m", "2,2", "--n", "6,6", "--json")
+                           "--param", "m=2,2", "--param", "n=6,6", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["FB"] == 64 and data["k+1"] == 298 and data["xi"] == 102
@@ -58,7 +59,7 @@ def test_params_json(capsys):
 
 def test_params_invalid_exits_2(capsys):
     code, _, err = run_cli(capsys, "params", "poly-box", "--q", "5",
-                           "--m", "3,1", "--n", "2,1")
+                           "--param", "m=3,1", "--param", "n=2,1")
     assert code == 2
     assert "error" in err
 
@@ -66,13 +67,79 @@ def test_params_invalid_exits_2(capsys):
 def test_params_missing_flags_exit_2(capsys):
     code, _, err = run_cli(capsys, "params", "better-box", "--q", "19")
     assert code == 2
+    assert "better-box needs parameter 'm'" in err
 
 
-@pytest.mark.parametrize("pick", ["--corner-d", "--best-d"])
+@pytest.mark.parametrize("pick", ["d=corner", "d=best"])
 def test_params_matdot_half_without_variables_exits_2(capsys, pick):
-    code, _, err = run_cli(capsys, "params", "matdot-half", "--q", "5", "--l", "0", "--F", "1", pick)
+    code, _, err = run_cli(capsys, "params", "matdot-half", "--q", "5", "--param", "l=0",
+                           "--param", "F=1", "--param", pick)
     assert code == 2
     assert "l >= 1" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("sep-vars", "--q", "2", "--param", "mprime=5", "--param", "nprime=5", "--param", "F=8",
+      "--param", "FA=3"), "FA"),
+    (("poly-box", "--q", "19", "--param", "m=2,2", "--param", "n=6,6", "--param", "F=9"), "F"),
+], ids=["sep-vars-F-and-FA", "poly-box-F"])
+def test_params_unused_or_conflicting_key_exits_2(capsys, argv, key):
+    code, out, err = run_cli(capsys, "params", *argv)
+    assert code == 2 and out == ""
+    assert f"unused parameters for {argv[0]}: ['{key}']" in err
+
+
+@pytest.mark.parametrize("argv", [("params", "--help"), ("enum", "solution", "--help")],
+                         ids=["params", "enum-solution"])
+def test_construction_help_lists_every_kinds_keys(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    keys = {
+        "poly-box": "m=<vec> n=<vec>",
+        "better-box": "m=<vec> F=<int>",
+        "sep-vars": "mprime=<int> nprime=<int> and F=<int>, or FA=<int> FB=<int>",
+        "matdot-half": "l=<int> F=<int> and one of d=<vec> | d=corner | d=best",
+        "matdot-box": "m=<vec>",
+    }
+    for kind, text in keys.items():
+        assert re.search(rf"^ *{kind} +{re.escape(text)}$", out, re.M), kind
+
+
+# One descriptor per kind; params, enum and a simulate config must agree on it.
+PARITY = [
+    ("poly-box", 19, ("m=2,2", "n=6,6")),
+    ("better-box", 19, ("m=2,2", "F=64")),
+    ("sep-vars", 2, ("mprime=2", "nprime=2", "F=2")),
+    ("matdot-box", 8, ("m=2,2",)),
+    ("matdot-half", 8, ("l=2", "F=9", "d=corner")),
+]
+
+
+@pytest.mark.parametrize("kind, q, params", PARITY, ids=[kind for kind, _, _ in PARITY])
+def test_descriptor_parity_across_subcommands(capsys, tmp_path, kind, q, params):
+    flags = [x for p in params for x in ("--param", p)]
+    code, out, _ = run_cli(capsys, "params", kind, "--q", str(q), *flags, "--json")
+    assert code == 0
+    info = json.loads(out)
+
+    code, _, err = run_cli(capsys, "enum", "solution", kind, "--q", str(q), *flags,
+                           "--set", "sum", "--stats")
+    assert code == 0
+    size, fb, witness = re.match(r"size=(\d+) FB=(\d+) witness=\(([\d,]*)\)", err).groups()
+
+    cfg = tmp_path / "parity.cfg"
+    cfg.write_text(f"field = {q}\nconstruction = {' '.join([kind, *params])}\n"
+                   f"r = 4\ns = 4\nt = 4\nN = {info['N']}\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 0 and "decoded == oracle: True" in out
+    kappa = int(re.search(r"^kappa: (\d+)$", out, re.M).group(1))
+    footprint = simulator.plan(simulator.SimConfig.from_file(cfg)).solution.footprint
+
+    assert info["FB"] == int(fb) == footprint.value
+    assert info["FB_witness"] == [int(x) for x in witness.split(",")] == list(footprint.witness)
+    assert int(size) == kappa
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +274,18 @@ def test_simulate_fails_with_64_drops(capsys, table3_config):
 def test_simulate_seed_determinism(capsys, table3_config, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert run_cli(capsys, "simulate", "--config", str(table3_config),
-                   "--seed", "7", "--out", str(a))[0] == 0
+                   "--set", "seed=7", "--out", str(a))[0] == 0
     assert run_cli(capsys, "simulate", "--config", str(table3_config),
-                   "--seed", "7", "--out", str(b))[0] == 0
+                   "--set", "seed=7", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_seed_flag_is_gone(capsys, table3_config):
+    """`--set seed=N` is the one way to override the seed."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", str(table3_config), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_simulate_config_errors_exit_2(capsys, tmp_path):
@@ -319,8 +394,8 @@ def test_console_entry_point():
     exe = shutil.which("mvdmm")
     if exe is None:
         pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "params", "poly-box", "--q", "19", "--m", "2,2",
-                           "--n", "6,6"], capture_output=True, text=True)
+    proc = subprocess.run([exe, "params", "poly-box", "--q", "19", "--param", "m=2,2",
+                           "--param", "n=6,6"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "k+1=298" in proc.stdout
 

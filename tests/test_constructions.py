@@ -365,23 +365,48 @@ def test_project_zero_coords():
 
 
 def test_build_descriptors():
-    assert cons.build("poly-box", 19, {"m": "2,2", "n": "6,6"}).recovery_threshold == 298
-    assert cons.build("better-box", 19, {"m": "2,2", "F": "64"}).n == 48
-    assert cons.build("sep-vars", 2, {"mprime": "5", "nprime": "5", "F": "8"}).m == 16
-    assert cons.build("matdot-box", 8, {"m": "4,4,4"}).m == 64
-    assert cons.build("matdot-half", 8, {"l": "3", "F": "17", "d": "corner"}).m == 56
-    assert cons.build("matdot-half", 8, {"l": "3", "F": "9", "d": "best"}).m == 62
-    with pytest.raises(ParameterError):
-        cons.build("nope", 2, {})
-    with pytest.raises(ParameterError):
-        cons.build("poly-box", 19, {"m": "2,2", "n": "6,6", "extra": "1"})
+    assert cons.build("poly-box m=2,2 n=6,6", 19).recovery_threshold == 298
+    assert cons.build("better-box m=2,2 F=64", 19).n == 48
+    assert cons.build("sep-vars mprime=5 nprime=5 F=8", 2).m == 16
+    assert cons.build("sep-vars mprime=5 nprime=5 FA=8 FB=8", 2).m == 16
+    assert cons.build("matdot-box m=4,4,4", 8).m == 64
+    assert cons.build("matdot-half l=3 F=17 d=corner", 8).m == 56
+    assert cons.build("matdot-half l=3 F=9 d=best", 8).m == 62
+    assert cons.build("matdot-half l=3 F=17 d=3,3,3", 8).m == 56
+    with pytest.raises(ParameterError, match="unknown construction kind 'nope'"):
+        cons.build("nope", 2)
+    with pytest.raises(ParameterError, match="empty construction descriptor"):
+        cons.build("  ", 2)
+    with pytest.raises(ParameterError, match="better-box needs parameter 'F'"):
+        cons.build("better-box m=2,2", 19)
+    with pytest.raises(ParameterError, match="bad construction parameter 'oops'"):
+        cons.build("poly-box m=2,2 oops n=6,6", 19)
+
+
+@pytest.mark.parametrize("descriptor, q, key", [
+    ("poly-box m=2,2 n=6,6 extra=1", 19, "extra"),
+    ("poly-box m=2,2 n=6,6 F=9", 19, "F"),  # a key of another kind
+    ("sep-vars mprime=5 nprime=5 F=8 FA=3", 2, "FA"),  # F and FA conflict
+    ("matdot-box m=2,2 d=corner", 8, "d"),
+])
+def test_build_rejects_an_unused_key(descriptor, q, key):
+    with pytest.raises(ParameterError, match=rf"unused parameters for \S+: \['{key}'\]"):
+        cons.build(descriptor, q)
+
+
+def test_build_rejects_a_repeated_key():
+    assert cons.build("sep-vars mprime=2 nprime=2 F=2", 2).design_footprint == 4
+    with pytest.raises(ParameterError, match="'F' given twice"):
+        cons.build("sep-vars mprime=2 nprime=2 F=2 F=4", 2)
+    with pytest.raises(ParameterError, match="'m' given twice"):
+        cons.build("poly-box m=2,2 n=6,6 m=2,2", 19)
 
 
 def test_build_rejects_non_integer_parameter():
     with pytest.raises(ParameterError, match="F='x'"):
-        cons.build("better-box", 5, {"m": "2", "F": "x"})
+        cons.build("better-box m=2 F=x", 5)
     with pytest.raises(ParameterError, match=r"\(2,x\)"):
-        cons.build("poly-box", 5, {"m": "(2,x)", "n": "2"})
+        cons.build("poly-box m=(2,x) n=2", 5)
 
 
 def test_xi_bound_enforced_at_construction():
@@ -562,8 +587,8 @@ def test_l_below_one_is_a_parameter_error():
         lambda: cons.d_size(5, 1, 1, ()),
         lambda: cons.half_hyp_set(5, 1, 1, ()),
         lambda: cons.half_hyperbolic(5, 0, 1, ()),
-        lambda: cons.build("matdot-half", 5, {"l": "0", "F": "1", "d": "corner"}),
-        lambda: cons.build("matdot-half", 5, {"l": "0", "F": "1", "d": "best"}),
+        lambda: cons.build("matdot-half l=0 F=1 d=corner", 5),
+        lambda: cons.build("matdot-half l=0 F=1 d=best", 5),
     ):
         with pytest.raises(ParameterError, match="l >= 1"):
             call()

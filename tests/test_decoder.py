@@ -107,7 +107,7 @@ def test_odd_characteristic_extension_target_decode_equals_the_oracle(q, descrip
     product over extension-field indices, on both decoder sides."""
     rng = np.random.default_rng(q)
     spec = FieldSpec.of_order(q)
-    sol = simulator.parse_construction(descriptor, q)
+    sol = cons.build(descriptor, q)
     points = np.arange(spec.q**sol.l)
     system = codec.build_system(spec, sol.sum_set(), points)
     responses, sa, sb, oracle = _setup(spec, sol, points, rng)
@@ -121,7 +121,7 @@ def test_odd_characteristic_extension_target_decode_equals_the_oracle(q, descrip
 def test_dual_side_builds_no_monomial_matrix(monkeypatch):
     """decode-gf23's scheme: the dual audit and decode read only T blocks."""
     spec = FieldSpec(23)
-    sol = simulator.parse_construction("better-box m=2,2 F=81", 23)
+    sol = cons.build("better-box m=2,2 F=81", 23)
     points = np.arange(spec.q**sol.l)
     rng = np.random.default_rng(23)
     responses, sa, sb, oracle = _setup(spec, sol, points, rng)
@@ -138,7 +138,8 @@ def test_dual_side_builds_no_monomial_matrix(monkeypatch):
 
 
 def test_primal_side_builds_rows_for_the_responders_only(monkeypatch):
-    """e >= kappa on a half grid: the primal rows are built on demand."""
+    """e >= kappa on a half grid: the primal side builds the responders'
+    rows, and only theirs, in one monomial_matrix call."""
     spec = FieldSpec(19)
     sol = cons.box_poly(19, (1, 1), (2, 2))
     points = np.arange(spec.q**sol.l)[::2]

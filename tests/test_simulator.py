@@ -24,14 +24,6 @@ def test_plan_resolves_construction():
     assert pl.system.point_grid[:2].tolist() == [0, 1]
 
 
-def test_construction_descriptor_rejects_a_repeated_key():
-    assert simulator.parse_construction("sep-vars mprime=2 nprime=2 F=2", 2).design_footprint == 4
-    with pytest.raises(ParameterError, match="'F' given twice"):
-        simulator.parse_construction("sep-vars mprime=2 nprime=2 F=2 F=4", 2)
-    with pytest.raises(ParameterError, match="'m' given twice"):
-        simulator.parse_construction("poly-box m=2,2 n=6,6 m=2,2", 19)
-
-
 def test_plan_table3_scenario():
     cfg = SimConfig(field="2", construction="sep-vars mprime=5 nprime=5 F=8",
                     r=8, s=32, t=8, n_workers=1024, seed=0)

@@ -40,6 +40,11 @@ def _construction_parser(sub, name: str, summary: str) -> argparse.ArgumentParse
 
 
 def _solution(args):
+    """The descriptor's solution; each --param must be one KEY=VALUE token, so
+    one --param can neither carry two keys nor have its value split."""
+    for token in args.param:
+        if token.split() != [token]:
+            raise ParameterError(f"--param {token!r} is not one KEY=VALUE token")
     return constructions.build(" ".join([args.kind, *args.param]), args.q)
 
 

@@ -11,6 +11,12 @@ the kappa coefficients (the primal side, one linear system).  Either way it
 recovers A.B exactly.  All arithmetic is exact, so every equality test in
 this module is literal.
 
+In characteristic 2 both directions of the grid transform, evaluating
+(`evaluate_many`) and interpolating (`_transform`), run on packed bit
+planes: an entry's e bits are e GF(2) values, and one coordinate's
+Vandermonde map or its inverse is a GF(2) map on them, applied by table
+lookups on bytes (`_plane_transform`; over GF(2) it is the XOR butterfly).
+
 Inside the codec a point or an exponent vector is its row-major index on
 the grid {0..q-1}^l, and a set of coefficient blocks is one stacked
 (k, r, c) array whose i-th row belongs to the i-th member of its degree set
@@ -32,6 +38,7 @@ and the product A.B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -50,7 +57,7 @@ from .errors import (
     ShapeError,
 )
 from .exponents import ExponentSet, Vec
-from .field import DEFAULT_POINT_LIMIT, MATMUL_TILE, FieldSpec
+from .field import DEFAULT_POINT_LIMIT, MATMUL_TILE, TABLE_LIMIT, FieldSpec
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -237,31 +244,38 @@ def evaluate_many(op: EncodedOperand, points) -> np.ndarray:
     field's index dtype.  The points are grid indices, checked once on every
     field (see _grid_points); a point off the grid raises ParameterError.
 
-    Over GF(2) the value at point x is the XOR of the blocks at the degrees
-    e with e & ~x = 0 (on grid indices), so evaluating on the grid is the
-    Reed-Muller encoder, i.e. the fast Moebius transform that `_transform`
-    runs to decode.  The blocks are packed eight entries to a byte, placed
-    at their degrees' grid indices and run through the same XOR butterfly
-    (`_butterfly`).  Only the prefix sub-cube [0, 2^j) holding every point
-    index is transformed: a point there has its leading l - j coordinates
-    zero, so degrees outside the sub-cube contribute nothing to it.  When
-    that sub-cube is much larger than the points (a few points scattered
-    over a large grid), `_packed_side` keeps the monomial product instead,
-    which is the path for every other field: the points x monomials matrix
-    times the stacked blocks.
+    In characteristic 2 evaluating on the grid is the transform that
+    `_transform` inverts: V1^T on every coordinate, run on bit planes (see
+    `_plane_transform`).  The blocks are split into their e bit planes,
+    packed eight entries to a byte, and placed on the smallest box of
+    exponents that holds the support (over GF(2) the sub-cube itself, for
+    `_butterfly`'s in-place passes).  Only the prefix sub-grid [0, q^j)
+    holding every point index is transformed: a point there has its leading
+    l - j coordinates zero, so degrees outside the sub-grid contribute
+    nothing to it.  The points' rows are then gathered and their planes
+    unpacked back into indices.  No (terms x points) matrix is built.  When
+    the passes cost much more than the product (a few points scattered over
+    a large grid, or few terms over a large field, see `_packed_side`), and
+    over every field of odd characteristic, it is the monomial product
+    instead: the points x monomials matrix times the stacked blocks.
     """
     spec, l = op.spec, op.support.l
     at = _grid_points(spec.q, l, points)
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
-    if spec.q == 2:
-        j = int(at.max(initial=0)).bit_length()
-        if _packed_side(j, at.size, len(op.blocks)):
-            inside = op.support.index
-            keep = inside < 2**j
-            cube = np.zeros((2**j, -(-flat.shape[1] // 8)), dtype=np.uint8)
-            cube[inside[keep]] = np.packbits(flat[keep], axis=1)
-            out = np.unpackbits(_butterfly(cube, j)[at], axis=1, count=flat.shape[1])
-            return out.reshape(at.size, *op.block_shape)
+    if spec.p == 2:
+        j = -(-int(at.max(initial=0)).bit_length() // spec.e)  # q^j > every point
+        inside = op.support.index < spec.q**j
+        if spec.q == 2:  # the sub-cube, where a degree's row is its grid index
+            box, rows = (2,) * j, op.support.index[inside]
+        else:
+            digits = op.support.rows[inside, l - j:].astype(np.int64)
+            box = tuple((digits.max(axis=0, initial=0) + 1).tolist())
+            rows = digits @ np.array([math.prod(box[c + 1:]) for c in range(j)], dtype=np.int64)
+        if _packed_side(spec, box, at.size, len(op.blocks)):
+            planes = np.zeros((spec.e, math.prod(box), -(-flat.shape[1] // 8)), dtype=np.uint8)
+            planes[:, rows] = _bit_planes(spec, flat[inside])
+            out = _plane_transform(spec, planes, box, inverse=False)[:, at]
+            return _from_bit_planes(spec, out, flat.shape[1]).reshape(at.size, *op.block_shape)
     vals = monomial_matrix(spec, op.support, at)  # (terms, points)
     return spec.matmul(vals.T, flat).reshape(at.size, *op.block_shape)
 
@@ -335,6 +349,15 @@ def _outside(q: int, l: int, support_grid: np.ndarray) -> np.ndarray:
     return rows[np.argsort(-_grid_digits(q, l, rows).sum(axis=1), kind="stable")]
 
 
+def _powers(spec: FieldSpec, n: int) -> np.ndarray:
+    """x^a (0^0 = 1) for the exponents a in [0, n) (rows) and every x in
+    [0, q) (columns), int64: row a is row a - 1 times the points."""
+    out = np.ones((n, spec.q), dtype=np.int64)
+    for a in range(1, n):
+        out[a] = spec.mul_arr(out[a - 1], np.arange(spec.q))
+    return out
+
+
 @lru_cache(maxsize=None)
 def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     """T1 = (V1^T)^-1 for the univariate Vandermonde V1[a, x] = x^a, read-only.
@@ -344,7 +367,7 @@ def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     V1^T . T1 = I is checked exactly, once per field.
     """
     q = spec.q
-    v1 = monomial_matrix(spec, ExponentSet(q, 1, np.arange(q, dtype=np.int64)), np.arange(q))
+    v1 = _powers(spec, q)
     t1 = spec.neg_arr(v1[::-1])
     t1[0] = 0
     t1[0, 0] = 1
@@ -412,26 +435,138 @@ def _butterfly(grid: np.ndarray, l: int) -> np.ndarray:
     return grid
 
 
+def _bit_planes(spec: FieldSpec, flat: np.ndarray) -> np.ndarray:
+    """The (e, rows, ceil(w / 8)) uint8 bit planes of a (rows, w) index array:
+    plane i packs bit i of every entry, its coefficient of alpha^i, eight
+    entries to a byte (`np.packbits` takes any nonzero entry as a 1)."""
+    planes = np.empty((spec.e, flat.shape[0], -(-flat.shape[1] // 8)), dtype=np.uint8)
+    for i in range(spec.e):
+        planes[i] = np.packbits(flat if spec.q == 2 else flat & flat.dtype.type(1 << i), axis=1)
+    return planes
+
+
+def _from_bit_planes(spec: FieldSpec, planes: np.ndarray, w: int) -> np.ndarray:
+    """The (rows, w) index array of `_bit_planes`' output, in the field's index
+    dtype.  Plane 0 is unpacked in place of the result; each further plane
+    is unpacked, shifted into place and ORed in, eight entries to a uint64
+    word (no entry's bits reach its neighbour)."""
+    out = np.unpackbits(planes[0], axis=1).astype(spec.dtype, copy=False)
+    words = out.view(np.uint64)
+    for i in range(1, spec.e):
+        bits = np.unpackbits(planes[i], axis=1).astype(spec.dtype, copy=False).view(np.uint64)
+        bits <<= np.uint64(i)
+        words |= bits
+    return np.ascontiguousarray(out[:, :w])
+
+
+@lru_cache(maxsize=None)
+def _plane_map(spec: FieldSpec, inverse: bool, extent: int) -> np.ndarray:
+    """One coordinate's map K on bit planes, read-only: K = V1^T restricted to
+    exponents below `extent` (to evaluate), or T1 with extent q (`inverse`,
+    to interpolate).
+
+    Output plane j at x is the XOR of the input planes i at a with bit j of
+    K[x, a] alpha^i set.  Entry [a, j q + x] is that choice of i as an
+    e-bit mask, so it indexes the table of every XOR of input a's e planes
+    (see _plane_pass).  Built from the field's tables, once per field and
+    extent.
+    """
+    k = inverse_vandermonde(spec).T if inverse else _powers(spec, extent)  # k[a, x] = K[x, a]
+    out = np.zeros((extent, spec.e, spec.q), dtype=spec.dtype)
+    for i in range(spec.e):
+        times = np.asarray(spec.mul_arr(k, 1 << i))  # K[x, a] alpha^i
+        for j in range(spec.e):
+            out[:, j] |= ((times >> j & 1) << i).astype(spec.dtype)
+    out = out.reshape(extent, -1)
+    out.setflags(write=False)
+    return out
+
+
+def _plane_pass(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(e, extent, S) uint8 planes to (e, q, S) through a `_plane_map`.
+
+    For each input row a, a table of the q XORs of its e planes is built by
+    doubling, and each of the e q output rows gathers its mask's entry from
+    it; those gathers are XORed over a.  Inputs are taken a chunk at a
+    time, so the gathered rows stay within MATMUL_TILE bytes (chunks of
+    512 KiB and up made a matdot-gf8 encode about 35% slower in a fresh
+    process, as the allocator maps and faults in each one), and a chunk's
+    gathers are folded pairwise (ufunc.reduce along the chunk is slow).
+    """
+    e, extent, width = planes.shape
+    q, rows = 1 << e, mask.shape[1]
+    step = max(1, MATMUL_TILE // (rows * width))
+    out = None
+    for lo in range(0, extent, step):
+        n = min(step, extent - lo)
+        table = np.empty((n, q, width), dtype=np.uint8)
+        table[:, 0] = 0
+        for i in range(e):
+            np.bitwise_xor(table[:, :1 << i], planes[i, lo:lo + n, None],
+                           out=table[:, 1 << i:2 << i])
+        at = mask[lo:lo + n] + q * np.arange(n)[:, None]  # rows of the n stacked tables
+        picked = np.take(table.reshape(n * q, width), at, axis=0)
+        while n > 1:
+            half = n // 2
+            picked[:half] ^= picked[n - half:n]
+            n -= half
+        out = picked[0] if out is None else np.bitwise_xor(out, picked[0], out=out)
+    return out.reshape(e, q, width)
+
+
+def _plane_transform(
+    spec: FieldSpec, planes: np.ndarray, box: tuple[int, ...], inverse: bool,
+) -> np.ndarray:
+    """V1^T (or T1, `inverse`) on every coordinate of (e, prod(box), S) bit
+    planes of a characteristic-2 field, box[c] rows along coordinate c; the
+    result is (e, q^len(box), S) in row-major grid order.
+
+    Multiplying by K[x, a] is GF(2)-linear on an element's bits, so each
+    coordinate's pass is a GF(2) map on (bit, row) pairs (`_plane_map`) run
+    as table lookups on packed bytes (`_plane_pass`); it rotates its
+    coordinate to the back, as `_transform` does, so after the last pass the
+    coordinates are in their original order.  Over GF(2), e = 1 and
+    T1 = V1^T, so the box is the cube and the passes are `_butterfly`'s, in
+    place.
+    """
+    e, width = spec.e, planes.shape[2]
+    if not width:  # blocks without entries
+        return np.zeros((e, spec.q ** len(box), 0), dtype=np.uint8)
+    if spec.q == 2:
+        _butterfly(planes[0], len(box))
+        return planes
+    out = planes
+    for extent in box:
+        lead = _plane_pass(out.reshape(e, extent, -1), _plane_map(spec, inverse, extent))
+        out = lead.reshape(e, spec.q, -1, width).transpose(0, 2, 1, 3)
+    return out.reshape(e, -1, width)
+
+
 def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.EliminationStats) -> np.ndarray:
     """T . values for a (q^l, w) array of grid values, one coordinate at a time.
 
-    Over GF(2) this is the fast Moebius transform: the values are packed
-    eight to a byte and run through `_butterfly`'s l XOR passes.  Otherwise
-    each pass applies T1 to the leading coordinate and rotates it to the
-    back, so after l passes the coordinates are in their original order.
-    `values` may be overwritten.
+    In characteristic 2 (q up to TABLE_LIMIT, as in `_packed_side`) the
+    values are split into bit planes and run through `_plane_transform`
+    with T1; over GF(2) that is the fast Moebius transform, `_butterfly`'s
+    l XOR passes.  Otherwise each pass applies T1 to the leading coordinate
+    by `FieldSpec.matmul` and rotates it to the back, so after l passes the
+    coordinates are in their original order.
+    The tallies count the field operations of the l passes of T1 either
+    way (over GF(2), the butterfly's XORs).  `values` may be overwritten.
     """
     q, w = spec.q, values.shape[1]
     if q == 2:
         stats.add_ops += l * values.size // 2
-        return np.unpackbits(_butterfly(np.packbits(values, axis=1), l), axis=1, count=w)
+    else:
+        stats.mult_ops += l * q * values.size
+        stats.add_ops += l * q * values.size
+    if spec.p == 2 and q <= TABLE_LIMIT:
+        planes = _plane_transform(spec, _bit_planes(spec, values), (q,) * l, inverse=True)
+        return _from_bit_planes(spec, planes, w)
     t1 = inverse_vandermonde(spec)
     out = values
     for _ in range(l):
-        lead = spec.matmul(t1, out.reshape(q, -1))
-        stats.mult_ops += lead.size * q
-        stats.add_ops += lead.size * q
-        out = lead.reshape(q, -1, w).transpose(1, 0, 2)
+        out = spec.matmul(t1, out.reshape(q, -1)).reshape(q, -1, w).transpose(1, 0, 2)
     return out.reshape(q**l, w)
 
 
@@ -445,18 +580,34 @@ def _dual_side(spec: FieldSpec, erasures: int, kappa: int) -> bool:
     return erasures < kappa and spec.q**2 <= DEFAULT_POINT_LIMIT
 
 
-def _packed_side(j: int, points: int, terms: int) -> bool:
-    """Evaluate over GF(2) by the packed butterfly on the sub-cube [0, 2^j)
-    rather than by the monomial product?
+def _packed_side(spec: FieldSpec, box: tuple[int, ...], points: int, terms: int) -> bool:
+    """Evaluate in characteristic 2 by bit-plane passes over `box` (see
+    evaluate_many) rather than by the monomial product?
 
-    Per block entry the butterfly makes j 2^j / 8 byte XORs and the product
-    points * terms multiply-adds.  Timed with one BLAS thread on a 2-core
-    x86 VM, the two break even where the XORs are 6-24 times the products
-    for blocks of 256-2048 entries (50-100 times for 8 entries, where the
-    per-row cost of a pass dominates), so the product is kept only beyond
-    16 times: a few points scattered over a large grid.
+    Per block entry the passes make xors / 8 byte XORs and the product
+    points * terms multiply-adds.  Over GF(2) the butterfly's j passes over
+    the sub-cube make xors = j 2^j; otherwise pass c builds box[c] tables of
+    q rows and gathers e q rows from each, every row as long as the
+    coordinates before c (already q values) and after it (still box extents)
+    make it.  Timed with one BLAS thread on a 2-core x86 VM, the two break
+    even where the XORs are 6-24 times the products over GF(2), for blocks
+    of 256-2048 entries (50-100 times for 8 entries, where the per-row cost
+    of a pass dominates), and 2-4 times over GF(4)-GF(256), where a pass
+    gathers its rows instead of XORing them in place (full grids and thirds
+    of them, 4-256 terms, 8-1024 entries).  So the product is kept only
+    beyond 16 and 4 times: a few points scattered over a large grid, or few
+    terms over a large field.  Above TABLE_LIMIT the product is kept too:
+    the passes' (extent, e q) maps and q-row tables grow with q (200 MB for
+    100 exponents over GF(2^16)).
     """
-    return j * 2**j <= 16 * 8 * points * terms
+    q, j = spec.q, len(box)
+    if q == 2:
+        return j * 2**j <= 16 * 8 * points * terms
+    if q > TABLE_LIMIT:
+        return False
+    xors = sum(extent * (1 + spec.e) * q * q**c * math.prod(box[c + 1:])
+               for c, extent in enumerate(box))
+    return xors <= 4 * 8 * points * terms
 
 
 # ---------------------------------------------------------------------------

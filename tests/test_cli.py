@@ -89,6 +89,18 @@ def test_params_unused_or_conflicting_key_exits_2(capsys, argv, key):
     assert f"unused parameters for {argv[0]}: ['{key}']" in err
 
 
+@pytest.mark.parametrize("command", [("params",), ("enum", "solution")],
+                         ids=["params", "enum-solution"])
+@pytest.mark.parametrize("argv, token", [
+    (("matdot-half", "--q", "8", "--param", "l=3 F=17", "--param", "d=corner"), "l=3 F=17"),
+    (("poly-box", "--q", "19", "--param", "m=2, 2", "--param", "n=6,9"), "m=2, 2"),
+], ids=["two-keys", "split-value"])
+def test_param_with_whitespace_exits_2_naming_it(capsys, command, argv, token):
+    code, out, err = run_cli(capsys, *command, *argv)
+    assert code == 2 and out == ""
+    assert f"--param {token!r} is not one KEY=VALUE token" in err
+
+
 @pytest.mark.parametrize("argv", [("params", "--help"), ("enum", "solution", "--help")],
                          ids=["params", "enum-solution"])
 def test_construction_help_lists_every_kinds_keys(capsys, argv):

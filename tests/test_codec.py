@@ -375,6 +375,16 @@ def test_evaluate_many_of_no_points(spec):
 
 
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
+def test_evaluate_many_of_empty_blocks(spec):
+    """Blocks with no entries (an empty inner dimension) evaluate on every side."""
+    support = ex.ExponentSet(spec.q, 2, np.arange(3, dtype=np.int64))
+    for shape in ((0, 3), (3, 0)):
+        enc = codec.EncodedOperand(spec, support, np.zeros((3, *shape), dtype=spec.dtype))
+        for points in (np.arange(spec.q**2), np.array([spec.q**2 - 1])):
+            assert codec.evaluate_many(enc, points).shape == (points.size, *shape)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 def test_payloads_are_views_of_the_evaluate_many_rows(spec):
     enc_a, enc_b = _encoded_pair(spec, np.random.default_rng(43))
     points = np.arange(spec.q**2)[::-3]
@@ -448,32 +458,63 @@ def test_worker_plane_products_are_the_workers_products(spec):
 
 
 # ---------------------------------------------------------------------------
-# GF(2): the packed XOR butterfly
+# characteristic 2: the grid transform on bit planes (over GF(2), the XOR butterfly)
 
 
-def gf2_operand(l, terms, shape, rng):
-    """Random blocks on `terms` random degrees of {0,1}^l, always with the all-ones degree."""
-    grid = np.union1d(rng.choice(2**l - 1, size=terms - 1, replace=False), [2**l - 1])
-    support = ex.ExponentSet.of(2, l, codec._grid_digits(2, l, grid))
-    blocks = rng.integers(0, 2, size=(len(grid), *shape)).astype(GF2.dtype)
-    return codec.EncodedOperand(GF2, support, blocks)
+def char2_operand(spec, l, box, terms, shape, rng):
+    """Random blocks on random degrees inside `box` (extents per coordinate),
+    always with its top corner and never with 0, so the support is not a
+    downset and its smallest box is `box`."""
+    inner = np.ravel_multi_index(np.indices(box).reshape(l, -1), (spec.q,) * l)
+    size = min(terms, inner.size - 1) - 1
+    grid = np.union1d(rng.choice(inner[1:-1], size=size, replace=False), inner[-1:])
+    support = ex.ExponentSet(spec.q, l, grid.astype(np.int64))
+    blocks = rng.integers(0, spec.q, size=(len(grid), *shape)).astype(spec.dtype)
+    return codec.EncodedOperand(spec, support, blocks)
 
 
-def monomial_reference(op, points):
-    vals = codec.monomial_matrix(GF2, op.support, points)
-    flat = GF2.matmul(vals.T, op.blocks.reshape(len(op.blocks), -1))
-    return flat.reshape(len(points), *op.block_shape)
+def rule_side(op, points):
+    """Whether the cost rule picks the bit-plane side: the points' prefix
+    sub-grid [0, q^j) and the smallest box of the support inside it."""
+    q, l = op.spec.q, op.support.l
+    j = next(j for j in range(l + 1) if q**j > max(points))
+    inside = op.support.rows[op.support.index < q**j, l - j:].astype(np.int64)
+    box = tuple((inside.max(axis=0, initial=0) + 1).tolist())
+    return codec._packed_side(op.spec, box, len(points), len(op.support))
 
 
-def check_gf2_evaluation(op, index, packed):
-    """evaluate_many at the grid points `index` equals the monomial product,
-    and the cost rule picks the side the case is meant to exercise."""
-    j = int(max(index)).bit_length()
-    assert codec._packed_side(j, len(index), len(op.blocks)) is packed
-    got = codec.evaluate_many(op, index)
-    assert got.dtype == GF2.dtype and got.flags.c_contiguous
-    assert got.shape == (len(index), *op.block_shape)
-    assert np.array_equal(got, monomial_reference(op, index))
+def check_char2_evaluation(op, points, packed):
+    """evaluate_many at the grid points equals the monomial product, and it
+    takes the bit-plane side, with no monomial_matrix call, exactly when
+    `packed`, which must be the cost rule's pick."""
+    spec, points = op.spec, np.asarray(points)
+    assert rule_side(op, points) is packed
+    vals = codec.monomial_matrix(spec, op.support, points)
+    want = spec.matmul(vals.T, op.blocks.reshape(len(op.blocks), -1))
+    calls, real = [], codec.monomial_matrix
+    codec.monomial_matrix = lambda *args: calls.append(args) or real(*args)
+    try:
+        got = codec.evaluate_many(op, points)
+    finally:
+        codec.monomial_matrix = real
+    assert (not calls) is packed
+    assert got.dtype == spec.dtype and got.flags.c_contiguous
+    assert np.array_equal(got.reshape(len(points), -1), want)
+
+
+def check_char2_transform(spec, l, w, rng, rows=None):
+    """_transform equals T . values, T the Kronecker power of T1 (`_dual_block`),
+    on all rows or on `rows` of them, and tallies l passes of T1 (over GF(2),
+    the butterfly's XORs)."""
+    grid = np.arange(spec.q**l)
+    rows = grid if rows is None else rows
+    values = rng.integers(0, spec.q, size=(grid.size, w)).astype(spec.dtype)
+    stats = codec._linalg.EliminationStats()
+    got = codec._transform(spec, l, values.copy(), stats)
+    assert got.dtype == spec.dtype and got.shape == values.shape
+    assert np.array_equal(got[rows], spec.matmul(codec._dual_block(spec, l, rows, grid), values))
+    passes = (0, l * values.size // 2) if spec.q == 2 else (l * spec.q * values.size,) * 2
+    assert (stats.mult_ops, stats.add_ops) == passes
 
 
 # Block shapes whose entry counts cover w = 1 and every residue mod 8.
@@ -484,30 +525,33 @@ GF2_SHAPES = [(1, 1), (1, 9), (2, 1), (11, 1), (1, 4), (13, 1), (2, 3), (1, 15),
 @pytest.mark.parametrize("l", range(1, 13))
 def test_gf2_evaluate_many_full_grid(l):
     rng = np.random.default_rng(200 + l)
-    op = gf2_operand(l, min(2**l, 24), GF2_SHAPES[l - 1], rng)
-    check_gf2_evaluation(op, np.arange(2**l), packed=True)
+    op = char2_operand(GF2, l, (2,) * l, min(2**l, 24), GF2_SHAPES[l - 1], rng)
+    check_char2_evaluation(op, np.arange(2**l), packed=True)
 
 
 @pytest.mark.parametrize("l", [1, 3, 7, 12])
 def test_gf2_evaluate_many_prefix_grids(l):
     rng = np.random.default_rng(300 + l)
     for n, shape in zip(sorted({2**l - 1, 2 ** (l - 1) + 1, 1}), [(1, 1), (3, 2), (1, 5)]):
-        op = gf2_operand(l, min(2**l, 20), shape, rng)
-        check_gf2_evaluation(op, np.arange(n), packed=True)
+        op = char2_operand(GF2, l, (2,) * l, min(2**l, 20), shape, rng)
+        check_char2_evaluation(op, np.arange(n), packed=True)
 
 
 def test_gf2_evaluate_many_shuffled_and_scattered_points():
     rng = np.random.default_rng(17)
     # a shuffled subset of a small grid, and many points scattered over a large one
-    check_gf2_evaluation(gf2_operand(9, 30, (2, 7), rng), rng.permutation(512)[:300], packed=True)
-    check_gf2_evaluation(gf2_operand(16, 64, (1, 3), rng),
-                         rng.choice(2**16, size=2000, replace=False), packed=True)
+    check_char2_evaluation(char2_operand(GF2, 9, (2,) * 9, 30, (2, 7), rng),
+                           rng.permutation(512)[:300], packed=True)
+    check_char2_evaluation(char2_operand(GF2, 16, (2,) * 16, 64, (1, 3), rng),
+                           rng.choice(2**16, size=2000, replace=False), packed=True)
     # scattered points below 2^10 on l = 16: only the sub-cube [0, 2^10) is transformed
-    check_gf2_evaluation(gf2_operand(16, 40, (5, 1), rng), rng.permutation(2**10)[:50], packed=True)
+    check_char2_evaluation(char2_operand(GF2, 16, (2,) * 16, 40, (5, 1), rng),
+                           rng.permutation(2**10)[:50], packed=True)
     # a few points scattered over a large grid keep the monomial product
     few = np.append(rng.choice(2**15, size=4, replace=False), 2**16 - 1)
-    check_gf2_evaluation(gf2_operand(16, 3, (1, 6), rng), few, packed=False)
-    check_gf2_evaluation(gf2_operand(18, 8, (2, 2), rng), rng.choice(2**18, size=200), packed=False)
+    check_char2_evaluation(char2_operand(GF2, 16, (2,) * 16, 3, (1, 6), rng), few, packed=False)
+    check_char2_evaluation(char2_operand(GF2, 18, (2,) * 18, 8, (2, 2), rng),
+                           rng.choice(2**18, size=200), packed=False)
 
 
 @pytest.mark.parametrize("l", range(1, 7))
@@ -525,14 +569,73 @@ def test_gf2_dual_block_is_the_kronecker_power_of_t1(l):
 
 @pytest.mark.parametrize("w", [1, 3, 8, 13, 22])
 def test_gf2_transform_on_packed_words_equals_the_dual_matrix(w):
-    l = 6
-    values = np.random.default_rng(w).integers(0, 2, size=(2**l, w)).astype(GF2.dtype)
-    grid = np.arange(2**l)
-    want = GF2.matmul(codec._dual_block(GF2, l, grid, grid), values)
-    stats = codec._linalg.EliminationStats()
-    got = codec._transform(GF2, l, values.copy(), stats)
-    assert np.array_equal(got, want)
-    assert stats.add_ops == l * values.size // 2
+    check_char2_transform(GF2, 6, w, np.random.default_rng(w))
+
+
+# (q, l) with q^l <= 4096 for every GF(2^e), e >= 2, up to GF(256)
+CHAR2_GRIDS = [(4, 1), (4, 3), (4, 6), (8, 2), (8, 4), (16, 1), (16, 3), (32, 2), (64, 2),
+               (128, 1), (256, 1)]
+# Block entry counts 1..16: every residue mod 8, with and without a full byte.
+CHAR2_SHAPES = [(1, 1), (2, 1), (1, 3), (4, 1), (1, 5), (2, 3), (7, 1), (2, 4), (3, 3), (1, 10),
+                (11, 1), (3, 4), (13, 1), (2, 7), (5, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("q, l", CHAR2_GRIDS)
+def test_char2_evaluate_many_full_and_prefix_grids(q, l):
+    spec, rng = FieldSpec.of_order(q), np.random.default_rng(q * 10 + l)
+    boxes = [(q,) * l, tuple(int(x) for x in rng.integers(2, q + 1, size=l))]
+    sides = set()
+    for k, shape in enumerate(CHAR2_SHAPES):
+        op = char2_operand(spec, l, boxes[k % 2], 3 + k * 5, shape, rng)
+        sides.add(rule_side(op, np.arange(q**l)))
+        check_char2_evaluation(op, np.arange(q**l), rule_side(op, np.arange(q**l)))
+    # the full grid with its whole support takes the planes (few terms over a large field may not)
+    assert True in sides
+    many = char2_operand(spec, l, (q,) * l, 400, (1, 3), rng)
+    check_char2_evaluation(many, np.arange(q**l), packed=True)
+    for n in sorted({1, q, q**l // 2 + 1, q**l - 1}):
+        op = char2_operand(spec, l, (q,) * l, 12, (3, 5), rng)
+        check_char2_evaluation(op, np.arange(n), rule_side(op, np.arange(n)))
+
+
+@pytest.mark.parametrize("q, l", [(4, 6), (8, 4), (16, 3), (32, 2), (256, 1)])
+def test_char2_evaluate_many_shuffled_and_scattered_points(q, l):
+    spec, rng = FieldSpec.of_order(q), np.random.default_rng(q + l)
+    op = char2_operand(spec, l, (q,) * l, 400, (2, 9), rng)
+    check_char2_evaluation(op, rng.permutation(q**l)[: q**l // 3], packed=True)
+    # a few points scattered over the grid, the top one among them, keep the monomial product
+    few = np.append(rng.choice(q**l - 1, size=2, replace=False), q**l - 1)
+    check_char2_evaluation(char2_operand(spec, l, (q,) * l, 4, (1, 6), rng), few, packed=False)
+
+
+@pytest.mark.parametrize("q, l", CHAR2_GRIDS)
+def test_char2_transform_equals_the_dual_matrix(q, l):
+    spec, rng = FieldSpec.of_order(q), np.random.default_rng(q + 7 * l)
+    for w in (1, 3, 8, 13):
+        rows = None if q**l <= 1024 else rng.choice(q**l, size=64, replace=False)
+        check_char2_transform(spec, l, w, rng, rows)
+
+
+def test_char2_full_grid_encode_builds_no_monomial_matrix(monkeypatch):
+    """matdot-gf8's operands and a 176-term GF(16) operand on 16^3 points
+    are evaluated without a (terms x points) matrix."""
+    rng = np.random.default_rng(8)
+    sol = cons.build("matdot-half l=3 F=17 d=corner", 8)
+    a = codec.random_matrix(GF8, 64, 1120, rng)
+    b = codec.random_matrix(GF8, 1120, 64, rng)
+    sa, sb = codec.split(a, b, "matdot", sol.m)
+    operands = [codec.encode(sa, sol.d_a, order=sol.block_order[0]),
+                codec.encode(sb, sol.d_b, order=sol.block_order[1]),
+                char2_operand(FieldSpec(2, 4), 3, (16,) * 3, 176, (2, 3), rng)]
+    want = [codec.evaluate_many(op, np.arange(op.spec.q**3)) for op in operands]
+
+    def refuse(*args):
+        raise AssertionError("monomial_matrix called by a full-grid encode")
+
+    monkeypatch.setattr(codec, "monomial_matrix", refuse)
+    for op, expect in zip(operands, want):
+        got = codec.evaluate_many(op, np.arange(op.spec.q**3))
+        assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ In characteristic 2 both directions of the grid transform, evaluating
 planes: an entry's e bits are e GF(2) values, and one coordinate's
 Vandermonde map or its inverse is a GF(2) map on them, applied by table
 lookups on bytes (`_plane_transform`; over GF(2) it is the XOR butterfly).
+Each direction keeps the generic product where it is the cheaper: see
+`_packed_side` and `_transform`.
 
 Inside the codec a point or an exponent vector is its row-major index on
 the grid {0..q-1}^l, and a set of coefficient blocks is one stacked
@@ -220,6 +222,15 @@ def encode(
     return EncodedOperand(blocks.spec, degrees, stacked)
 
 
+def _powers(spec: FieldSpec, n: int, x: np.ndarray) -> np.ndarray:
+    """x^a (0^0 = 1) for the exponents a in [0, n) (rows) and the elements
+    x (columns), int64: row a is row a - 1 times x."""
+    out = np.ones((n, len(x)), dtype=np.int64)
+    for a in range(1, n):
+        out[a] = spec.mul_arr(out[a - 1], x)
+    return out
+
+
 def monomial_matrix(spec: FieldSpec, support: ExponentSet, points) -> np.ndarray:
     """Values of each support monomial (rows) at each point (columns), 0^0 = 1;
     the points are grid indices (see _grid_points)."""
@@ -228,10 +239,7 @@ def monomial_matrix(spec: FieldSpec, support: ExponentSet, points) -> np.ndarray
     def powers(c: int) -> np.ndarray:
         """x_c^e at every point, for the exponent e of every monomial."""
         exps = support.rows[:, c]
-        pow_rows = np.ones((int(exps.max(initial=0)) + 1, len(pts)), dtype=np.int64)
-        for e in range(1, len(pow_rows)):
-            pow_rows[e] = spec.mul_arr(pow_rows[e - 1], pts[:, c])
-        return pow_rows[exps]
+        return _powers(spec, int(exps.max(initial=0)) + 1, pts[:, c])[exps]
 
     out = powers(0)
     for c in range(1, support.l):
@@ -262,7 +270,7 @@ def evaluate_many(op: EncodedOperand, points) -> np.ndarray:
     spec, l = op.spec, op.support.l
     at = _grid_points(spec.q, l, points)
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
-    if spec.p == 2:
+    if _on_planes(spec):
         j = -(-int(at.max(initial=0)).bit_length() // spec.e)  # q^j > every point
         inside = op.support.index < spec.q**j
         if spec.q == 2:  # the sub-cube, where a degree's row is its grid index
@@ -349,15 +357,6 @@ def _outside(q: int, l: int, support_grid: np.ndarray) -> np.ndarray:
     return rows[np.argsort(-_grid_digits(q, l, rows).sum(axis=1), kind="stable")]
 
 
-def _powers(spec: FieldSpec, n: int) -> np.ndarray:
-    """x^a (0^0 = 1) for the exponents a in [0, n) (rows) and every x in
-    [0, q) (columns), int64: row a is row a - 1 times the points."""
-    out = np.ones((n, spec.q), dtype=np.int64)
-    for a in range(1, n):
-        out[a] = spec.mul_arr(out[a - 1], np.arange(spec.q))
-    return out
-
-
 @lru_cache(maxsize=None)
 def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     """T1 = (V1^T)^-1 for the univariate Vandermonde V1[a, x] = x^a, read-only.
@@ -367,7 +366,7 @@ def inverse_vandermonde(spec: FieldSpec) -> np.ndarray:
     V1^T . T1 = I is checked exactly, once per field.
     """
     q = spec.q
-    v1 = _powers(spec, q)
+    v1 = _powers(spec, q, np.arange(q))
     t1 = spec.neg_arr(v1[::-1])
     t1[0] = 0
     t1[0, 0] = 1
@@ -471,7 +470,8 @@ def _plane_map(spec: FieldSpec, inverse: bool, extent: int) -> np.ndarray:
     (see _plane_pass).  Built from the field's tables, once per field and
     extent.
     """
-    k = inverse_vandermonde(spec).T if inverse else _powers(spec, extent)  # k[a, x] = K[x, a]
+    x = np.arange(spec.q)
+    k = inverse_vandermonde(spec).T if inverse else _powers(spec, extent, x)  # k[a, x] = K[x, a]
     out = np.zeros((extent, spec.e, spec.q), dtype=spec.dtype)
     for i in range(spec.e):
         times = np.asarray(spec.mul_arr(k, 1 << i))  # K[x, a] alpha^i
@@ -514,6 +514,15 @@ def _plane_pass(planes: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out.reshape(e, q, width)
 
 
+def _on_planes(spec: FieldSpec) -> bool:
+    """Can the grid transform of this field run on bit planes?  Only in
+    characteristic 2, and only up to TABLE_LIMIT: the passes' (extent, e q)
+    maps and q-row tables grow with q (200 MB for 100 exponents over
+    GF(2^16)).  `_packed_side` (evaluating) and `_transform` (interpolating)
+    then choose the side from the work at hand."""
+    return spec.p == 2 and spec.q <= TABLE_LIMIT
+
+
 def _plane_transform(
     spec: FieldSpec, planes: np.ndarray, box: tuple[int, ...], inverse: bool,
 ) -> np.ndarray:
@@ -545,11 +554,21 @@ def _plane_transform(
 def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.EliminationStats) -> np.ndarray:
     """T . values for a (q^l, w) array of grid values, one coordinate at a time.
 
-    In characteristic 2 (q up to TABLE_LIMIT, as in `_packed_side`) the
-    values are split into bit planes and run through `_plane_transform`
-    with T1; over GF(2) that is the fast Moebius transform, `_butterfly`'s
-    l XOR passes.  Otherwise each pass applies T1 to the leading coordinate
-    by `FieldSpec.matmul` and rotates it to the back, so after l passes the
+    Over GF(2) this is the fast Moebius transform, `_butterfly`'s l XOR
+    passes on packed bits.  Over the other fields with `_on_planes`, once a
+    packed byte holds w >= 2 entries of a row, the values are split into bit
+    planes and run through `_plane_transform` with T1.  At w = 1 seven of a
+    byte's eight bits are padding while the passes' cost stays that of a
+    byte.  Timed with one BLAS thread on a 2-core x86 VM over 19 grids
+    GF(4)^3-GF(512)^2, the product was the faster at w = 1 on 15 (up to 4
+    times: 0.20 against 0.05 ms on GF(32)^2, 7.0 against 2.1 ms on
+    GF(128)^2).  From w = 2 the planes lose on some grids, by at most 3
+    times and 1.8 times where the product takes a millisecond or more, and
+    win by up to 57 times as w grows; over the 182 cases (w = 1-256) this
+    rule's total time was within about 1% of taking the faster side each
+    time, against 4% for planes alone and 18 times for the product alone.
+    Otherwise each pass applies T1 to the leading coordinate by
+    `FieldSpec.matmul` and rotates it to the back, so after l passes the
     coordinates are in their original order.
     The tallies count the field operations of the l passes of T1 either
     way (over GF(2), the butterfly's XORs).  `values` may be overwritten.
@@ -560,7 +579,7 @@ def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.Elimi
     else:
         stats.mult_ops += l * q * values.size
         stats.add_ops += l * q * values.size
-    if spec.p == 2 and q <= TABLE_LIMIT:
+    if _on_planes(spec) and (q == 2 or w >= 2):
         planes = _plane_transform(spec, _bit_planes(spec, values), (q,) * l, inverse=True)
         return _from_bit_planes(spec, planes, w)
     t1 = inverse_vandermonde(spec)
@@ -596,15 +615,11 @@ def _packed_side(spec: FieldSpec, box: tuple[int, ...], points: int, terms: int)
     gathers its rows instead of XORing them in place (full grids and thirds
     of them, 4-256 terms, 8-1024 entries).  So the product is kept only
     beyond 16 and 4 times: a few points scattered over a large grid, or few
-    terms over a large field.  Above TABLE_LIMIT the product is kept too:
-    the passes' (extent, e q) maps and q-row tables grow with q (200 MB for
-    100 exponents over GF(2^16)).
+    terms over a large field.  Only for fields with `_on_planes`.
     """
     q, j = spec.q, len(box)
     if q == 2:
         return j * 2**j <= 16 * 8 * points * terms
-    if q > TABLE_LIMIT:
-        return False
     xors = sum(extent * (1 + spec.e) * q * q**c * math.prod(box[c + 1:])
                for c, extent in enumerate(box))
     return xors <= 4 * 8 * points * terms

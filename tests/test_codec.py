@@ -499,18 +499,26 @@ def check_char2_evaluation(op, points, packed):
         codec.monomial_matrix = real
     assert (not calls) is packed
     assert got.dtype == spec.dtype and got.flags.c_contiguous
-    assert np.array_equal(got.reshape(len(points), -1), want)
+    assert got.shape == (len(points), *op.block_shape)
+    assert np.array_equal(got, want.reshape(got.shape))
 
 
 def check_char2_transform(spec, l, w, rng, rows=None):
     """_transform equals T . values, T the Kronecker power of T1 (`_dual_block`),
-    on all rows or on `rows` of them, and tallies l passes of T1 (over GF(2),
-    the butterfly's XORs)."""
+    on all rows or on `rows` of them, runs on bit planes exactly over GF(2)
+    and from w = 2 entries up, and tallies l passes of T1 (over GF(2), the
+    butterfly's XORs)."""
     grid = np.arange(spec.q**l)
     rows = grid if rows is None else rows
     values = rng.integers(0, spec.q, size=(grid.size, w)).astype(spec.dtype)
     stats = codec._linalg.EliminationStats()
-    got = codec._transform(spec, l, values.copy(), stats)
+    calls, real = [], codec._plane_transform
+    codec._plane_transform = lambda *args, **kw: calls.append(args) or real(*args, **kw)
+    try:
+        got = codec._transform(spec, l, values.copy(), stats)
+    finally:
+        codec._plane_transform = real
+    assert bool(calls) is (spec.q == 2 or w >= 2)
     assert got.dtype == spec.dtype and got.shape == values.shape
     assert np.array_equal(got[rows], spec.matmul(codec._dual_block(spec, l, rows, grid), values))
     passes = (0, l * values.size // 2) if spec.q == 2 else (l * spec.q * values.size,) * 2
@@ -572,9 +580,9 @@ def test_gf2_transform_on_packed_words_equals_the_dual_matrix(w):
     check_char2_transform(GF2, 6, w, np.random.default_rng(w))
 
 
-# (q, l) with q^l <= 4096 for every GF(2^e), e >= 2, up to GF(256)
+# (q, l) with q^l <= 4096 for every GF(2^e), e >= 2, up to GF(512) (uint16 indices)
 CHAR2_GRIDS = [(4, 1), (4, 3), (4, 6), (8, 2), (8, 4), (16, 1), (16, 3), (32, 2), (64, 2),
-               (128, 1), (256, 1)]
+               (128, 1), (256, 1), (512, 1)]
 # Block entry counts 1..16: every residue mod 8, with and without a full byte.
 CHAR2_SHAPES = [(1, 1), (2, 1), (1, 3), (4, 1), (1, 5), (2, 3), (7, 1), (2, 4), (3, 3), (1, 10),
                 (11, 1), (3, 4), (13, 1), (2, 7), (5, 3), (4, 4)]
@@ -586,7 +594,7 @@ def test_char2_evaluate_many_full_and_prefix_grids(q, l):
     boxes = [(q,) * l, tuple(int(x) for x in rng.integers(2, q + 1, size=l))]
     sides = set()
     for k, shape in enumerate(CHAR2_SHAPES):
-        op = char2_operand(spec, l, boxes[k % 2], 3 + k * 5, shape, rng)
+        op = char2_operand(spec, l, boxes[k % 2], 3 + k * 25, shape, rng)
         sides.add(rule_side(op, np.arange(q**l)))
         check_char2_evaluation(op, np.arange(q**l), rule_side(op, np.arange(q**l)))
     # the full grid with its whole support takes the planes (few terms over a large field may not)

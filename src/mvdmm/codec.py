@@ -27,10 +27,12 @@ on those indices; extraction gathers rows of the stacked array.
 
 The worker plane takes points in that numbering too, as 1-D integer
 arrays, and is held as data (`WorkerPlane`): the points' grid indices and
-each operand's evaluations as one (N, r, c) array.  A payload, its point's
-grid index and row views of the two, is built only when a worker is looked
-up, and `WorkerPlane.products` runs any set of workers in one batched
-product.  A response holds a grid index and its product as a bare array;
+each operand's evaluations as one (N, r, c) array, or over GF(2) as
+(N, ceil(r c / 8)) bytes of packed bits.  A payload, its
+point's grid index and the worker's two blocks (row views, or over GF(2)
+its rows unpacked), is built only when a worker is looked up, and
+`WorkerPlane.products` runs any set of workers in one batched product.
+A response holds a grid index and its product as a bare array;
 `interpolate` stacks the responses into one (grid indices, (R, r, c)
 products) pair, checks it once and decodes it with `interpolate_stack`,
 which takes such a stack directly.  Coordinates are decoded only to be
@@ -252,6 +254,26 @@ def evaluate_many(op: EncodedOperand, points) -> np.ndarray:
     field's index dtype.  The points are grid indices, checked once on every
     field (see _grid_points); a point off the grid raises ParameterError.
 
+    In characteristic 2 the evaluations are formed as packed bit planes
+    (`_evaluation_planes`) and unpacked back into indices here, unless its
+    cost rule picks the monomial product (`_monomial_evaluations`), which
+    every field of odd characteristic takes.  `make_payloads` keeps the
+    GF(2) planes packed.
+    """
+    at = _grid_points(op.spec.q, op.support.l, points)
+    planes = _evaluation_planes(op, at)
+    if planes is None:
+        flat = _monomial_evaluations(op, at)
+    else:
+        flat = _from_bit_planes(op.spec, planes, math.prod(op.block_shape))
+    return flat.reshape(at.size, *op.block_shape)
+
+
+def _evaluation_planes(op: EncodedOperand, at: np.ndarray) -> np.ndarray | None:
+    """The evaluations at the grid indices `at` as (e, len(at), ceil(w / 8))
+    uint8 bit planes (see `_bit_planes`), w entries a block; None where the
+    monomial product is the cheaper side.
+
     In characteristic 2 evaluating on the grid is the transform that
     `_transform` inverts: V1^T on every coordinate, run on bit planes (see
     `_plane_transform`).  The blocks are split into their e bit planes,
@@ -260,32 +282,36 @@ def evaluate_many(op: EncodedOperand, points) -> np.ndarray:
     `_butterfly`'s in-place passes).  Only the prefix sub-grid [0, q^j)
     holding every point index is transformed: a point there has its leading
     l - j coordinates zero, so degrees outside the sub-grid contribute
-    nothing to it.  The points' rows are then gathered and their planes
-    unpacked back into indices.  No (terms x points) matrix is built.  When
+    nothing to it.  The points' rows are then gathered; the padding bits of
+    a row's last byte stay zero.  No (terms x points) matrix is built.  When
     the passes cost much more than the product (a few points scattered over
     a large grid, or few terms over a large field, see `_packed_side`), and
-    over every field of odd characteristic, it is the monomial product
-    instead: the points x monomials matrix times the stacked blocks.
+    over every field without `_on_planes`, this returns None.
     """
     spec, l = op.spec, op.support.l
-    at = _grid_points(spec.q, l, points)
+    if not _on_planes(spec):
+        return None
+    j = -(-int(at.max(initial=0)).bit_length() // spec.e)  # q^j > every point
+    inside = op.support.index < spec.q**j
+    if spec.q == 2:  # the sub-cube, where a degree's row is its grid index
+        box, rows = (2,) * j, op.support.index[inside]
+    else:
+        digits = op.support.rows[inside, l - j:].astype(np.int64)
+        box = tuple((digits.max(axis=0, initial=0) + 1).tolist())
+        rows = digits @ np.array([math.prod(box[c + 1:]) for c in range(j)], dtype=np.int64)
+    if not _packed_side(spec, box, at.size, len(op.blocks)):
+        return None
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
-    if _on_planes(spec):
-        j = -(-int(at.max(initial=0)).bit_length() // spec.e)  # q^j > every point
-        inside = op.support.index < spec.q**j
-        if spec.q == 2:  # the sub-cube, where a degree's row is its grid index
-            box, rows = (2,) * j, op.support.index[inside]
-        else:
-            digits = op.support.rows[inside, l - j:].astype(np.int64)
-            box = tuple((digits.max(axis=0, initial=0) + 1).tolist())
-            rows = digits @ np.array([math.prod(box[c + 1:]) for c in range(j)], dtype=np.int64)
-        if _packed_side(spec, box, at.size, len(op.blocks)):
-            planes = np.zeros((spec.e, math.prod(box), -(-flat.shape[1] // 8)), dtype=np.uint8)
-            planes[:, rows] = _bit_planes(spec, flat[inside])
-            out = _plane_transform(spec, planes, box, inverse=False)[:, at]
-            return _from_bit_planes(spec, out, flat.shape[1]).reshape(at.size, *op.block_shape)
-    vals = monomial_matrix(spec, op.support, at)  # (terms, points)
-    return spec.matmul(vals.T, flat).reshape(at.size, *op.block_shape)
+    planes = np.zeros((spec.e, math.prod(box), -(-flat.shape[1] // 8)), dtype=np.uint8)
+    planes[:, rows] = _bit_planes(spec, flat[inside])
+    return _plane_transform(spec, planes, box, inverse=False)[:, at]
+
+
+def _monomial_evaluations(op: EncodedOperand, at: np.ndarray) -> np.ndarray:
+    """The (len(at), w) evaluations at the grid indices `at`, w entries a
+    block: the points x monomials matrix times the stacked blocks."""
+    vals = monomial_matrix(op.spec, op.support, at)  # (terms, points)
+    return op.spec.matmul(vals.T, op.blocks.reshape(len(op.blocks), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +732,11 @@ def build_system(spec: FieldSpec, support: ExponentSet, points) -> Interpolation
 
 @dataclass(eq=False, slots=True)
 class WorkerPayload:
-    """The operands at grid point `point`, row views of a `WorkerPlane`'s
-    evaluation arrays.  Slotted and not frozen, so one costs about what a
-    tuple does: the plane builds one each time a worker is looked up."""
+    """The operands at grid point `point`, as (r, s) and (s, t) index arrays:
+    row views of a `WorkerPlane`'s evaluation arrays, or over GF(2) the
+    worker's packed rows unpacked.  Slotted and not frozen, so one costs
+    about what a tuple does: the plane builds one each time a worker is
+    looked up."""
 
     spec: FieldSpec
     point: int
@@ -727,17 +755,24 @@ class WorkerResponse:
 @dataclass(frozen=True, eq=False)
 class WorkerPlane:
     """Every worker's operands as data: the points' grid indices and the two
-    evaluation stacks of `evaluate_many`, (N, r, s) and (N, s, t), row i
-    belonging to worker i.  No per-worker object exists until one is asked
-    for: `plane[i]` builds worker i's `WorkerPayload` from row views, a
-    slice is the plane of those workers, and `len` and iteration work as
-    on a list.  `products` runs any workers in one batched product.  `==`
-    is identity."""
+    operands' evaluations, row i belonging to worker i, for blocks of
+    `shapes`, (r, s) and (s, t).  Over GF(2) an operand's evaluations are
+    the (N, ceil(w / 8)) uint8 rows of packed bits that `_evaluation_planes`
+    leaves, w entries a block, one eighth of the index arrays; over every
+    other field they are the (N, r, s) and (N, s, t) index arrays of
+    `evaluate_many`.  (Over GF(2^e) a lookup would OR e planes back into
+    indices, `_from_bit_planes`, at about 15 us an operand: more per worker
+    than the encode saves.)  No per-worker object exists until one is asked
+    for: `plane[i]` builds worker i's `WorkerPayload` (over GF(2) unpacking
+    its two rows, else from row views), a slice is the plane of those
+    workers, and `len` and iteration work as on a list.  `products` runs
+    any workers in one batched product.  `==` is identity."""
 
     spec: FieldSpec
     points: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
+    shapes: tuple[tuple[int, int], tuple[int, int]]
 
     def __len__(self) -> int:
         return self.points.size
@@ -745,17 +780,25 @@ class WorkerPlane:
     def __getitem__(self, i):
         if type(i) is not int and not isinstance(i, np.integer):  # a bool is neither
             if isinstance(i, slice):
-                return WorkerPlane(self.spec, self.points[i], self.a_vals[i], self.b_vals[i])
+                return WorkerPlane(self.spec, self.points[i], self.a_vals[i], self.b_vals[i],
+                                   self.shapes)
             raise ParameterError(f"a worker is named by an integer or a slice, not {type(i).__name__}")
         try:
             point = self.points.item(i)
         except (IndexError, OverflowError):
             raise RangeError(f"worker {i} outside a plane of {self.points.size}") from None
-        return WorkerPayload(self.spec, point, self.a_vals[i], self.b_vals[i])
+        return WorkerPayload(self.spec, point, *self._blocks(i))
 
     def __iter__(self):
-        for point, a, b in zip(self.points.tolist(), self.a_vals, self.b_vals):
-            yield WorkerPayload(self.spec, point, a, b)
+        return map(self.__getitem__, range(len(self)))
+
+    def _blocks(self, at) -> tuple[np.ndarray, np.ndarray]:
+        """Row `at`, or the rows of the index array `at`, of both operands
+        as index arrays: over GF(2) the packed rows unpacked."""
+        a, b = self.a_vals[at], self.b_vals[at]
+        if self.spec.q == 2:
+            a, b = _unpacked(a, self.shapes[0]), _unpacked(b, self.shapes[1])
+        return a, b
 
     def products(self, workers) -> np.ndarray:
         """The products of `workers`, a 1-D integer array of positions in the
@@ -766,13 +809,33 @@ class WorkerPlane:
             raise ParameterError("workers must be a 1-D integer array of positions in the plane")
         if at.size and (at.min() < -self.points.size or at.max() >= self.points.size):
             raise RangeError(f"workers outside a plane of {self.points.size}")
-        return self.spec.matmul(self.a_vals[at], self.b_vals[at])
+        return self.spec.matmul(*self._blocks(at))
+
+
+def _unpacked(rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Packed GF(2) evaluations, (..., ceil(w / 8)) uint8 rows, as
+    (..., *shape) index arrays, w = r c: one `np.unpackbits` whose count
+    drops the padding bits of each row's last byte."""
+    r, c = shape
+    return np.unpackbits(rows, -1, r * c).reshape(*rows.shape[:-1], r, c)  # axis, count
 
 
 def make_payloads(enc_a: EncodedOperand, enc_b: EncodedOperand, points) -> WorkerPlane:
-    """The worker plane at `points`, grid indices, in the order given."""
-    at = _grid_points(enc_a.spec.q, enc_a.support.l, points)
-    return WorkerPlane(enc_a.spec, at, evaluate_many(enc_a, at), evaluate_many(enc_b, at))
+    """The worker plane at `points`, grid indices, in the order given.  Over
+    GF(2) each operand is kept as packed rows: the bit plane that
+    `_evaluation_planes` leaves, or where it takes the monomial product,
+    that product packed."""
+    spec = enc_a.spec
+    at = _grid_points(spec.q, enc_a.support.l, points)
+    shapes = (enc_a.block_shape, enc_b.block_shape)
+    if spec.q != 2:
+        return WorkerPlane(spec, at, evaluate_many(enc_a, at), evaluate_many(enc_b, at), shapes)
+
+    def packed(op: EncodedOperand) -> np.ndarray:
+        planes = _evaluation_planes(op, at)
+        return np.packbits(_monomial_evaluations(op, at), axis=1) if planes is None else planes[0]
+
+    return WorkerPlane(spec, at, packed(enc_a), packed(enc_b), shapes)
 
 
 def worker_compute(payload: WorkerPayload) -> WorkerResponse:

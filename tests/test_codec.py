@@ -395,8 +395,9 @@ def test_payloads_are_views_of_the_evaluate_many_rows(spec):
         assert (pay.point, pay.spec) == (p, spec) and type(pay.point) is int
         assert pay.a_part.dtype == pay.b_part.dtype == spec.dtype
         assert np.array_equal(pay.a_part, vals_a[i]) and np.array_equal(pay.b_part, vals_b[i])
-        assert pay.a_part.base is payloads[0].a_part.base is not None  # one array, no copies
-        assert pay.b_part.base is payloads[0].b_part.base is not None
+        if spec.q != 2:  # index arrays: row views of one array each, no copies
+            assert pay.a_part.base is payloads[0].a_part.base is not None
+            assert pay.b_part.base is payloads[0].b_part.base is not None
         product = codec.worker_compute(pay).product
         assert product.dtype == spec.dtype
         assert np.array_equal(product, scalar_matmul(spec, pay.a_part, pay.b_part))
@@ -404,17 +405,21 @@ def test_payloads_are_views_of_the_evaluate_many_rows(spec):
 @pytest.mark.parametrize("spec", [GF2, GF5, GF8], ids=str)
 def test_worker_plane_looks_up_like_a_list(spec):
     """Negative and numpy indices, slices (a plane of those workers), len and
-    iteration; every lookup builds a payload of row views, equal to the row."""
+    iteration; every lookup builds a payload equal to the evaluate_many rows,
+    of row views where the plane holds index arrays (not over GF(2))."""
     enc_a, enc_b = _encoded_pair(spec, np.random.default_rng(44))
     points = np.arange(spec.q**2)[::-3]
+    vals_a, vals_b = codec.evaluate_many(enc_a, points), codec.evaluate_many(enc_b, points)
     plane, n = codec.make_payloads(enc_a, enc_b, points), len(points)
     assert isinstance(plane, codec.WorkerPlane) and len(plane) == n
     assert [p.point for p in plane] == points.tolist()
     for i in (0, 1, n - 1, -1, -n, np.int64(1), np.uint8(n - 1), np.int32(-2)):
         pay = plane[i]
         assert pay.point == points[i] and type(pay.point) is int
-        assert np.array_equal(pay.a_part, plane.a_vals[int(i)]) and pay.a_part.base is not None
-        assert np.array_equal(pay.b_part, plane.b_vals[int(i)]) and pay.b_part.base is not None
+        assert np.array_equal(pay.a_part, vals_a[i]) and np.array_equal(pay.b_part, vals_b[i])
+        if spec.q != 2:
+            assert np.array_equal(pay.a_part, plane.a_vals[int(i)]) and pay.a_part.base is not None
+            assert np.array_equal(pay.b_part, plane.b_vals[int(i)]) and pay.b_part.base is not None
     for part in (slice(1, 5, 2), slice(None, None, -1), slice(-3, None), slice(n, None)):
         sub = plane[part]
         assert isinstance(sub, codec.WorkerPlane) and len(sub) == len(points[part])
@@ -560,6 +565,81 @@ def test_gf2_evaluate_many_shuffled_and_scattered_points():
     check_char2_evaluation(char2_operand(GF2, 16, (2,) * 16, 3, (1, 6), rng), few, packed=False)
     check_char2_evaluation(char2_operand(GF2, 18, (2,) * 18, 8, (2, 2), rng),
                            rng.choice(2**18, size=200), packed=False)
+
+
+def check_gf2_plane(enc_a, enc_b, points):
+    """make_payloads over GF(2) at `points`: the plane holds each operand's
+    packed rows (padding bits zero), and every lookup, slice, iteration and
+    batched product equals the evaluate_many rows and worker_compute."""
+    spec, points = GF2, np.asarray(points)
+    n = points.size
+    plane = codec.make_payloads(enc_a, enc_b, points)
+    want_a, want_b = codec.evaluate_many(enc_a, points), codec.evaluate_many(enc_b, points)
+    for held, want in ((plane.a_vals, want_a), (plane.b_vals, want_b)):
+        assert held.dtype == np.uint8 and held.shape == (n, -(-want[0].size // 8))
+        assert np.array_equal(held, np.packbits(want.reshape(n, -1), axis=1))
+
+    def check(pay, i):
+        assert pay.point == points[i] and type(pay.point) is int and pay.spec == spec
+        for part, want in ((pay.a_part, want_a[i]), (pay.b_part, want_b[i])):
+            assert part.dtype == spec.dtype and part.flags.c_contiguous
+            assert part.shape == want.shape and np.array_equal(part, want)
+
+    for i in sorted({0, n // 2, n - 1}) + [-1, -n, np.int64(n - 1), np.uint16(n // 3), np.int8(-1)]:
+        check(plane[i], i)
+    assert [p.point for p in plane] == points.tolist()
+    for i, pay in enumerate(plane):
+        check(pay, i)
+    for part in (slice(None, None, -1), slice(n - 2, 0, -3), slice(1, None, 2), slice(-2, None),
+                 slice(n, None)):
+        sub, at = plane[part], np.arange(n)[part]
+        assert isinstance(sub, codec.WorkerPlane) and len(sub) == at.size
+        for j, i in enumerate(at.tolist()):
+            check(sub[j], i)
+        assert np.array_equal(sub.products(np.arange(at.size)), plane.products(at))
+    workers = np.array([n - 1, 0, -1, n // 2, 0, -n, n - 1])
+    stack = plane.products(workers)
+    assert stack.dtype == spec.dtype and stack.shape == (workers.size, want_a.shape[1], want_b.shape[2])
+    for row, i in zip(stack, workers.tolist()):
+        assert np.array_equal(row, codec.worker_compute(plane[i]).product)
+        assert np.array_equal(row, spec.matmul(want_a[i], want_b[i]))
+
+
+# Block shapes (r, s) and (s, t) whose operands have 0, 1, 7, 8, 9 and 17 entries.
+GF2_PLANE_SHAPES = [((1, 0), (0, 1)), ((0, 3), (3, 1)), ((1, 1), (1, 7)), ((7, 1), (1, 8)),
+                    ((1, 8), (8, 1)), ((9, 1), (1, 17)), ((1, 17), (17, 1)), ((3, 3), (3, 3))]
+
+
+def gf2_operand_pair(l, terms, shapes, rng):
+    """Operands of blocks `shapes` on random degrees of the cube {0, 1}^l."""
+    return tuple(char2_operand(GF2, l, (2,) * l, terms, shape, rng) for shape in shapes)
+
+
+@pytest.mark.parametrize("shapes", GF2_PLANE_SHAPES, ids=str)
+def test_gf2_plane_holds_packed_rows_that_unpack_to_the_evaluations(shapes):
+    """Both sides of the cost rule: the butterfly's planes on a whole small
+    cube and on many points scattered over a large one; the packed monomial
+    product at a few points scattered over a large cube."""
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    for l, terms, points, packed in (
+        (5, 12, rng.permutation(32), True),
+        (12, 40, rng.choice(2**12, size=1500, replace=False), True),
+        (16, 3, np.append(rng.choice(2**16 - 1, size=4, replace=False), 2**16 - 1), False),
+    ):
+        enc_a, enc_b = gf2_operand_pair(l, terms, shapes, rng)
+        assert rule_side(enc_a, points) is rule_side(enc_b, points) is packed
+        check_gf2_plane(enc_a, enc_b, points)
+
+
+def test_gf2_plane_mixes_the_sides_of_its_operands():
+    """One operand by the butterfly and the other by the monomial product
+    still make one plane of packed rows."""
+    rng = np.random.default_rng(29)
+    points = np.append(rng.choice(2**14 - 1, size=6, replace=False), 2**14 - 1)
+    enc_a = char2_operand(GF2, 14, (2,) * 14, 2**14, (1, 9), rng)
+    enc_b = char2_operand(GF2, 14, (2,) * 14, 2, (9, 2), rng)
+    assert rule_side(enc_a, points) and not rule_side(enc_b, points)
+    check_gf2_plane(enc_a, enc_b, points)
 
 
 @pytest.mark.parametrize("l", range(1, 7))

@@ -352,6 +352,28 @@ def test_payload_shapes_match_split_contract():
     assert codec.worker_compute(payloads2[0]).product.data.shape == (3, 5)
 
 
+@pytest.mark.parametrize("field, construction, shape, n_workers, held", [
+    ("2", "sep-vars mprime=5 nprime=5 F=8", (256, 512, 256), 1024, 2_097_152),
+    ("23", "better-box m=2,2 F=81", (120, 120, 120), 529, 2_031_360),
+    ("8", "matdot-half l=3 F=17 d=corner", (64, 1120, 64), 512, 1_310_720),
+], ids=["gf2", "gf23", "gf8"])
+def test_worker_plane_memory_of_the_benchmark_schemes(field, construction, shape, n_workers, held):
+    """The bytes of evaluations a plane keeps alive, whole buffers counted:
+    over GF(2) its packed rows, an eighth of the 16,777,216 bytes of the
+    index arrays its payloads still hand out; elsewhere the index arrays."""
+    import numpy as np
+    r, s, t = shape
+    pl = simulator.plan(SimConfig(field=field, construction=construction, r=r, s=s, t=t,
+                                  n_workers=n_workers))
+    rng = np.random.Generator(np.random.PCG64(3))
+    plane, _, _ = pl.make_payloads(codec.random_matrix(pl.spec, r, s, rng),
+                                   codec.random_matrix(pl.spec, s, t, rng))
+    buffers = [v if v.base is None else v.base for v in (plane.a_vals, plane.b_vals)]
+    assert sum(v.nbytes for v in buffers) == held
+    if field == "2":
+        assert sum(p.a_part.nbytes + p.b_part.nbytes for p in plane) == 16_777_216
+
+
 def test_plan_does_not_import_numpy_ma():
     # numpy.ma takes about 17 ms to import; set-up must not pull it in.
     code = (

@@ -105,15 +105,13 @@ def cmd_params(args) -> int:
         "FB_witness": list(sol.footprint.witness),
         "design_F": sol.design_footprint,
         "xi": sol.xi,
+        "k+1": sol.design_threshold,  # the scheme's quoted guarantee, what the master waits for
+        "achieved_k+1": sol.recovery_threshold,  # q^l - FB + 1
     }
     if isinstance(sol, MatdotSolution):
         info["d"] = list(sol.degree_target)
-        info["k+1"] = sol.design_threshold  # the scheme's quoted guarantee
-        info["achieved_k+1"] = sol.recovery_threshold
     else:
         info["n"] = sol.n
-        info["k+1"] = sol.recovery_threshold
-        info["design_k+1"] = sol.design_threshold
     if args.json:
         print(json.dumps(info, sort_keys=True))
     else:

@@ -15,7 +15,7 @@ In characteristic 2 both directions of the grid transform, evaluating
 (`evaluate_many`) and interpolating (`_transform`), run on packed bit
 planes: an entry's e bits are e GF(2) values, and one coordinate's
 Vandermonde map or its inverse is a GF(2) map on them, applied by table
-lookups on bytes (`_plane_transform`; over GF(2) it is the XOR butterfly).
+lookups on bytes (`_grid_pass`; over GF(2) it is the XOR butterfly).
 Each direction keeps the generic product where it is the cheaper: see
 `_packed_side` and `_transform`.
 
@@ -276,7 +276,7 @@ def _evaluation_planes(op: EncodedOperand, at: np.ndarray) -> np.ndarray | None:
 
     In characteristic 2 evaluating on the grid is the transform that
     `_transform` inverts: V1^T on every coordinate, run on bit planes (see
-    `_plane_transform`).  The blocks are split into their e bit planes,
+    `_grid_pass`).  The blocks are split into their e bit planes,
     packed eight entries to a byte, and placed on the smallest box of
     exponents that holds the support (over GF(2) the sub-cube itself, for
     `_butterfly`'s in-place passes).  Only the prefix sub-grid [0, q^j)
@@ -304,7 +304,7 @@ def _evaluation_planes(op: EncodedOperand, at: np.ndarray) -> np.ndarray | None:
     flat = op.blocks.reshape(len(op.blocks), -1)  # (terms, block entries)
     planes = np.zeros((spec.e, math.prod(box), -(-flat.shape[1] // 8)), dtype=np.uint8)
     planes[:, rows] = _bit_planes(spec, flat[inside])
-    return _plane_transform(spec, planes, box, inverse=False)[:, at]
+    return _grid_pass(spec, planes, box, inverse=False)[:, at]
 
 
 def _monomial_evaluations(op: EncodedOperand, at: np.ndarray) -> np.ndarray:
@@ -549,41 +549,47 @@ def _on_planes(spec: FieldSpec) -> bool:
     return spec.p == 2 and spec.q <= TABLE_LIMIT
 
 
-def _plane_transform(
-    spec: FieldSpec, planes: np.ndarray, box: tuple[int, ...], inverse: bool,
+def _grid_pass(
+    spec: FieldSpec, data: np.ndarray, box: tuple[int, ...], inverse: bool,
 ) -> np.ndarray:
-    """V1^T (or T1, `inverse`) on every coordinate of (e, prod(box), S) bit
-    planes of a characteristic-2 field, box[c] rows along coordinate c; the
-    result is (e, q^len(box), S) in row-major grid order.
-
-    Multiplying by K[x, a] is GF(2)-linear on an element's bits, so each
-    coordinate's pass is a GF(2) map on (bit, row) pairs (`_plane_map`) run
-    as table lookups on packed bytes (`_plane_pass`); it rotates its
-    coordinate to the back, as `_transform` does, so after the last pass the
-    coordinates are in their original order.  Over GF(2), e = 1 and
-    T1 = V1^T, so the box is the cube and the passes are `_butterfly`'s, in
-    place.
+    """The map K on every coordinate of grid data, box[c] rows along
+    coordinate c: V1^T restricted to the box's extents, or T1 (`inverse`).
+    Each pass maps the leading coordinate and rotates it to the back, so the
+    result has q^len(box) rows in row-major grid order.  The data's form
+    picks the backend.  (e, prod(box), S) uint8 bit planes of a
+    characteristic-2 field go through `_plane_pass`'s table lookups (K is
+    GF(2)-linear on an element's bits, `_plane_map`), or over GF(2), where
+    T1 = V1^T, through `_butterfly` in place.  A (q^l, w) index array goes
+    through `FieldSpec.matmul` by T1, so only `inverse` (an encode by V1^T
+    products lost 3.5-5 times to the monomial product over odd p).
     """
-    e, width = spec.e, planes.shape[2]
+    planes = data.ndim == 3
+    lead, width = data.shape[:-2], data.shape[-1]
     if not width:  # blocks without entries
-        return np.zeros((e, spec.q ** len(box), 0), dtype=np.uint8)
-    if spec.q == 2:
-        _butterfly(planes[0], len(box))
-        return planes
-    out = planes
+        return np.zeros((*lead, spec.q ** len(box), 0), dtype=data.dtype)
+    if planes and spec.q == 2:
+        _butterfly(data[0], len(box))
+        return data
+    t1 = None if planes else inverse_vandermonde(spec)
+    out = data
     for extent in box:
-        lead = _plane_pass(out.reshape(e, extent, -1), _plane_map(spec, inverse, extent))
-        out = lead.reshape(e, spec.q, -1, width).transpose(0, 2, 1, 3)
-    return out.reshape(e, -1, width)
+        # reshaped inline: a copy the reshape makes is freed when the pass returns
+        if planes:
+            mapped = _plane_pass(out.reshape(spec.e, extent, -1), _plane_map(spec, inverse, extent))
+        else:
+            mapped = spec.matmul(t1, out.reshape(extent, -1))
+        out = mapped.reshape(*lead, spec.q, -1, width).swapaxes(-3, -2)
+    return out.reshape(*lead, -1, width)
 
 
 def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.EliminationStats) -> np.ndarray:
-    """T . values for a (q^l, w) array of grid values, one coordinate at a time.
+    """T . values for a (q^l, w) array of grid values, one coordinate at a
+    time (`_grid_pass`).
 
     Over GF(2) this is the fast Moebius transform, `_butterfly`'s l XOR
     passes on packed bits.  Over the other fields with `_on_planes`, once a
     packed byte holds w >= 2 entries of a row, the values are split into bit
-    planes and run through `_plane_transform` with T1.  At w = 1 seven of a
+    planes and run through the table passes with T1.  At w = 1 seven of a
     byte's eight bits are padding while the passes' cost stays that of a
     byte.  Timed with one BLAS thread on a 2-core x86 VM over 19 grids
     GF(4)^3-GF(512)^2, the product was the faster at w = 1 on 15 (up to 4
@@ -593,26 +599,19 @@ def _transform(spec: FieldSpec, l: int, values: np.ndarray, stats: _linalg.Elimi
     win by up to 57 times as w grows; over the 182 cases (w = 1-256) this
     rule's total time was within about 1% of taking the faster side each
     time, against 4% for planes alone and 18 times for the product alone.
-    Otherwise each pass applies T1 to the leading coordinate by
-    `FieldSpec.matmul` and rotates it to the back, so after l passes the
-    coordinates are in their original order.
+    Otherwise the passes multiply by T1 with `FieldSpec.matmul`.
     The tallies count the field operations of the l passes of T1 either
     way (over GF(2), the butterfly's XORs).  `values` may be overwritten.
     """
-    q, w = spec.q, values.shape[1]
+    q, w, box = spec.q, values.shape[1], (spec.q,) * l
     if q == 2:
         stats.add_ops += l * values.size // 2
     else:
         stats.mult_ops += l * q * values.size
         stats.add_ops += l * q * values.size
     if _on_planes(spec) and (q == 2 or w >= 2):
-        planes = _plane_transform(spec, _bit_planes(spec, values), (q,) * l, inverse=True)
-        return _from_bit_planes(spec, planes, w)
-    t1 = inverse_vandermonde(spec)
-    out = values
-    for _ in range(l):
-        out = spec.matmul(t1, out.reshape(q, -1)).reshape(q, -1, w).transpose(1, 0, 2)
-    return out.reshape(q**l, w)
+        return _from_bit_planes(spec, _grid_pass(spec, _bit_planes(spec, values), box, inverse=True), w)
+    return _grid_pass(spec, values, box, inverse=True)
 
 
 def _dual_side(spec: FieldSpec, erasures: int, kappa: int) -> bool:
@@ -937,18 +936,6 @@ def _combine(
     return acc
 
 
-def _solve_erasures(
-    spec: FieldSpec, l: int, outside: np.ndarray, missing: np.ndarray,
-    rhs, stats: _linalg.EliminationStats,
-) -> np.ndarray:
-    """Z with T[outside, missing] . Z = rhs, read off the first independent
-    rows; rhs slices like the rows of T[outside, missing] (see _linalg)."""
-    rows = _DualRows(spec, l, outside, missing)
-    z, _, solved = _linalg.solve_exact(spec, rows, rhs, missing.size)
-    stats.add(solved)
-    return z
-
-
 def interpolate(
     sys: InterpolationSystem,
     responses: Iterable[WorkerResponse],
@@ -1020,31 +1007,40 @@ def _interpolate_dual(
     sys: InterpolationSystem, grid: np.ndarray, products: np.ndarray,
     missing: np.ndarray, only: Vec | None,
 ) -> Interpolation:
-    """Solve for the erased grid values, then read off the coefficients."""
+    """Solve for the erased grid values, then read off the coefficients.
+
+    Both forms solve T[outside, missing] . Z = rhs once and correct
+    x - T[rows, missing] . Z once.  The full decode takes rows = S, x = c[S]
+    and rhs = c[outside] of the transformed grid c.  The target decode takes
+    rows = the target, x = T's row at the target over the responders and
+    rhs = T[outside, responders]: the corrected x are the responses'
+    weights, which `_combine` applies to the products.
+    """
     spec, l = sys.spec, sys.support.l
     shape, flat = products.shape[1:], products.reshape(grid.size, -1)
     outside = _outside(spec.q, l, sys.support.index)
     stats = _linalg.EliminationStats()
-    if only is not None:
-        target = sys.support.index[sys.index_of_degree(only)][None]
-        weights = _dual_block(spec, l, target, grid)[0]
-        if missing.size:
-            z = _solve_erasures(spec, l, outside, missing, _DualRows(spec, l, outside, grid), stats)
-            weights = spec.sub_arr(weights, spec.matmul(_dual_block(spec, l, target, missing), z)[0])
-            stats.mult_ops += z.size
-            stats.add_ops += z.size
-        combined = _combine(spec, weights, flat, stats)
-        return Interpolation(spec, l, target, combined.reshape(1, *shape), stats)
-    values = np.zeros((spec.q**l, flat.shape[1]), dtype=spec.dtype)
-    values[grid] = flat
-    c = _transform(spec, l, values, stats)
-    x = c[sys.support.index]
+    if only is None:
+        rows = sys.support.index
+        values = np.zeros((spec.q**l, flat.shape[1]), dtype=spec.dtype)
+        values[grid] = flat
+        c = _transform(spec, l, values, stats)
+        x = c[rows]
+    else:
+        rows = sys.support.index[sys.index_of_degree(only)][None]
+        x = _dual_block(spec, l, rows, grid)
     if missing.size:
-        z = _solve_erasures(spec, l, outside, missing, c[outside], stats)
-        x = spec.sub_arr(x, _DualRows(spec, l, sys.support.index, missing).times(z))
-        stats.mult_ops += sys.kappa * z.size
-        stats.add_ops += sys.kappa * z.size
-    return Interpolation(spec, l, sys.support.index, x.reshape(sys.kappa, *shape), stats)
+        rhs = c[outside] if only is None else _DualRows(spec, l, outside, grid)
+        z, _, solved = _linalg.solve_exact(spec, _DualRows(spec, l, outside, missing), rhs,
+                                           missing.size)
+        del rhs  # kept to the return, a large c[outside] is paged in afresh on every decode
+        stats.add(solved)
+        x = spec.sub_arr(x, _DualRows(spec, l, rows, missing).times(z))
+        stats.mult_ops += rows.size * z.size
+        stats.add_ops += rows.size * z.size
+    if only is not None:
+        x = _combine(spec, x[0], flat, stats)[None]
+    return Interpolation(spec, l, rows, x.reshape(rows.size, *shape), stats)
 
 
 def _interpolate_primal(

@@ -77,17 +77,12 @@ DEFAULT_POINT_LIMIT = 1 << 20
 EXACT_FLOAT_BITS = 53
 EXACT_FLOAT_LIMIT = 1 << EXACT_FLOAT_BITS
 EXACT_SINGLE_BITS = 24
-EXACT_SINGLE_LIMIT = 1 << EXACT_SINGLE_BITS
 
 # ``_reduce_mod_p`` gives z mod p exactly for every integer z below these
 # limits in a float32 and a float64 word, for every odd prime p below 2^16
 # (float32 words are only used for p < 2^11).  The proof is in ``matmul``.
 RECIPROCAL_SINGLE_LIMIT = 1 << 22
 RECIPROCAL_DOUBLE_LIMIT = 1 << 50
-
-# Orders with a built-in modulus (lexicographically least irreducible,
-# comparing integer encodings of the coefficient vector).
-BUILTIN_MODULUS_ORDERS = (4, 8, 16, 25, 27, 32, 49, 64, 81, 125, 128, 256)
 
 
 def is_prime(n: int) -> bool:

@@ -23,8 +23,6 @@ from .constructions import MatdotSolution, PolySolution
 from .errors import CapacityError, InfeasibleError, InsufficientResponsesError, ParameterError
 from .field import DEFAULT_POINT_LIMIT, FieldSpec
 
-PRNG_NAME = "numpy PCG64"  # fixed generator; draw order documented above
-
 
 @dataclass(frozen=True)
 class StragglerModel:

@@ -57,6 +57,25 @@ def test_params_json(capsys):
     assert data["FB"] == 64 and data["k+1"] == 298 and data["xi"] == 102
 
 
+def test_params_k1_is_the_quoted_threshold_for_every_kind(capsys):
+    """k+1 is the design threshold and achieved_k+1 is q^l - FB + 1, for
+    polynomial and matdot codes alike, in text and in JSON."""
+    for argv, quoted, achieved in (
+        (("better-box", "--q", "23", "--param", "m=2,2", "--param", "F=81"), 449, 446),
+        (("matdot-half", "--q", "8", "--param", "l=3", "--param", "F=17", "--param", "d=corner"),
+         496, 489),
+    ):
+        code, out, _ = run_cli(capsys, "params", *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"k+1={quoted}" in lines and f"achieved_k+1={achieved}" in lines
+        assert not any(line.startswith("design_k+1") for line in lines)
+        code, out, _ = run_cli(capsys, "params", *argv, "--json")
+        data = json.loads(out)
+        assert (data["k+1"], data["achieved_k+1"]) == (quoted, achieved)
+        assert "design_k+1" not in data
+
+
 def test_params_invalid_exits_2(capsys):
     code, _, err = run_cli(capsys, "params", "poly-box", "--q", "5",
                            "--param", "m=3,1", "--param", "n=2,1")

@@ -508,22 +508,23 @@ def check_char2_evaluation(op, points, packed):
     assert np.array_equal(got, want.reshape(got.shape))
 
 
-def check_char2_transform(spec, l, w, rng, rows=None):
+def check_transform(spec, l, w, rng, rows=None):
     """_transform equals T . values, T the Kronecker power of T1 (`_dual_block`),
-    on all rows or on `rows` of them, runs on bit planes exactly over GF(2)
-    and from w = 2 entries up, and tallies l passes of T1 (over GF(2), the
-    butterfly's XORs)."""
+    on all rows or on `rows` of them, runs on bit planes (it splits the
+    values with `_bit_planes`) exactly in characteristic 2 and there over
+    GF(2) or from w = 2 entries up, and tallies l passes of T1 (over GF(2),
+    the butterfly's XORs)."""
     grid = np.arange(spec.q**l)
     rows = grid if rows is None else rows
     values = rng.integers(0, spec.q, size=(grid.size, w)).astype(spec.dtype)
     stats = codec._linalg.EliminationStats()
-    calls, real = [], codec._plane_transform
-    codec._plane_transform = lambda *args, **kw: calls.append(args) or real(*args, **kw)
+    calls, real = [], codec._bit_planes
+    codec._bit_planes = lambda *args: calls.append(args) or real(*args)
     try:
         got = codec._transform(spec, l, values.copy(), stats)
     finally:
-        codec._plane_transform = real
-    assert bool(calls) is (spec.q == 2 or w >= 2)
+        codec._bit_planes = real
+    assert bool(calls) is (spec.p == 2 and (spec.q == 2 or w >= 2))
     assert got.dtype == spec.dtype and got.shape == values.shape
     assert np.array_equal(got[rows], spec.matmul(codec._dual_block(spec, l, rows, grid), values))
     passes = (0, l * values.size // 2) if spec.q == 2 else (l * spec.q * values.size,) * 2
@@ -657,7 +658,7 @@ def test_gf2_dual_block_is_the_kronecker_power_of_t1(l):
 
 @pytest.mark.parametrize("w", [1, 3, 8, 13, 22])
 def test_gf2_transform_on_packed_words_equals_the_dual_matrix(w):
-    check_char2_transform(GF2, 6, w, np.random.default_rng(w))
+    check_transform(GF2, 6, w, np.random.default_rng(w))
 
 
 # (q, l) with q^l <= 4096 for every GF(2^e), e >= 2, up to GF(512) (uint16 indices)
@@ -699,9 +700,20 @@ def test_char2_evaluate_many_shuffled_and_scattered_points(q, l):
 @pytest.mark.parametrize("q, l", CHAR2_GRIDS)
 def test_char2_transform_equals_the_dual_matrix(q, l):
     spec, rng = FieldSpec.of_order(q), np.random.default_rng(q + 7 * l)
-    for w in (1, 3, 8, 13):
+    for w in (0, 1, 3, 8, 13):
         rows = None if q**l <= 1024 else rng.choice(q**l, size=64, replace=False)
-        check_char2_transform(spec, l, w, rng, rows)
+        check_transform(spec, l, w, rng, rows)
+
+
+# (q, l) over odd characteristic, prime fields and GF(9), GF(25): T1 by FieldSpec.matmul.
+ODD_GRIDS = [(3, 1), (3, 5), (5, 3), (7, 2), (9, 3), (11, 2), (25, 2)]
+
+
+@pytest.mark.parametrize("q, l", ODD_GRIDS)
+def test_odd_characteristic_transform_equals_the_dual_matrix(q, l):
+    spec, rng = FieldSpec.of_order(q), np.random.default_rng(q + 11 * l)
+    for w in (0, 1, 2, 9):  # w = 0: blocks without entries
+        check_transform(spec, l, w, rng)
 
 
 def test_char2_full_grid_encode_builds_no_monomial_matrix(monkeypatch):

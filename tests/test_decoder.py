@@ -192,6 +192,80 @@ def test_dual_stats_count_transform_solve_and_correction():
     assert only.total_ops > 2 * e * r + 2 * r * w
 
 
+# Dual-side systems on the whole grid: (descriptor, kappa, FB(S)); FB(S) - 1 < kappa.
+DUAL_CASES = {
+    2: ("sep-vars mprime=2 nprime=2 F=2", 9, 4),
+    5: ("better-box m=1,1 F=4", 20, 4),
+    8: ("better-box m=1,1 F=8", 48, 8),
+}
+
+
+def _dual_case(q):
+    """The system of DUAL_CASES[q], its support's coefficient blocks (2 x 3,
+    random) and their products at every grid point, and a seeded order of
+    the points whose tail is erased first."""
+    descriptor, kappa, fb = DUAL_CASES[q]
+    spec, sol = FieldSpec.of_order(q), cons.build(descriptor, q)
+    points = np.arange(q**sol.l)
+    system = codec.build_system(spec, sol.sum_set(), points)
+    assert (system.kappa, q**sol.l - system.recovery_threshold + 1) == (kappa, fb)
+    rng = np.random.default_rng(q)
+    coeffs = rng.integers(0, q, size=(kappa, 2, 3)).astype(spec.dtype)
+    values = spec.matmul(codec.monomial_matrix(spec, system.support, points).T,
+                         coeffs.reshape(kappa, -1))
+    return system, coeffs, values.reshape(points.size, 2, 3), rng.permutation(points.size)
+
+
+def _responders(products, order, erased):
+    kept = np.sort(order[:order.size - erased])
+    return kept, products[kept]
+
+
+@pytest.mark.parametrize("q", sorted(DUAL_CASES))
+def test_target_decode_equals_the_full_decode_at_every_degree(q):
+    """interpolate(..., only=d) is the full decode's block at d, for every d
+    in S, at 0, 1 and FB(S) - 1 erasures, all on the dual side."""
+    system, coeffs, products, order = _dual_case(q)
+    spec, l = system.spec, system.support.l
+    for erased in (0, 1, DUAL_CASES[q][2] - 1):
+        grid, stack = _responders(products, order, erased)
+        assert codec._dual_side(spec, erased, system.kappa)
+        full = codec.interpolate_stack(system, grid, stack, require_threshold=False)
+        assert np.array_equal(full.grid, system.support.index)
+        assert np.array_equal(full.blocks, coeffs)
+        for i, degree in enumerate(system.support.rows):
+            one = codec.interpolate_stack(system, grid, stack, only=degree, require_threshold=False)
+            assert one.grid.tolist() == [system.support.index[i]] and one.l == l
+            assert np.array_equal(one.blocks, full.blocks[i:i + 1])
+
+
+# Dual-side tallies of DUAL_CASES at 0 and FB(S) - 1 erasures: (full decode,
+# target decode at S's last degree), each (rows offered, rows used,
+# multiplications, additions, inversions).  Fixed values, so a change in the
+# work the dual decode does or counts shows.
+DUAL_STATS = {
+    2: {0: ((0, 0, 0, 192, 0), (0, 0, 96, 96, 0)),
+        3: ((4, 3, 216, 408, 3), (4, 3, 213, 213, 3))},
+    5: {0: ((0, 0, 1500, 1500, 0), (0, 0, 150, 150, 0)),
+        3: ((3, 3, 1905, 1896, 3), (3, 3, 323, 298, 3))},
+    8: {0: ((0, 0, 6144, 6144, 0), (0, 0, 384, 384, 0)),
+        7: ((7, 7, 8719, 8641, 7), (7, 7, 3493, 3109, 7))},
+}
+
+
+@pytest.mark.parametrize("q", sorted(DUAL_STATS))
+def test_dual_decode_stats_pinned(q):
+    system, _, products, order = _dual_case(q)
+    got = {}
+    for erased in DUAL_STATS[q]:
+        grid, stack = _responders(products, order, erased)
+        full = codec.interpolate_stack(system, grid, stack, require_threshold=False)
+        one = codec.interpolate_stack(system, grid, stack, only=system.support.rows[-1],
+                                      require_threshold=False)
+        got[erased] = (_tally(full.stats), _tally(one.stats))
+    assert got == DUAL_STATS[q]
+
+
 def test_empty_responses_raise_typed_error():
     spec, system, responses = _gf5_responses(np.random.default_rng(4))
     with pytest.raises(InsufficientResponsesError) as err:

@@ -12,9 +12,11 @@ row-major grid indices, sorted and distinct: a vector a has index
 sum_i a_i q^(l-1-i), the codec's numbering of points and exponents alike,
 so index order is lexicographic order.  The indices are int64 when
 q^l < 2^63 and exact Python ints (an object array) above, where int64 would
-wrap.  Reduced sums add indices and correct the coordinates that wrap,
-deduplication is one sort of that key column, and footprints multiply
-per-group table lookups.  The (len, l) array of exponents and the tuples of
+wrap.  Reduced sums add indices and correct the coordinates that wrap;
+deduplication checks that key column for strict ascent in one comparison
+pass, as sums of sets on disjoint coordinates come out, and sorts it and
+drops equal neighbours only when it is not.  Footprints multiply per-group
+table lookups in place.  The (len, l) array of exponents and the tuples of
 Python ints are decoded only for callers that read them.
 """
 
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleError, ParameterError, RangeError
+from .errors import CapacityError, InfeasibleError, ParameterError, RangeError, ShapeError
 
 Vec = tuple[int, ...]
 
@@ -39,6 +41,10 @@ _GROUP_SIZE = 4096
 
 # minkowski_sum_q forms at most this many sums at once (16 MiB of int64 keys).
 _SUM_CHUNK = 1 << 21
+
+# fb reads at most this many members at once, so its temporaries stay a few
+# 128 KiB arrays beside the set however large the set is.
+_FB_BLOCK = 1 << 14
 
 
 def reduce_q(a: int, q: int) -> int:
@@ -137,8 +143,12 @@ class ExponentSet:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D key array, ascending: one sort, then
-    equal neighbours dropped."""
+    """The distinct values of a 1-D key array, ascending.  int64 keys that
+    are already strictly ascending, as the sums of degree sets on disjoint
+    coordinates are, come back unchanged after one comparison pass; the
+    others are sorted and equal neighbours dropped."""
+    if keys.dtype != object and (keys[1:] > keys[:-1]).all():
+        return keys
     keys = np.sort(keys)
     keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
@@ -159,12 +169,14 @@ def _spans(q: int, l: int) -> tuple[tuple[int, int], ...]:
 def _groups(s: ExponentSet) -> Iterator[tuple[int, int, np.ndarray]]:
     """(first coordinate, width, int64 values in [0, q^width)) of each run of
     `_spans`, read off the members' indices."""
-    q = s.q
+    q, rest = s.q, s.index
     for start, width in _spans(q, s.l):
         place = q ** (s.l - start - width)
-        values = s.index // place if place > 1 else s.index
-        if start:
-            values = values % q**width
+        values = rest
+        if place > 1:  # no remainder pass: what is left below this run is rest - values * place
+            values = rest // place
+            high = values * place
+            rest = np.subtract(rest, high, out=high)
         yield start, width, values.astype(np.int64, copy=False)
 
 
@@ -189,8 +201,11 @@ def _run(q: int, shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.nd
     """For a run of coordinates, given by the bytes of its int64 (budgets,
     width, q) slice of a factor table: the values with no zero factor, each
     budget's product over the run at them, and each budget's largest product
-    (0 if none is left), read-only."""
+    (0 if none is left), read-only.  A factor outside [0, q] is a
+    ParameterError, on every call: lru_cache keeps no exception."""
     factors = np.frombuffer(data, dtype=np.int64).reshape(shape + (q,))
+    if ((factors < 0) | (factors > q)).any():
+        raise ParameterError(f"factors must lie in [0, {q}], got {factors.min()} to {factors.max()}")
     products = factors[:, np.arange(shape[1]), _digits(q, shape[1])].prod(axis=2)
     keep = (products > 0).all(axis=0)
     values, products = np.flatnonzero(keep), products[:, keep]
@@ -284,9 +299,9 @@ def minkowski_sum_q(a: ExponentSet, b: ExponentSet) -> ExponentSet:
     """Pairwise sums reduced coordinatewise; duplicates collapse.
 
     The sums are `pair_sums` indices, formed for chunks of A's members
-    holding at most _SUM_CHUNK sums to bound peak memory.  Each chunk is
-    sorted and its equal neighbours dropped, and more than one chunk is
-    merged the same way.
+    holding at most _SUM_CHUNK sums to bound peak memory.  Each chunk goes
+    through `_distinct`, which sorts only keys that are not already strictly
+    ascending, and more than one chunk is merged the same way.
     """
     chunk = max(1, _SUM_CHUNK // max(1, len(b)))
     parts = [_distinct(pair_sums(a, b, lo, lo + chunk).ravel()) for lo in range(0, max(1, len(a)), chunk)]
@@ -298,18 +313,25 @@ def fb(s: ExponentSet) -> FootprintValue:
 
     Each member's budget prod(q - a_i) is a product of per-group table
     lookups (`_groups`), in radix(q, l)'s dtype: int64 when q^l < 2^63 (no
-    product can wrap) and exact Python ints otherwise.  Members are sorted,
+    product can wrap) and exact Python ints otherwise.  Members are read in
+    blocks of _FB_BLOCK, each block's lookups multiplied in place.  Members
+    are sorted and a later block wins only with a strictly smaller budget,
     so the first minimum is the lexicographically least witness, and only
     the witness is decoded.
     """
     if not len(s):
         raise ParameterError("footprint of an empty set is undefined")
-    budgets = np.ones(len(s), dtype=s.index.dtype)
-    for _, width, values in _groups(s):
-        table = _run(s.q, (1, width), _hyp_factors(s.q, width).tobytes())[1][0]
-        budgets = budgets * table[values].astype(s.index.dtype, copy=False)
-    i = int(np.argmin(budgets))
-    return FootprintValue(int(budgets[i]), vector_at(s.q, s.l, s.index[i]))
+    value = at = None
+    for lo in range(0, len(s), _FB_BLOCK):
+        budgets = None
+        for _, width, values in _groups(ExponentSet(s.q, s.l, s.index[lo:lo + _FB_BLOCK])):
+            table = _run(s.q, (1, width), _hyp_factors(s.q, width).tobytes())[1][0]
+            factor = table[values].astype(s.index.dtype, copy=False)  # a fresh array: the gather copies
+            budgets = factor if budgets is None else np.multiply(budgets, factor, out=budgets)
+        i = int(np.argmin(budgets))
+        if value is None or budgets[i] < value:
+            value, at = int(budgets[i]), lo + i
+    return FootprintValue(value, vector_at(s.q, s.l, s.index[at]))
 
 
 def delta(s: ExponentSet) -> int:
@@ -324,31 +346,43 @@ def budget_set(q: int, factors: np.ndarray, floors: Sequence[int]) -> ExponentSe
     """All vectors a of N_{<q}^l with prod_i factors[j, i, a_i] >= floors[j]
     for every budget j.
 
-    `factors` is a (budgets, l, q) table of integers in [0, q], so no
-    product passes q^l and the products can share radix(q, l)'s dtype.
-    Floors below 1 count as 1, so a zero factor rules its value out.  Built
-    one run of `_spans` coordinates at a time in lexicographic order, from
-    cached run tables: a prefix survives while each budget's product, times
-    the most the remaining runs can contribute, still reaches its floor.
+    `factors` is a (budgets, l, q) table, l >= 1, of integers in [0, q], so
+    no product passes q^l and the products can share radix(q, l)'s dtype;
+    another shape is a ShapeError, and other entries, or a floor count other
+    than the budget count, a ParameterError.  Floors below 1 count as 1, so
+    a zero factor rules its value out.  Built one run of `_spans`
+    coordinates at a time in lexicographic order, from cached run tables: a
+    prefix survives while each budget's product, times the most the
+    remaining runs can contribute, still reaches its floor.
     """
     factors = np.asarray(factors, dtype=np.int64)
+    if factors.ndim != 3 or not factors.shape[1] or factors.shape[2] != q:
+        raise ShapeError(f"need a (budgets, l >= 1, {q}) factor table, got shape {factors.shape}")
     n, l = factors.shape[:2]
+    if len(floors) != n:
+        raise ParameterError(f"{len(floors)} floors for {n} budgets")
     runs = [(width, *_run(q, (n, width), factors[:, start:start + width].tobytes()))
             for start, width in _spans(q, l)]
     rest = [(1,) * n]  # rest[k][j]: budget j's largest product over the runs after run k
     for *_, top in reversed(runs):
         rest.insert(0, tuple(x * y for x, y in zip(top, rest[0])))
     floors = [max(1, int(f)) for f in floors]
-    keys = np.zeros(1, dtype=radix(q, l).dtype)
+    dtype = radix(q, l).dtype
     if any(top < f for top, f in zip(rest[0], floors)):
-        return ExponentSet(q, l, keys[:0])
-    budget = np.ones((n, 1), dtype=keys.dtype)
-    for (width, values, products, _), after in zip(runs, rest[1:]):
-        keys = np.add.outer(keys * q**width, values.astype(keys.dtype)).ravel()
-        budget = (budget[:, :, None] * products[:, None, :].astype(keys.dtype)).reshape(n, -1)
-        need = np.array([-(-f // r) for f, r in zip(floors, after)], dtype=keys.dtype)
-        keep = (budget >= need[:, None]).all(axis=0)
-        keys, budget = keys[keep], budget.compress(keep, axis=1)
+        return ExponentSet(q, l, np.zeros(0, dtype=dtype))
+    for k, ((width, values, products, _), after) in enumerate(zip(runs, rest[1:])):
+        values, products = values.astype(dtype, copy=False), products.astype(dtype, copy=False)
+        if k:
+            keys = np.add.outer(keys * q**width, values).ravel()
+            budget = (budget[:, :, None] * products[:, None, :]).reshape(n, -1)
+        else:  # the first run's table is the one-run prefix set
+            keys, budget = values, products
+        need = [-(-f // r) for f, r in zip(floors, after)]
+        if max(need, default=1) > 1:  # every product left is at least 1
+            keep = (budget >= np.array(need, dtype=dtype)[:, None]).all(axis=0)
+            keys = keys[keep]
+            if k + 1 < len(runs):  # the last run's budgets are not read again
+                budget = budget.compress(keep, axis=1)
     return ExponentSet(q, l, keys)
 
 
@@ -370,6 +404,8 @@ def hyp_size(q: int, l: int, f: int) -> int:
         return 0
     if l == 1:
         return max(0, q - f + 1)
+    if l == 2:  # the l = 1 level inside the sum: q + 1 - ceil(f/i) for each i with ceil(f/i) <= q
+        return sum(q + 1 + -f // i for i in range(-(-f // q), q + 1))
     return sum(hyp_size(q, l - 1, -(-f // i)) for i in range(1, q + 1))
 
 

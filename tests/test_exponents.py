@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvdmm import exponents as ex
-from mvdmm.errors import InfeasibleError, ParameterError, RangeError
+from mvdmm.errors import InfeasibleError, ParameterError, RangeError, ShapeError
 
 
 def brute_hyp(q, l, f):
@@ -236,7 +236,11 @@ def fb_oracle(s):
 
 @pytest.mark.parametrize(
     "q, l, size, seed",
-    [(2, 12, 300, 1), (3, 5, 200, 2), (5, 4, 400, 3), (19, 2, 100, 4), (257, 3, 500, 5)],
+    [
+        (2, 12, 300, 1), (3, 5, 200, 2), (5, 4, 400, 3), (19, 2, 100, 4), (257, 3, 500, 5),
+        (128, 3, 300, 6),  # one coordinate per group
+        (2, 20, 500, 7),  # two groups, 12 and 8 coordinates
+    ],
 )
 def test_fb_matches_per_vector_loop(q, l, size, seed):
     s = seeded_set(q, l, size, seed)
@@ -250,6 +254,19 @@ def test_fb_tie_break_matches_per_vector_loop():
     vecs = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 0), (0, 0, 2)]
     s = ex.ExponentSet.of(3, 3, vecs)
     assert ex.fb(s) == fb_oracle(s) == ex.FootprintValue(9, (0, 0, 2))
+
+
+def test_fb_reads_blocks_in_order(monkeypatch):
+    s = seeded_set(5, 4, 400, seed=9)
+    whole = ex.fb(s)
+    monkeypatch.setattr(ex, "_FB_BLOCK", 3)
+    assert ex.fb(s) == whole == fb_oracle(s)
+    # budget 25 opens the first block and the last one: the first is the witness
+    vecs = [(0, 4, 4, 0)] + [(1, 1, 1, x) for x in range(5)] + [(4, 4, 0, 0)]
+    tied = ex.ExponentSet.of(5, 4, vecs)
+    assert ex.fb(tied) == fb_oracle(tied) == ex.FootprintValue(25, (0, 4, 4, 0))
+    lower = ex.ExponentSet.of(5, 4, vecs + [(4, 4, 4, 0)])  # budget 5, in the last block
+    assert ex.fb(lower) == fb_oracle(lower) == ex.FootprintValue(5, (4, 4, 4, 0))
 
 
 def test_fb_is_exact_where_int64_would_wrap():
@@ -425,3 +442,116 @@ def test_hyp_set_across_run_edges(q, l):
         s = ex.hyp_set(q, l, f)
         assert len(s) == ex.hyp_size(q, l, f), (q, l, f)
         assert np.array_equal(s.index, np.flatnonzero(budgets >= f)), (q, l, f)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' fast paths against their references
+
+
+def sorted_distinct(keys):
+    """The sort path: the distinct keys, ascending, as Python ints."""
+    return sorted(set(keys.tolist()))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[], [7], [1, 4, 9, 30], [1, 4, 4, 9], [30, 9, 4, 1], [5, 5, 5], [3, 1, 2, 1]],
+    ids=["empty", "single", "ascending", "repeat", "descending", "constant", "shuffled"],
+)
+def test_distinct_matches_the_sort_path(keys):
+    arr = np.array(keys, dtype=np.int64)
+    got = ex._distinct(arr)
+    assert got.dtype == np.int64 and got.tolist() == sorted_distinct(arr)
+    if all(x < y for x, y in zip(keys, keys[1:])):
+        assert got is arr  # strictly ascending keys come back unchanged
+    s = ex.ExponentSet(40, 1, ex._distinct(np.array(keys, dtype=np.int64)))
+    with pytest.raises(ValueError):
+        s.index[:1] = 0  # read-only, also when the caller's array came back
+
+
+def test_distinct_of_object_keys_across_the_int64_boundary():
+    top = 2**63
+    for keys in ([top - 1, top, top + 5], [top + 5, top - 1, top, top - 1], [top]):
+        arr = np.array(keys, dtype=object)
+        got = ex._distinct(arr)
+        assert got.dtype == object and got.tolist() == sorted_distinct(arr)
+        assert all(type(x) is int for x in got.tolist())
+
+
+def group_edge_vectors(q, l, seed):
+    """Vectors with 0 and q - 1 on both sides of every group edge, the all-0
+    and all-(q - 1) vectors, and seeded ones."""
+    vecs = {(0,) * l, (q - 1,) * l}
+    for start, _ in ex._spans(q, l):
+        for lo, hi in ((0, q - 1), (q - 1, 0), (q - 1, q - 1)):
+            v = [q // 2] * l
+            v[start] = hi
+            if start:
+                v[start - 1] = lo
+            vecs.add(tuple(v))
+    rng = np.random.default_rng(seed)
+    vecs.update(tuple(rng.integers(0, q, size=l).tolist()) for _ in range(30))
+    return sorted(vecs)
+
+
+@pytest.mark.parametrize(
+    "q, l",
+    [
+        (2, 1), (2, 12), (2, 13), (2, 24), (2, 62), (2, 63), (2, 64),
+        (3, 7), (3, 8), (3, 39), (3, 40),
+        (19, 2), (19, 3), (19, 14), (19, 15),
+        (64, 2), (64, 3), (64, 10), (64, 11),
+        (128, 1), (128, 8), (128, 9),
+        (4099, 1), (4099, 5), (4099, 6),
+    ],
+)
+def test_groups_match_the_digits(q, l):
+    vecs = group_edge_vectors(q, l, seed=q + l)
+    s = ex.ExponentSet.of(q, l, vecs)
+    assert (s.index.dtype == object) == (q**l >= 2**63)
+    seen = 0
+    for start, width, values in ex._groups(s):
+        assert values.dtype == np.int64
+        want = [index_of(q, v[start:start + width]) for v in vecs]
+        assert values.tolist() == want, (start, width)
+        seen += width
+    assert seen == l
+    assert s.vectors == tuple(vecs)
+
+
+def test_disjoint_coordinate_sums_are_born_sorted():
+    q, l = 2, 12
+    left, right = ex.hyp_set(q, 6, 4), ex.hyp_set(q, 6, 2)
+    d_a = ex.ExponentSet(q, l, left.index * q**6)  # the first six coordinates
+    d_b = ex.ExponentSet(q, l, right.index)  # the last six
+    sums = ex.pair_sums(d_a, d_b).ravel()
+    assert (sums[1:] > sums[:-1]).all()
+    got = ex.minkowski_sum_q(d_a, d_b)
+    assert got.vectors == brute_minkowski(d_a, d_b)
+    assert len(got) == len(d_a) * len(d_b)
+    with pytest.raises(ValueError):
+        got.index[0] = 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 19, 128])
+def test_hyp_size_at_two_coordinates_matches_enumeration(q):
+    budgets = np.sort(((q - np.arange(q))[:, None] * (q - np.arange(q))[None, :]).ravel())
+    for f in range(-1, q * q + 3):
+        want = len(budgets) - np.searchsorted(budgets, f)  # members with budget >= f
+        assert ex.hyp_size(q, 2, f) == want, f
+
+
+def test_budget_set_rejects_a_malformed_table():
+    factors = np.broadcast_to(5 - np.arange(5), (2, 2, 5))  # two budgets over GF(5), l = 2
+    assert len(ex.budget_set(5, factors, [6, 6])) == 15
+    for floors in ([6], [6, 6, 6], []):
+        with pytest.raises(ParameterError, match="floors"):
+            ex.budget_set(5, factors, floors)
+    for bad in (6, -1):
+        table = np.array(factors)
+        table[1, 0, 2] = bad
+        with pytest.raises(ParameterError, match=r"\[0, 5\]"):
+            ex.budget_set(5, table, [1, 1])
+    for shape in ((2, 2, 4), (2, 2, 6), (2, 10), (2, 0, 5)):
+        with pytest.raises(ShapeError):
+            ex.budget_set(5, np.ones(shape, dtype=np.int64), [1, 1])
